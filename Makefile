@@ -50,6 +50,7 @@ cover:
 FUZZTIME ?= 5s
 fuzz-smoke:
 	$(GO) test -run='^$$' -fuzz='^FuzzMonitorDispatch$$' -fuzztime=$(FUZZTIME) ./internal/qemu
+	$(GO) test -run='^$$' -fuzz='^FuzzTelemetryKey$$' -fuzztime=$(FUZZTIME) ./internal/telemetry
 	$(GO) test -run='^$$' -fuzz='^FuzzBenchJSONParse$$' -fuzztime=$(FUZZTIME) ./cmd/benchjson
 	$(GO) test -run='^$$' -fuzz='^FuzzControlPlaneRequest$$' -fuzztime=$(FUZZTIME) ./internal/controlplane
 	$(GO) test -run='^$$' -fuzz='^FuzzStrategySpec$$' -fuzztime=$(FUZZTIME) ./internal/scenario

@@ -24,6 +24,7 @@ package cpu
 
 import (
 	"fmt"
+	"strconv"
 	"time"
 )
 
@@ -85,7 +86,7 @@ var Levels = []Level{L0, L1, L2}
 
 // String returns the Turtles-style level name.
 func (l Level) String() string {
-	return fmt.Sprintf("L%d", int(l))
+	return "L" + strconv.Itoa(int(l))
 }
 
 // Class partitions operations by the mechanism that dominates their

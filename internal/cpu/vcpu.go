@@ -63,13 +63,27 @@ func (v *VCPU) SetTelemetry(reg *telemetry.Registry) {
 		t.exitFactor = uint64(per)
 		t.faultFactor = uint64(faults)
 	}
-	lvl := v.level.String()
-	for _, c := range []Class{ClassALU, ClassSyscall, ClassIO} {
-		t.ops[c] = reg.Counter(telemetry.Key("cpu_ops_total", "class", c.String(), "level", lvl))
-		t.exits[c] = reg.Counter(telemetry.Key("cpu_exits_total", "class", c.String(), "level", lvl))
+	names := &seriesNames[v.level]
+	for c := ClassALU; c <= ClassIO; c++ {
+		t.ops[c] = reg.Counter(names.ops[c])
+		t.exits[c] = reg.Counter(names.exits[c])
 	}
 	v.tel = t
 }
+
+// seriesNames holds, per level a guest can run at (nesting stops at L3),
+// the per-class counter names SetTelemetry resolves. They are rendered
+// once here because SetTelemetry runs for every VM a host creates.
+var seriesNames = func() (s [L3 + 1]struct{ ops, exits [ClassIO + 1]string }) {
+	for l := range s {
+		lvl := Level(l).String()
+		for c := ClassALU; c <= ClassIO; c++ {
+			s[l].ops[c] = telemetry.Key("cpu_ops_total", "class", c.String(), "level", lvl)
+			s[l].exits[c] = telemetry.Key("cpu_exits_total", "class", c.String(), "level", lvl)
+		}
+	}
+	return s
+}()
 
 // NewVCPU returns a vCPU running at the given level under the given model.
 func NewVCPU(eng *sim.Engine, model Model, level Level) *VCPU {

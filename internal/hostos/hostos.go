@@ -22,17 +22,15 @@ var (
 	ErrPIDInUse      = errors.New("hostos: pid already in use")
 )
 
-// Process is one entry in the process table.
+// Process is one entry in the process table. A defender sees only PID,
+// owner and command line — nothing ties a QEMU process to the VM it backs
+// (the simulator keeps that link on the VM, as its PID), which is exactly
+// why the PID swap defeats PID-based monitoring.
 type Process struct {
 	PID     int
 	Owner   string
 	Command string
 	Started time.Duration
-	// Annotations carry simulator-level metadata (e.g. which qemu.VM a
-	// QEMU process backs). They are invisible to `ps` — a defender only
-	// sees PID, owner, and command line, which is exactly why the PID
-	// swap defeats PID-based monitoring.
-	Annotations map[string]string
 }
 
 // System is one host machine's OS view.
@@ -62,11 +60,10 @@ func (s *System) Hostname() string { return s.hostname }
 func (s *System) Spawn(owner, command string) *Process {
 	s.nextPID++
 	p := &Process{
-		PID:         s.nextPID,
-		Owner:       owner,
-		Command:     command,
-		Started:     s.eng.Now(),
-		Annotations: make(map[string]string),
+		PID:     s.nextPID,
+		Owner:   owner,
+		Command: command,
+		Started: s.eng.Now(),
 	}
 	s.procs[p.PID] = p
 	return p

@@ -3,6 +3,7 @@ package hostos
 import (
 	"errors"
 	"testing"
+	"time"
 
 	"cloudskulk/internal/sim"
 )
@@ -157,11 +158,16 @@ func TestRemoveHistoryMatching(t *testing.T) {
 	}
 }
 
-func TestAnnotationsInvisibleInCommand(t *testing.T) {
-	s := newSys(t)
-	p := s.Spawn("root", "qemu guest")
-	p.Annotations["vm"] = "guest0"
-	if got, _ := s.Process(p.PID); got.Annotations["vm"] != "guest0" {
-		t.Fatal("annotation lost")
+// A process-table entry carries PID, owner, command line and start time,
+// and nothing that names the VM a QEMU process backs.
+func TestPSShowsOnlyPIDOwnerCommand(t *testing.T) {
+	eng := sim.NewEngine(1)
+	s := New(eng, "host")
+	eng.Advance(3 * time.Second)
+	p := s.Spawn("root", "qemu-system-x86_64 -name guest0")
+	ps := s.PS()
+	want := Process{PID: p.PID, Owner: "root", Command: "qemu-system-x86_64 -name guest0", Started: 3 * time.Second}
+	if len(ps) != 1 || *ps[0] != want {
+		t.Fatalf("ps = %+v, want [%+v]", ps, want)
 	}
 }

@@ -245,7 +245,7 @@ func (d *Daemon) ScanN(n int) int {
 	if len(d.regions) == 0 {
 		return 0
 	}
-	merged := 0
+	merged, scanned := 0, d.pagesScan
 	for left := n; left > 0; {
 		r := d.regions[d.cursor]
 		if r.next >= r.space.NumPages() {
@@ -266,7 +266,7 @@ func (d *Daemon) ScanN(n int) int {
 			}
 			r = d.regions[d.cursor]
 			if r.next >= r.space.NumPages() {
-				return merged
+				break
 			}
 		}
 		end := r.next + left
@@ -282,6 +282,7 @@ func (d *Daemon) ScanN(n int) int {
 		left -= end - r.next
 		r.next = end
 	}
+	d.telScanned.Add(d.pagesScan - scanned)
 	return merged
 }
 
@@ -350,6 +351,7 @@ func (d *Daemon) examine(r *region, page int) bool {
 			}
 			r.flags[page] &^= flagSelfCand
 			d.merges++
+			d.telMerges.Inc()
 			return true
 		}
 	}

@@ -8,6 +8,7 @@ import (
 
 	"cloudskulk/internal/mem"
 	"cloudskulk/internal/sim"
+	"cloudskulk/internal/telemetry"
 )
 
 func newDaemon(t *testing.T) (*sim.Engine, *Daemon) {
@@ -81,6 +82,31 @@ func TestThirdPageJoinsStableGroup(t *testing.T) {
 	}
 	if d.SharedGroups() != 1 {
 		t.Fatalf("groups = %d", d.SharedGroups())
+	}
+}
+
+// The telemetry counters track the daemon's own ledger: every scanned
+// page, and both kinds of merge — a fresh pair out of the unstable tree
+// and a later page attaching to the stable group.
+func TestTelemetryMatchesLedger(t *testing.T) {
+	_, d := newDaemon(t)
+	reg := telemetry.NewRegistry()
+	d.SetTelemetry(reg)
+	a := mem.NewSpace("a", mem.PageSize*3)
+	for p := 0; p < 3; p++ {
+		mustWrite(t, a, p, 0xbeef)
+	}
+	d.Register(a)
+	d.ScanN(2) // page 1 pairs with page 0: a new stable group
+	d.ScanN(7) // page 2 attaches to it, then the budget wraps the region
+	if g, _ := a.Shared(2); g == nil || g.Refs != 3 || d.Merges() != 2 {
+		t.Fatalf("want one pair merge and one stable attach, got merges=%d group=%+v", d.Merges(), g)
+	}
+	if got := reg.Counter("ksm_pages_scanned_total").Value(); got != d.PagesScanned() || got != 9 {
+		t.Fatalf("ksm_pages_scanned_total = %d, PagesScanned = %d, want 9", got, d.PagesScanned())
+	}
+	if got := reg.Counter("ksm_merges_total").Value(); got != d.Merges() {
+		t.Fatalf("ksm_merges_total = %d, Merges = %d", got, d.Merges())
 	}
 }
 

@@ -10,6 +10,7 @@ import (
 	"fmt"
 	"net"
 	"sort"
+	"strings"
 	"time"
 
 	"cloudskulk/internal/cpu"
@@ -186,6 +187,9 @@ func (h *Host) OpenQMP(port int) (net.Conn, error) {
 type Hypervisor struct {
 	host     *Host
 	insideVM *qemu.VM // nil at L0
+	// scope prefixes this hypervisor's guest endpoints: "" at L0, the
+	// enclosing VM's name and "/" when nested.
+	scope    string
 	os       *hostos.System
 	runLevel cpu.Level
 	vms      map[string]*qemu.VM
@@ -246,13 +250,7 @@ func (hv *Hypervisor) CreateVM(cfg qemu.Config) (*qemu.VM, error) {
 		return nil, fmt.Errorf("kvm: create vm %q: template %q holds %d MB, config wants %d MB",
 			cfg.Name, cfg.MemTemplate.Name(), cfg.MemTemplate.SizeBytes()>>20, cfg.MemoryMB)
 	}
-	// Nested guests live in their host guest's network namespace, so
-	// their endpoints are scoped by it. This is also what lets the
-	// attacker give the nested VM the *same name* as the victim.
-	endpoint := cfg.Name + ".nic"
-	if hv.insideVM != nil {
-		endpoint = hv.insideVM.Name() + "/" + endpoint
-	}
+	endpoint := hv.guestEndpoint(cfg.Name)
 	if err := hv.host.net.AddEndpoint(endpoint); err != nil {
 		return nil, fmt.Errorf("kvm: create vm %q: %w", cfg.Name, err)
 	}
@@ -280,11 +278,11 @@ func (hv *Hypervisor) CreateVM(cfg qemu.Config) (*qemu.VM, error) {
 		}
 	}
 
-	// Backing process in the hosting OS, visible to `ps -ef`.
-	proc := hv.os.Spawn("root", cfg.CommandLine())
-	proc.Annotations["vm"] = cfg.Name
-	vm.SetPID(proc.PID)
-	hv.os.AppendHistory(cfg.CommandLine())
+	// Backing process in the hosting OS, visible to `ps -ef`, and the
+	// same line in shell history.
+	line := cfg.CommandLine()
+	vm.SetPID(hv.os.Spawn("root", line).PID)
+	hv.os.AppendHistory(line)
 
 	// Physical residence: register with the L0 host's KSM scanner.
 	hv.host.ksmd.Register(vm.RAM())
@@ -314,6 +312,26 @@ func (hv *Hypervisor) CreateVM(cfg qemu.Config) (*qemu.VM, error) {
 	hv.vms[cfg.Name] = vm
 	return vm, nil
 }
+
+// guestEndpoint names the NIC of this hypervisor's guest called name.
+// Nested guests live in their host guest's network namespace, so their
+// endpoints are scoped by it. This is also what lets the attacker give the
+// nested VM the *same name* as the victim.
+func (hv *Hypervisor) guestEndpoint(name string) string {
+	return hv.scope + name + nicSuffix
+}
+
+// guestName inverts guestEndpoint: the name a guest of this hypervisor
+// would need for its NIC to be endpoint, or false if no name would do.
+func (hv *Hypervisor) guestName(endpoint string) (string, bool) {
+	rest, ok := strings.CutPrefix(endpoint, hv.scope)
+	if !ok {
+		return "", false
+	}
+	return strings.CutSuffix(rest, nicSuffix)
+}
+
+const nicSuffix = ".nic"
 
 func (hv *Hypervisor) installFwd(vm *qemu.VM, rule qemu.FwdRule) error {
 	from := vnet.Addr{Endpoint: hv.hostEndpoint(), Port: rule.HostPort}
@@ -362,7 +380,9 @@ func (hv *Hypervisor) Launch(name string) error {
 	if err := vm.Boot(hv.host.BootTime, hv.host.eng.RNG(), hv.host.ZeroFraction); err != nil {
 		return err
 	}
-	hv.host.tel.Counter(telemetry.Key("kvm_vms_launched_total", "level", hv.GuestLevel().String())).Inc()
+	if reg := hv.host.tel; reg != nil {
+		reg.Counter(launchedKeys[hv.GuestLevel()]).Inc()
+	}
 	if hv.insideVM != nil && !hv.SoftwareMMU {
 		rng := hv.host.eng.RNG()
 		ram := hv.insideVM.RAM()
@@ -377,6 +397,16 @@ func (hv *Hypervisor) Launch(name string) error {
 	}
 	return nil
 }
+
+// launchedKeys holds kvm_vms_launched_total{level} for every level a
+// guest can run at (EnableNesting stops at L3), rendered once rather than
+// on every launch.
+var launchedKeys = func() (k [cpu.L3 + 1]string) {
+	for l := range k {
+		k[l] = telemetry.Key("kvm_vms_launched_total", "level", cpu.Level(l).String())
+	}
+	return k
+}()
 
 // Reboot resets and re-boots a running guest. The backing QEMU process,
 // its network identity, forwards, and — crucially for CloudSkulk — any
@@ -486,6 +516,7 @@ func (hv *Hypervisor) EnableNesting(name string) (*Hypervisor, error) {
 	inner := &Hypervisor{
 		host:     hv.host,
 		insideVM: vm,
+		scope:    name + "/",
 		os:       hostos.New(hv.host.eng, name),
 		runLevel: hv.GuestLevel(),
 		vms:      make(map[string]*qemu.VM),
@@ -506,15 +537,17 @@ func (hv *Hypervisor) Nested(name string) (*Hypervisor, bool) {
 // FindByEndpoint searches this hypervisor's guests and their nested
 // guests for the VM owning a network endpoint — how an operator maps "the
 // machine answering on this port" back to a VM, forwarding chains and all.
+// A guest's endpoint is derived from its name, so the guest's own level
+// costs one map lookup; only the nested hypervisors are searched.
 func (hv *Hypervisor) FindByEndpoint(endpoint string) (*qemu.VM, bool) {
-	for name, vm := range hv.vms {
-		if vm.Endpoint() == endpoint {
+	if name, ok := hv.guestName(endpoint); ok {
+		if vm, ok := hv.vms[name]; ok && vm.Endpoint() == endpoint {
 			return vm, true
 		}
-		if inner, ok := hv.nested[name]; ok {
-			if found, ok := inner.FindByEndpoint(endpoint); ok {
-				return found, true
-			}
+	}
+	for _, inner := range hv.nested {
+		if found, ok := inner.FindByEndpoint(endpoint); ok {
+			return found, true
 		}
 	}
 	return nil, false

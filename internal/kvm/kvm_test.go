@@ -13,7 +13,7 @@ import (
 	"cloudskulk/internal/vnet"
 )
 
-func newHost(t *testing.T) *Host {
+func newHost(t testing.TB) *Host {
 	t.Helper()
 	eng := sim.NewEngine(1)
 	network := vnet.New(eng)

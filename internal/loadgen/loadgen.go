@@ -93,13 +93,14 @@ type Stats struct {
 
 // gen is one run's mutable state.
 type gen struct {
-	p      *controlplane.Plane
-	o      Options
-	rng    *rand.Rand
-	stats  Stats
-	nextVM []int    // per-tenant deploy counter (names never reused)
-	snaps  int      // global snapshot-name counter
-	jobIDs []string // accepted job IDs, in submission order (cancel targets)
+	p       *controlplane.Plane
+	o       Options
+	rng     *rand.Rand
+	stats   Stats
+	tenants []string // tenant names t00000…, rendered once
+	nextVM  []int    // per-tenant deploy counter (names never reused)
+	snaps   int      // global snapshot-name counter
+	jobIDs  []string // accepted job IDs, in submission order (cancel targets)
 }
 
 // Run creates o.Tenants accounts on p, issues o.Ops API calls on an
@@ -128,8 +129,10 @@ func Run(p *controlplane.Plane, o Options) (Stats, error) {
 		rng:    rand.New(rand.NewSource(o.Seed)),
 		nextVM: make([]int, o.Tenants),
 	}
-	for i := 0; i < o.Tenants; i++ {
-		if err := p.CreateTenant(tenantName(i), o.Quota); err != nil {
+	g.tenants = make([]string, o.Tenants)
+	for i := range g.tenants {
+		g.tenants[i] = fmt.Sprintf("t%05d", i)
+		if err := p.CreateTenant(g.tenants[i], o.Quota); err != nil {
 			return Stats{}, err
 		}
 	}
@@ -168,8 +171,6 @@ func Run(p *controlplane.Plane, o Options) (Stats, error) {
 	return g.stats, nil
 }
 
-func tenantName(i int) string { return fmt.Sprintf("t%05d", i) }
-
 // gap draws the next exponential inter-arrival delay.
 func (g *gen) gap() time.Duration {
 	return time.Duration(g.rng.ExpFloat64() * float64(g.o.MeanGap))
@@ -181,7 +182,7 @@ func (g *gen) gap() time.Duration {
 func (g *gen) issue() {
 	g.stats.Issued++
 	ti := g.rng.Intn(g.o.Tenants)
-	ten := tenantName(ti)
+	ten := g.tenants[ti]
 	w := g.rng.Intn(g.o.Mix.total())
 	m := g.o.Mix
 	switch {

@@ -140,40 +140,67 @@ func (c Config) MatchesForMigration(dst Config) error {
 
 // CommandLine renders the config as the qemu-system command the host's
 // process table and shell history would show — the attacker's primary
-// recon input.
+// recon input. Every guest a host creates renders one, so the line is
+// appended without fmt into a stack buffer sized for the usual line; the
+// returned string is its only heap allocation unless the line outgrows it.
 func (c Config) CommandLine() string {
-	var b strings.Builder
-	b.WriteString("qemu-system-x86_64")
+	var buf [512]byte
+	b := append(buf[:0], "qemu-system-x86_64"...)
 	if c.EnableKVM {
-		b.WriteString(" -enable-kvm")
+		b = append(b, " -enable-kvm"...)
 	}
-	fmt.Fprintf(&b, " -name %s", c.Name)
-	fmt.Fprintf(&b, " -machine %s", c.Machine)
-	fmt.Fprintf(&b, " -m %d", c.MemoryMB)
-	fmt.Fprintf(&b, " -smp %d", c.CPUs)
+	b = append(b, " -name "...)
+	b = append(b, c.Name...)
+	b = append(b, " -machine "...)
+	b = append(b, c.Machine...)
+	b = append(b, " -m "...)
+	b = strconv.AppendInt(b, c.MemoryMB, 10)
+	b = append(b, " -smp "...)
+	b = strconv.AppendInt(b, int64(c.CPUs), 10)
 	for _, d := range c.Drives {
-		fmt.Fprintf(&b, " -drive file=%s,format=%s,size=%d", d.File, d.Format, d.SizeMB)
+		b = append(b, " -drive file="...)
+		b = append(b, d.File...)
+		b = append(b, ",format="...)
+		b = append(b, d.Format...)
+		b = append(b, ",size="...)
+		b = strconv.AppendInt(b, d.SizeMB, 10)
 	}
 	for i, nd := range c.NetDevs {
-		fmt.Fprintf(&b, " -device %s,netdev=net%d", nd.Model, i)
-		fmt.Fprintf(&b, " -netdev user,id=net%d", i)
-		// Sort for deterministic rendering.
-		fwds := append([]FwdRule(nil), nd.HostFwds...)
-		sort.Slice(fwds, func(a, z int) bool { return fwds[a].HostPort < fwds[z].HostPort })
+		b = append(b, " -device "...)
+		b = append(b, nd.Model...)
+		b = append(b, ",netdev=net"...)
+		b = strconv.AppendInt(b, int64(i), 10)
+		b = append(b, " -netdev user,id=net"...)
+		b = strconv.AppendInt(b, int64(i), 10)
+		// Sorted by host port for deterministic rendering, on a copy: the
+		// config's own slice keeps its order.
+		fwds := nd.HostFwds
+		if len(fwds) > 1 {
+			fwds = append([]FwdRule(nil), fwds...)
+			sort.Slice(fwds, func(a, z int) bool { return fwds[a].HostPort < fwds[z].HostPort })
+		}
 		for _, f := range fwds {
-			fmt.Fprintf(&b, ",hostfwd=tcp::%d-:%d", f.HostPort, f.GuestPort)
+			b = append(b, ",hostfwd=tcp::"...)
+			b = strconv.AppendInt(b, int64(f.HostPort), 10)
+			b = append(b, "-:"...)
+			b = strconv.AppendInt(b, int64(f.GuestPort), 10)
 		}
 	}
 	if c.MonitorPort != 0 {
-		fmt.Fprintf(&b, " -monitor telnet:127.0.0.1:%d,server,nowait", c.MonitorPort)
+		b = append(b, " -monitor telnet:127.0.0.1:"...)
+		b = strconv.AppendInt(b, int64(c.MonitorPort), 10)
+		b = append(b, ",server,nowait"...)
 	}
 	if c.QMPPort != 0 {
-		fmt.Fprintf(&b, " -qmp tcp:127.0.0.1:%d,server,nowait", c.QMPPort)
+		b = append(b, " -qmp tcp:127.0.0.1:"...)
+		b = strconv.AppendInt(b, int64(c.QMPPort), 10)
+		b = append(b, ",server,nowait"...)
 	}
 	if c.Incoming != "" {
-		fmt.Fprintf(&b, " -incoming %s", c.Incoming)
+		b = append(b, " -incoming "...)
+		b = append(b, c.Incoming...)
 	}
-	return b.String()
+	return string(b)
 }
 
 // ParseCommandLine reconstructs a Config from a qemu-system command line —

@@ -2,7 +2,10 @@ package qemu
 
 import (
 	"errors"
+	"fmt"
 	"math/rand"
+	"reflect"
+	"sort"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -43,6 +46,94 @@ func TestCommandLineRendering(t *testing.T) {
 	c.Incoming = "tcp:0.0.0.0:4444"
 	if !strings.Contains(c.CommandLine(), "-incoming tcp:0.0.0.0:4444") {
 		t.Fatal("missing -incoming")
+	}
+}
+
+// fmtCommandLine is the fmt-based rendering CommandLine replaced, kept as
+// the reference its output must match byte for byte: the recon step parses
+// these lines out of `ps -ef` and `history`.
+func fmtCommandLine(c Config) string {
+	var b strings.Builder
+	b.WriteString("qemu-system-x86_64")
+	if c.EnableKVM {
+		b.WriteString(" -enable-kvm")
+	}
+	fmt.Fprintf(&b, " -name %s", c.Name)
+	fmt.Fprintf(&b, " -machine %s", c.Machine)
+	fmt.Fprintf(&b, " -m %d", c.MemoryMB)
+	fmt.Fprintf(&b, " -smp %d", c.CPUs)
+	for _, d := range c.Drives {
+		fmt.Fprintf(&b, " -drive file=%s,format=%s,size=%d", d.File, d.Format, d.SizeMB)
+	}
+	for i, nd := range c.NetDevs {
+		fmt.Fprintf(&b, " -device %s,netdev=net%d", nd.Model, i)
+		fmt.Fprintf(&b, " -netdev user,id=net%d", i)
+		fwds := append([]FwdRule(nil), nd.HostFwds...)
+		sort.Slice(fwds, func(a, z int) bool { return fwds[a].HostPort < fwds[z].HostPort })
+		for _, f := range fwds {
+			fmt.Fprintf(&b, ",hostfwd=tcp::%d-:%d", f.HostPort, f.GuestPort)
+		}
+	}
+	if c.MonitorPort != 0 {
+		fmt.Fprintf(&b, " -monitor telnet:127.0.0.1:%d,server,nowait", c.MonitorPort)
+	}
+	if c.QMPPort != 0 {
+		fmt.Fprintf(&b, " -qmp tcp:127.0.0.1:%d,server,nowait", c.QMPPort)
+	}
+	if c.Incoming != "" {
+		fmt.Fprintf(&b, " -incoming %s", c.Incoming)
+	}
+	return b.String()
+}
+
+func TestCommandLineMatchesFmtRendering(t *testing.T) {
+	withFwds := func(fwds ...FwdRule) Config {
+		c := DefaultConfig("guest0")
+		c.NetDevs[0].HostFwds = fwds
+		return c
+	}
+	for _, tc := range []struct {
+		name string
+		cfg  Config
+	}{
+		{"default", DefaultConfig("guest0")},
+		{"no kvm", func() Config { c := DefaultConfig("tcg"); c.EnableKVM = false; return c }()},
+		{"no fwds", withFwds()},
+		{"one fwd", withFwds(FwdRule{2222, 22})},
+		{"unsorted", withFwds(FwdRule{8080, 80}, FwdRule{2222, 22}, FwdRule{5900, 5900}, FwdRule{443, 443})},
+		{"wide values", func() Config { c := withFwds(FwdRule{65535, 1}); c.MemoryMB = 1 << 40; c.CPUs = 128; return c }()},
+		{"ports and incoming", func() Config {
+			c := withFwds(FwdRule{2222, 22})
+			c.MonitorPort, c.QMPPort, c.Incoming = 5555, 4444, "tcp:0.0.0.0:6666"
+			return c
+		}()},
+		{"monitor only", func() Config { c := DefaultConfig("m"); c.MonitorPort = 5555; return c }()},
+		{"qmp only", func() Config { c := DefaultConfig("q"); c.QMPPort = 4444; return c }()},
+		{"drives and nics", func() Config {
+			c := DefaultConfig("tenant.vm")
+			c.Drives = append(c.Drives, Drive{File: "data.raw", Format: "raw", SizeMB: 512}, Drive{File: "swap.qcow2", Format: "qcow2", SizeMB: 1})
+			c.NetDevs = append(c.NetDevs, NetDev{Model: "e1000", HostFwds: []FwdRule{{9000, 90}, {3000, 30}}})
+			return c
+		}()},
+	} {
+		name, c := tc.name, tc.cfg
+		before := c.Clone()
+		line := c.CommandLine()
+		if want := fmtCommandLine(c); line != want {
+			t.Errorf("%s:\n got %s\nwant %s", name, line, want)
+			continue
+		}
+		if !reflect.DeepEqual(c, before) {
+			t.Errorf("%s: CommandLine mutated its config: %+v, was %+v", name, c, before)
+		}
+		parsed, err := ParseCommandLine(line)
+		if err != nil {
+			t.Errorf("%s: %v", name, err)
+			continue
+		}
+		if again := parsed.CommandLine(); again != line {
+			t.Errorf("%s: round trip through ParseCommandLine:\n got %s\nwant %s", name, again, line)
+		}
 	}
 }
 

@@ -25,9 +25,8 @@
 package telemetry
 
 import (
-	"fmt"
 	"sort"
-	"strings"
+	"strconv"
 	//detlint:allow goroutine — registry creation lock only; all metric updates are commutative atomics, so totals are interleaving-invariant
 	"sync"
 	"sync/atomic"
@@ -55,22 +54,25 @@ func NewRegistry() *Registry {
 // Key renders a metric name with label pairs in the given (fixed) order:
 // Key("cpu_exits_total", "class", "io", "level", "L2") ==
 // `cpu_exits_total{class="io",level="L2"}`. Call sites hard-code label
-// order so the same series always renders the same key.
+// order so the same series always renders the same key. Each value is
+// quoted by strconv.AppendQuote, the same bytes as fmt's %q.
 func Key(name string, kv ...string) string {
 	if len(kv) == 0 {
 		return name
 	}
-	var b strings.Builder
-	b.WriteString(name)
-	b.WriteByte('{')
+	var buf [128]byte
+	b := append(buf[:0], name...)
+	b = append(b, '{')
 	for i := 0; i+1 < len(kv); i += 2 {
 		if i > 0 {
-			b.WriteByte(',')
+			b = append(b, ',')
 		}
-		fmt.Fprintf(&b, "%s=%q", kv[i], kv[i+1])
+		b = append(b, kv[i]...)
+		b = append(b, '=')
+		b = strconv.AppendQuote(b, kv[i+1])
 	}
-	b.WriteByte('}')
-	return b.String()
+	b = append(b, '}')
+	return string(b)
 }
 
 // Counter is a monotonically increasing uint64.

@@ -22,6 +22,38 @@ func TestKey(t *testing.T) {
 	}
 }
 
+// fmtKey is the fmt rendering Key must match: each label as %s=%q.
+func fmtKey(name string, kv ...string) string {
+	if len(kv) == 0 {
+		return name
+	}
+	var b strings.Builder
+	b.WriteString(name)
+	b.WriteByte('{')
+	for i := 0; i+1 < len(kv); i += 2 {
+		if i > 0 {
+			b.WriteByte(',')
+		}
+		fmt.Fprintf(&b, "%s=%q", kv[i], kv[i+1])
+	}
+	b.WriteByte('}')
+	return b.String()
+}
+
+func FuzzTelemetryKey(f *testing.F) {
+	f.Add("cpu_exits_total", "class", "io", "level", "L2")
+	f.Add("m", "k", `say "hi"`, "path", `C:\dir\`)
+	f.Add("bytes", "bad", "\xff\xfe\x00", "ctl", "tab\tnew\nline\u2028")
+	f.Add("", "", "", "", "")
+	f.Fuzz(func(t *testing.T, name, k1, v1, k2, v2 string) {
+		for _, kv := range [][]string{nil, {k1, v1}, {k1, v1, k2, v2}, {k1, v1, k2}} {
+			if got, want := Key(name, kv...), fmtKey(name, kv...); got != want {
+				t.Fatalf("Key(%q, %q) = %q, want %q", name, kv, got, want)
+			}
+		}
+	})
+}
+
 func TestCounterGaugeHistogram(t *testing.T) {
 	r := NewRegistry()
 	c := r.Counter("c")
