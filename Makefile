@@ -56,6 +56,7 @@ fuzz-smoke:
 	$(GO) test -run='^$$' -fuzz='^FuzzStrategySpec$$' -fuzztime=$(FUZZTIME) ./internal/scenario
 	$(GO) test -run='^$$' -fuzz='^FuzzAllowDirective$$' -fuzztime=$(FUZZTIME) ./cmd/detlint
 	$(GO) test -run='^$$' -fuzz='^FuzzDetlintFindingJSON$$' -fuzztime=$(FUZZTIME) ./cmd/detlint
+	$(GO) test -run='^$$' -fuzz='^FuzzScanMatchesReference$$' -fuzztime=$(FUZZTIME) ./internal/ksm
 
 bench:
 	$(GO) test -bench=. -benchmem .

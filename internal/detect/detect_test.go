@@ -84,6 +84,9 @@ func TestDedupDetectorCleanScenario(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	if err := h.KSM().CheckInvariants(); err != nil {
+		t.Fatal(err)
+	}
 	if verdict != VerdictClean {
 		t.Fatalf("verdict = %v (t0=%v t1=%v t2=%v)", verdict, ev.T0.Mean(), ev.T1.Mean(), ev.T2.Mean())
 	}
@@ -116,6 +119,9 @@ func TestDedupDetectorInfectedScenario(t *testing.T) {
 	agent.OnLoad = rk.InterceptFilePushes(core.KernelPages + 4096)
 	verdict, ev, err := d.Run(agent)
 	if err != nil {
+		t.Fatal(err)
+	}
+	if err := h.KSM().CheckInvariants(); err != nil {
 		t.Fatal(err)
 	}
 	if verdict != VerdictNested {

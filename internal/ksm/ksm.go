@@ -10,6 +10,7 @@
 package ksm
 
 import (
+	"fmt"
 	"time"
 
 	"cloudskulk/internal/mem"
@@ -67,9 +68,9 @@ const (
 	// flagHasSum marks that sums[page] holds the content seen at the
 	// page's last scan; a first visit is always processed in full.
 	flagHasSum uint8 = 1 << 0
-	// flagSelfCand marks that this page is its own entry in the unstable
-	// tree. While it stays unchanged and unshared, re-examining it is a
-	// provable no-op, so the scan skips the tree lookups entirely.
+	// flagSelfCand marks that this page is the unstable tree's entry for
+	// sums[page]. While it stays unchanged and unshared, re-examining it is
+	// a provable no-op, so the scan skips the tree lookups entirely.
 	flagSelfCand uint8 = 1 << 1
 	// flagChanged marks that the page's content had changed at its
 	// previous visit; a second consecutive change trips the volatility
@@ -89,6 +90,18 @@ type region struct {
 	// actually walks their pages.
 	sums  []mem.Content
 	flags []uint8
+
+	// settledSpace and settledStable are the space and stable-tree
+	// generations a full lap of no-op visits ended at; settledStable == 0
+	// means the region is not settled (the stable generation starts at 1).
+	// While both still match, every page of the region is a no-op to
+	// visit and the scan skips it without looking.
+	settledSpace, settledStable uint64
+}
+
+// settled reports whether the region's settle marker still holds.
+func (r *region) settled(stableGen uint64) bool {
+	return r.settledStable == stableGen && r.settledSpace == r.space.Generation()
 }
 
 // ensure allocates the per-page scan bookkeeping on first use.
@@ -115,6 +128,13 @@ type Daemon struct {
 	// the unstable tree. A second page with the same content triggers a
 	// merge.
 	candidate map[mem.Content]candidateRef
+	// stableGen counts insertions into the stable tree, starting at 1.
+	stableGen uint64
+	// lap watches the lap in progress, keyed by its region. A region is
+	// scanned front to back before the cursor moves on, so one watch is
+	// enough; a lap cut short by an Unregister shifting the cursor ends
+	// under another region's watch, and endLap then settles nothing.
+	lap lapWatch
 
 	merges        uint64
 	pagesScan     uint64
@@ -132,6 +152,15 @@ type candidateRef struct {
 	page  int
 }
 
+// lapWatch is the bookkeeping for one region's lap: the generations at its
+// first page and whether every visit since was a no-op. A lap that ends
+// with clean still set and both generations unchanged settles the region.
+type lapWatch struct {
+	r                   *region
+	spaceGen, stableGen uint64
+	clean               bool
+}
+
 // New returns a stopped daemon with the given config and cost model.
 func New(eng *sim.Engine, cfg Config, costs CostModel) *Daemon {
 	if cfg.PagesPerScan <= 0 {
@@ -146,6 +175,7 @@ func New(eng *sim.Engine, cfg Config, costs CostModel) *Daemon {
 		costs:     costs,
 		stable:    make(map[mem.Content]*mem.SharedGroup),
 		candidate: make(map[mem.Content]candidateRef),
+		stableGen: 1,
 	}
 }
 
@@ -241,6 +271,10 @@ func (d *Daemon) Running() bool {
 // raw page storage until the region is exhausted or the budget spent. Page
 // visit order — and therefore every merge decision — is identical to the
 // one-page-at-a-time loop it replaced.
+//
+// A settled region (see region.settledStable) is not examined: its cursor
+// and the scan counters move exactly as if each page had been visited,
+// because each such visit would have changed nothing.
 func (d *Daemon) ScanN(n int) int {
 	if len(d.regions) == 0 {
 		return 0
@@ -269,21 +303,47 @@ func (d *Daemon) ScanN(n int) int {
 				break
 			}
 		}
+		np := r.space.NumPages()
 		end := r.next + left
-		if np := r.space.NumPages(); end > np {
+		if end > np {
 			end = np
 		}
-		for page := r.next; page < end; page++ {
-			if d.examine(r, page) {
-				merged++
+		if r.next == 0 {
+			d.lap = lapWatch{r: r, spaceGen: r.space.Generation(), stableGen: d.stableGen, clean: true}
+		}
+		if !r.settled(d.stableGen) {
+			clean := true
+			for page := r.next; page < end; page++ {
+				m, noop := d.examine(r, page)
+				if m {
+					merged++
+				}
+				clean = clean && noop
 			}
+			d.lap.clean = d.lap.clean && clean
 		}
 		d.pagesScan += uint64(end - r.next)
 		left -= end - r.next
 		r.next = end
+		if end == np {
+			d.endLap(r)
+		}
 	}
 	d.telScanned.Add(d.pagesScan - scanned)
 	return merged
+}
+
+// endLap settles r if the lap that just ended on it was all no-op visits
+// with its space and the stable tree unchanged throughout, and unsettles it
+// otherwise.
+func (d *Daemon) endLap(r *region) {
+	w := d.lap
+	d.lap = lapWatch{}
+	if w.r == r && w.clean && w.spaceGen == r.space.Generation() && w.stableGen == d.stableGen {
+		r.settledSpace, r.settledStable = w.spaceGen, w.stableGen
+		return
+	}
+	r.settledStable = 0
 }
 
 // FullPass scans every registered page exactly once (two consecutive full
@@ -308,15 +368,19 @@ func (d *Daemon) regionOf(s *mem.Space) *region {
 }
 
 // clearSelfCand drops a page's self-candidate mark once it stops being the
-// unstable tree's entry for its content (merged, or entry deleted).
+// unstable tree's entry for its content (merged, replaced, or entry
+// deleted). The page's region is unsettled: this is the one change to a
+// region's scan state made from outside its own visits.
 func (d *Daemon) clearSelfCand(s *mem.Space, page int) {
 	if r := d.regionOf(s); r != nil && page < len(r.flags) {
 		r.flags[page] &^= flagSelfCand
+		r.settledStable = 0
 	}
 }
 
-// examine applies the merge rules to one page. Returns true if a merge
-// (attach) happened.
+// examine applies the merge rules to one page. It reports whether a merge
+// (attach) happened, and whether the visit was a no-op: one that changed no
+// state at all. A lap of no-op visits is what settles a region.
 //
 // Like ksmd, the stable tree is consulted unconditionally, but the
 // unstable tree is checksum-gated: a page whose content changed on two
@@ -325,18 +389,28 @@ func (d *Daemon) clearSelfCand(s *mem.Space, page int) {
 // single change (a migration fill, the detector's file push) still
 // inserts immediately, so one-shot writes keep the exact merge timing the
 // ungated scanner had; only sustained churn is kept out of the tree.
-// Pages that are already their own candidate and unchanged skip the tree
-// lookups outright (nothing about their entry can have changed without a
-// merge or a write, both of which clear the mark).
-func (d *Daemon) examine(r *region, page int) bool {
+//
+// Exactly three kinds of visit are no-ops: to a volatile page, to a shared
+// page, and to a page that is its own unchanged candidate with flagChanged
+// already clear. Every other path below mutates the daemon or the region.
+func (d *Daemon) examine(r *region, page int) (merged, noop bool) {
 	r.ensure()
 	s := r.space
 	content, shared, volatile := s.PageInfo(page)
-	if volatile {
-		return false
+	if volatile || shared {
+		return false, true
 	}
-	if shared {
-		return false // already merged
+
+	// Unchanged, unshared, and already our own candidate: the entry
+	// cannot have been replaced (replacement requires the holder's content
+	// to have changed, and clears the mark) nor consumed (a merge would
+	// have attached this page). Nor can the stable tree hold this content:
+	// the page passed the stable lookup when it became the candidate, and
+	// a stable entry is only created by merging the candidate. So the
+	// stable lookup is skipped too, with the same outcome.
+	if f := r.flags[page]; f&flagSelfCand != 0 && r.sums[page] == content {
+		r.flags[page] = f &^ flagChanged
+		return false, f&flagChanged == 0
 	}
 
 	// Stable tree hit: join the existing group.
@@ -347,12 +421,12 @@ func (d *Daemon) examine(r *region, page int) bool {
 			delete(d.stable, content)
 		} else {
 			if err := s.AttachShared(page, g); err != nil {
-				return false
+				return false, false
 			}
 			r.flags[page] &^= flagSelfCand
 			d.merges++
 			d.telMerges.Inc()
-			return true
+			return true, false
 		}
 	}
 
@@ -370,16 +444,9 @@ func (d *Daemon) examine(r *region, page int) bool {
 		if r.flags[page]&flagChanged != 0 {
 			// Changed last visit too: sustained churn — skip.
 			d.checksumSkips++
-			return false
+			return false, false
 		}
 		r.flags[page] |= flagChanged
-	case r.flags[page]&flagSelfCand != 0:
-		// Unchanged, unshared, and already our own candidate: the entry
-		// cannot have been replaced (replacement requires the holder's
-		// content to have changed) nor consumed (a merge would have
-		// attached this page). Nothing to do.
-		r.flags[page] &^= flagChanged
-		return false
 	default:
 		r.flags[page] &^= flagChanged
 	}
@@ -388,41 +455,99 @@ func (d *Daemon) examine(r *region, page int) bool {
 	if cand, ok := d.candidate[content]; ok {
 		if cand.space == s && cand.page == page {
 			r.flags[page] |= flagSelfCand
-			return false
+			return false, false
 		}
 		// The partner must still hold the same content (it may have
-		// been written since we recorded it).
+		// been written since we recorded it). If it does not, this page
+		// takes over the entry, and the partner loses its mark: left set,
+		// a later write back to this content would have both pages skip
+		// as "their own candidate" and never merge.
 		if pc, err := cand.space.Read(cand.page); err != nil || pc != content {
+			d.clearSelfCand(cand.space, cand.page)
 			d.candidate[content] = candidateRef{space: s, page: page}
 			r.flags[page] |= flagSelfCand
-			return false
+			return false, false
 		}
 		if _, partnerShared := cand.space.Shared(cand.page); partnerShared {
 			// Partner got merged through another route; retry via
 			// stable tree next scan.
 			delete(d.candidate, content)
 			d.clearSelfCand(cand.space, cand.page)
-			return false
+			return false, false
 		}
 		g := &mem.SharedGroup{Content: content}
 		if err := cand.space.AttachShared(cand.page, g); err != nil {
-			return false
+			return false, false
 		}
 		if err := s.AttachShared(page, g); err != nil {
-			return false
+			return false, false
 		}
 		d.stable[content] = g
+		d.stableGen++
 		delete(d.candidate, content)
 		d.clearSelfCand(cand.space, cand.page)
 		r.flags[page] &^= flagSelfCand
 		d.merges++
 		d.telMerges.Inc()
-		return true
+		return true, false
 	}
 
 	d.candidate[content] = candidateRef{space: s, page: page}
 	r.flags[page] |= flagSelfCand
-	return false
+	return false, false
+}
+
+// CheckInvariants rebuilds what the scan's bookkeeping claims from the
+// pages themselves and returns the first disagreement, or nil:
+//
+//   - a page marked as its own candidate is the unstable tree's entry for
+//     the content recorded at its last visit;
+//   - every page of a settled region is a no-op to visit: volatile, shared,
+//     or its own unchanged candidate with flagChanged clear;
+//   - a shared group has at least as many refs as registered pages attached
+//     to it (unregistered spaces may hold the rest).
+//
+// It walks every registered page, so it belongs in tests, not in a scan.
+func (d *Daemon) CheckInvariants() error {
+	attached := make(map[*mem.SharedGroup]int)
+	for _, r := range d.regions {
+		for p := 0; p < r.space.NumPages(); p++ {
+			if g, ok := r.space.Shared(p); ok {
+				attached[g]++
+			}
+		}
+	}
+	for _, r := range d.regions {
+		s := r.space
+		settled := r.settled(d.stableGen)
+		if settled && r.flags == nil {
+			return fmt.Errorf("ksm: %s settled before any visit", s.Name())
+		}
+		for p := 0; p < s.NumPages(); p++ {
+			content, shared, volatile := s.PageInfo(p)
+			var f uint8
+			var sum mem.Content
+			if r.flags != nil {
+				f, sum = r.flags[p], r.sums[p]
+			}
+			if f&flagSelfCand != 0 {
+				if ref := d.candidate[sum]; ref.space != s || ref.page != p {
+					return fmt.Errorf("ksm: %s page %d is marked as the candidate for %#x, which is not its entry",
+						s.Name(), p, uint64(sum))
+				}
+			}
+			selfCand := f&(flagSelfCand|flagChanged) == flagSelfCand && sum == content
+			if settled && !volatile && !shared && !selfCand {
+				return fmt.Errorf("ksm: %s page %d is in a settled region but visiting it would change state",
+					s.Name(), p)
+			}
+			if g, ok := s.Shared(p); ok && g.Refs < attached[g] {
+				return fmt.Errorf("ksm: group %#x has %d refs but %d registered pages attached",
+					uint64(g.Content), g.Refs, attached[g])
+			}
+		}
+	}
+	return nil
 }
 
 // Merges returns the lifetime count of successful merges (attaches).

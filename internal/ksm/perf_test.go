@@ -1,6 +1,7 @@
 package ksm
 
 import (
+	"math/rand"
 	"testing"
 
 	"cloudskulk/internal/mem"
@@ -138,12 +139,73 @@ func TestSteadyScanWakeZeroAlloc(t *testing.T) {
 	d.Register(s)
 	d.FullPass()
 	d.FullPass() // settle: merges done, candidates recorded
+	if !settled(d, s) {
+		t.Fatal("region not settled after a lap of no-op visits")
+	}
 	allocs := testing.AllocsPerRun(100, func() {
 		d.ScanN(256)
 	})
 	if allocs != 0 {
-		t.Fatalf("steady-state scan wake allocates %v objects/op, want 0", allocs)
+		t.Fatalf("settled scan wake allocates %v objects/op, want 0", allocs)
 	}
+	// Rewriting a unique page with its own content moves the space's
+	// generation, so the next wake examines every page again.
+	allocs = testing.AllocsPerRun(100, func() {
+		mustWrite(t, s, 1, 0x1001)
+		if settled(d, s) {
+			t.Fatal("write did not unsettle the region")
+		}
+		d.ScanN(256)
+	})
+	if allocs != 0 {
+		t.Fatalf("examined steady-state scan wake allocates %v objects/op, want 0", allocs)
+	}
+}
+
+// BenchmarkScanNSettled times one ksmd wake (the default 5000 pages) over a
+// 1 GiB guest whose merges are done: "settled" skips the region, and
+// "unsettled" first rewrites one unique page with its own content, so the
+// wake examines each page and finds nothing to do.
+func BenchmarkScanNSettled(b *testing.B) {
+	const pages = 1 << 18 // 1 GiB
+	setup := func(b *testing.B) (*Daemon, *mem.Space, int, mem.Content) {
+		d := New(nil, DefaultConfig(), DefaultCostModel())
+		s := mem.NewSpace("guest", pages*mem.PageSize)
+		s.FillRandom(rand.New(rand.NewSource(1)), 0.3)
+		d.Register(s)
+		d.FullPass()
+		d.FullPass()
+		if !settled(d, s) {
+			b.Fatal("region not settled")
+		}
+		for p := 0; p < pages; p++ {
+			if c, shared, _ := s.PageInfo(p); !shared {
+				return d, s, p, c
+			}
+		}
+		b.Fatal("no unique page")
+		return nil, nil, 0, 0
+	}
+	wake := DefaultConfig().PagesPerScan
+	b.Run("settled", func(b *testing.B) {
+		d, _, _, _ := setup(b)
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			d.ScanN(wake)
+		}
+	})
+	b.Run("unsettled", func(b *testing.B) {
+		d, s, p, c := setup(b)
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			if _, err := s.Write(p, c); err != nil {
+				b.Fatal(err)
+			}
+			d.ScanN(wake)
+		}
+	})
 }
 
 // TestChurnStreakGatedUntilStill: a page rewritten before every pass trips

@@ -92,6 +92,7 @@ func (s *Space) LoadFile(f *File, at int) error {
 		pg.content = c
 		s.hash ^= pageSig(p, c)
 	}
+	s.gen++
 	return nil
 }
 

@@ -113,6 +113,13 @@ type Space struct {
 	// "definitely different" answer for full-space comparisons.
 	hash uint64
 
+	// gen is the mutation generation: bumped by every change to a page's
+	// content, sharing or volatility (Write, LoadFile, FillRandom, Reset,
+	// MarkVolatile, AttachShared). An unchanged generation proves every
+	// page reads back exactly as it did, which is what lets the KSM scan
+	// skip regions it has already found settled.
+	gen uint64
+
 	writes    uint64
 	cowBreaks uint64
 	// forkCopies counts chunks privatized from the template — the
@@ -242,6 +249,7 @@ func (s *Space) Write(p int, c Content) (WriteResult, error) {
 	}
 	pg := s.pageMut(p)
 	s.writes++
+	s.gen++
 	var res WriteResult
 	if pg.shared != nil {
 		// Copy-on-write: detach from the shared frame regardless of
@@ -288,6 +296,7 @@ func (s *Space) MarkVolatile(p int, v bool) error {
 		return nil
 	}
 	s.pageMut(p).volatile = v
+	s.gen++
 	return nil
 }
 
@@ -332,6 +341,7 @@ func (s *Space) AttachShared(p int, g *SharedGroup) error {
 	}
 	pg.shared = g
 	g.Refs++
+	s.gen++
 	return nil
 }
 
@@ -378,13 +388,15 @@ func (s *Space) Reset() {
 		s.pages[i].volatile = false
 	}
 	s.hash = 0
+	s.gen++
 	s.dirty.ClearAll()
 }
 
 // FillRandom populates the space with guest-like contents: zeroFraction of
 // the pages stay zero (free memory), the rest get contents drawn from rng
-// that are almost surely unique. The dirty log is cleared afterwards so the
-// fill itself doesn't count as guest activity.
+// that are almost surely unique. KSM sharing is detached with proper
+// refcount accounting, as in Reset. The dirty log is cleared afterwards so
+// the fill itself doesn't count as guest activity.
 func (s *Space) FillRandom(rng *rand.Rand, zeroFraction float64) {
 	s.decommissionFork()
 	h := uint64(0)
@@ -396,9 +408,13 @@ func (s *Space) FillRandom(rng *rand.Rand, zeroFraction float64) {
 			s.pages[i].content = Content(rng.Uint64() | 1)
 			h ^= pageSig(i, s.pages[i].content)
 		}
-		s.pages[i].shared = nil
+		if s.pages[i].shared != nil {
+			s.pages[i].shared.Refs--
+			s.pages[i].shared = nil
+		}
 	}
 	s.hash = h
+	s.gen++
 	s.dirty.ClearAll()
 }
 
@@ -520,6 +536,11 @@ func (s *Space) RangeHash(from, n int) uint64 {
 // (use EqualContents, which verifies), but it makes "definitely changed"
 // an O(1) question.
 func (s *Space) ContentHash() uint64 { return s.hash }
+
+// Generation returns the space's mutation generation. It never decreases,
+// and it is unchanged between two calls only if no page's content, sharing
+// or volatility changed in between.
+func (s *Space) Generation() uint64 { return s.gen }
 
 // PageInfo returns page p's logical content together with its shared and
 // volatile flags in one bounds-checked lookup — the batched read the KSM

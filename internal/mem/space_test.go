@@ -291,3 +291,55 @@ func TestWriteReadProperty(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// TestGenerationTracksEveryPageChange: every path that can change a page's
+// content, sharing or volatility moves the generation; reads and no-op
+// calls do not.
+func TestGenerationTracksEveryPageChange(t *testing.T) {
+	s := NewSpace("g", PageSize*4)
+	g := &SharedGroup{Content: ZeroPage}
+	steps := []struct {
+		name  string
+		op    func()
+		moves bool
+	}{
+		{"Write", func() { s.Write(1, 0x5) }, true},
+		{"LoadFile", func() { s.LoadFile(&File{Pages: []Content{0x6}}, 2) }, true},
+		{"MarkVolatile", func() { s.MarkVolatile(0, true) }, true},
+		{"MarkVolatile no-op", func() { s.MarkVolatile(0, true) }, false},
+		{"AttachShared", func() { s.AttachShared(3, g) }, true},
+		{"AttachShared again", func() { s.AttachShared(3, g) }, false},
+		{"reads", func() { s.Read(3); s.PageInfo(1); s.Snapshot(); s.Shared(3) }, false},
+		{"dirty log", func() { s.DrainDirty(0); s.MarkAllDirty(); s.ClearDirty() }, false},
+		{"FillRandom", func() { s.FillRandom(rand.New(rand.NewSource(1)), 0.5) }, true},
+		{"Reset", func() { s.Reset() }, true},
+	}
+	for _, st := range steps {
+		before := s.Generation()
+		st.op()
+		if moved := s.Generation() != before; moved != st.moves {
+			t.Errorf("%s: generation moved = %v, want %v", st.name, moved, st.moves)
+		}
+	}
+}
+
+// TestFillRandomReleasesSharedRefs: FillRandom detaches merged pages with
+// the same refcount accounting as Reset.
+func TestFillRandomReleasesSharedRefs(t *testing.T) {
+	s := NewSpace("g", PageSize*2)
+	g := &SharedGroup{Content: ZeroPage}
+	for p := 0; p < 2; p++ {
+		if err := s.AttachShared(p, g); err != nil {
+			t.Fatal(err)
+		}
+	}
+	s.FillRandom(rand.New(rand.NewSource(1)), 0.5)
+	if g.Refs != 0 {
+		t.Fatalf("refs after FillRandom = %d, want 0", g.Refs)
+	}
+	for p := 0; p < 2; p++ {
+		if _, shared := s.Shared(p); shared {
+			t.Fatalf("page %d still shared", p)
+		}
+	}
+}
