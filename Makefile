@@ -57,6 +57,7 @@ fuzz-smoke:
 	$(GO) test -run='^$$' -fuzz='^FuzzAllowDirective$$' -fuzztime=$(FUZZTIME) ./cmd/detlint
 	$(GO) test -run='^$$' -fuzz='^FuzzDetlintFindingJSON$$' -fuzztime=$(FUZZTIME) ./cmd/detlint
 	$(GO) test -run='^$$' -fuzz='^FuzzScanMatchesReference$$' -fuzztime=$(FUZZTIME) ./internal/ksm
+	$(GO) test -run='^$$' -fuzz='^FuzzSpaceOps$$' -fuzztime=$(FUZZTIME) ./internal/mem
 
 bench:
 	$(GO) test -bench=. -benchmem .

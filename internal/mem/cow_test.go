@@ -131,8 +131,8 @@ func TestCOWForkDivergence(t *testing.T) {
 	if a.MustRead(p+1) != mustTmpl(t, tmpl, p+1) || a.MustRead(3*chunkSize) != mustTmpl(t, tmpl, 3*chunkSize) {
 		t.Fatal("untouched pages diverged from template")
 	}
-	// Writing the original content back restores the exact hash — the
-	// incremental hash invariant holds across the fork boundary.
+	// Writing the original content back restores the exact hash across
+	// the fork boundary.
 	if _, err := a.Write(p, orig); err != nil {
 		t.Fatal(err)
 	}
@@ -231,6 +231,29 @@ func TestForkResetAndFillRandomDetach(t *testing.T) {
 	}
 	if b.RangeHash(0, b.NumPages()) != b.ContentHash() {
 		t.Fatal("detached space hash invariant broken")
+	}
+}
+
+// TestFillRandomClearsVolatility: a fill models a boot repopulating RAM, so
+// like Reset it drops every volatile flag, on a standalone space and on a
+// fork alike.
+func TestFillRandomClearsVolatility(t *testing.T) {
+	_, tmpl := templateFixture(t)
+	for _, s := range []*Space{NewSpace("standalone", int64(tmpl.NumPages())*PageSize), SpawnFrom("fork", tmpl)} {
+		for _, p := range []int{9, chunkSize + 3} {
+			if err := s.MarkVolatile(p, true); err != nil {
+				t.Fatal(err)
+			}
+		}
+		s.FillRandom(rand.New(rand.NewSource(5)), 0.3)
+		for p := 0; p < s.NumPages(); p++ {
+			if _, _, vol := s.PageInfo(p); vol || s.Volatile(p) {
+				t.Fatalf("%s: page %d still volatile after FillRandom", s.Name(), p)
+			}
+		}
+		if err := s.CheckInvariants(); err != nil {
+			t.Fatalf("%s: %v", s.Name(), err)
+		}
 	}
 }
 

@@ -80,17 +80,8 @@ func (s *Space) LoadFile(f *File, at int) error {
 			ErrOutOfRange, f.Name, len(f.Pages), at, s.name, s.npages)
 	}
 	for i, c := range f.Pages {
-		p := at + i
-		pg := s.pageMut(p)
-		if pg.shared != nil {
-			s.hash ^= pageSig(p, pg.shared.Content)
-			pg.shared.Refs--
-			pg.shared = nil
-		} else {
-			s.hash ^= pageSig(p, pg.content)
-		}
-		pg.content = c
-		s.hash ^= pageSig(p, c)
+		*s.wordMut(at + i) = c
+		s.unshare(at + i)
 	}
 	s.gen++
 	return nil

@@ -1,0 +1,218 @@
+package mem
+
+import (
+	"math/rand"
+	"slices"
+	"testing"
+)
+
+// spacePair runs one operation sequence on a pool of Spaces and, in
+// lockstep, on a pool of refSpaces holding the same contents. KSM groups
+// are created in parallel, so group i on one side stands for group i on
+// the other.
+type spacePair struct {
+	got  []*Space
+	want []*refSpace
+	// groups[0] are the Space side's groups, groups[1] the reference's;
+	// ids maps each group to its index on its side.
+	groups [2][]*SharedGroup
+	ids    map[*SharedGroup]int
+	buf    [2][]int
+}
+
+func newSpacePair() *spacePair {
+	sp := &spacePair{ids: make(map[*SharedGroup]int)}
+	// Two multi-chunk spaces (the last chunk partial) and one smaller than
+	// a chunk, so forks exercise full, partial and single-chunk layouts.
+	for i, pages := range []int{2*chunkSize + 88, 2*chunkSize + 88, 130} {
+		name := string(rune('a' + i))
+		sp.got = append(sp.got, NewSpace(name, int64(pages)*PageSize))
+		sp.want = append(sp.want, newRefSpace(name, int64(pages)*PageSize))
+	}
+	return sp
+}
+
+const spaceOpKinds = 12
+
+// apply decodes one four-byte record into an operation, runs it on both
+// sides of slot op/spaceOpKinds, and fails on any disagreement in what the
+// operation returned.
+func (sp *spacePair) apply(t *testing.T, op, x, y, z byte) {
+	t.Helper()
+	slot := int(op/spaceOpKinds) % len(sp.got)
+	s, r := sp.got[slot], sp.want[slot]
+	p := (int(x)<<8 | int(y)) % s.NumPages()
+	c := Content(z % 8)
+	switch op % spaceOpKinds {
+	case 0:
+		gr, gerr := s.Write(p, c)
+		wr, werr := r.Write(p, c)
+		if gr != wr || (gerr == nil) != (werr == nil) {
+			t.Fatalf("Write(%d, %#x) = %+v, %v; reference %+v, %v", p, c, gr, gerr, wr, werr)
+		}
+	case 1:
+		f := &File{Name: "f", Pages: make([]Content, int(z%5)+1)}
+		for i := range f.Pages {
+			f.Pages[i] = Content((int(z) + 3*i) % 8)
+		}
+		if gerr, werr := s.LoadFile(f, p), r.LoadFile(f, p); (gerr == nil) != (werr == nil) {
+			t.Fatalf("LoadFile at %d: %v; reference %v", p, gerr, werr)
+		}
+	case 2:
+		frac := float64(y%4) / 4
+		s.FillRandom(rand.New(rand.NewSource(int64(z))), frac)
+		r.FillRandom(rand.New(rand.NewSource(int64(z))), frac)
+	case 3:
+		s.Reset()
+		r.Reset()
+	case 4:
+		cur, _ := r.Read(p)
+		for side := range sp.groups {
+			g := &SharedGroup{Content: cur}
+			sp.ids[g] = len(sp.groups[side])
+			sp.groups[side] = append(sp.groups[side], g)
+		}
+		sp.attach(t, s, r, p, len(sp.groups[0])-1)
+	case 5:
+		if n := len(sp.groups[0]); n > 0 {
+			sp.attach(t, s, r, p, int(z)%n)
+		}
+	case 6:
+		v := z&1 == 1
+		if gerr, werr := s.MarkVolatile(p, v), r.MarkVolatile(p, v); (gerr == nil) != (werr == nil) {
+			t.Fatalf("MarkVolatile(%d, %t): %v; reference %v", p, v, gerr, werr)
+		}
+	case 7:
+		max := int(z % 20)
+		sp.buf[0] = s.DrainDirtyInto(sp.buf[0][:0], max)
+		sp.buf[1] = r.dirty.DrainInto(sp.buf[1][:0], max)
+		if !slices.Equal(sp.buf[0], sp.buf[1]) {
+			t.Fatalf("DrainDirtyInto(%d) = %v; reference %v", max, sp.buf[0], sp.buf[1])
+		}
+	case 8:
+		s.ClearDirty()
+		r.dirty.ClearAll()
+	case 9:
+		s.MarkAllDirty()
+		r.dirty.SetAll()
+	case 10:
+		got, want := s.SnapshotInto(nil), r.SnapshotInto(nil)
+		for i := range want {
+			if got[i] != want[i] {
+				t.Fatalf("SnapshotInto[%d] = %#x; reference %#x", i, got[i], want[i])
+			}
+		}
+	case 11:
+		dst := int(z) % len(sp.got)
+		tmpl, rtmpl := Freeze("img", s), refFreeze(r)
+		if tmpl.ContentHash() != rtmpl.hash {
+			t.Fatalf("Freeze hash %#x; reference %#x", tmpl.ContentHash(), rtmpl.hash)
+		}
+		sp.got[dst] = SpawnFrom("fork", tmpl)
+		sp.want[dst] = refSpawnFrom("fork", rtmpl)
+	}
+}
+
+func (sp *spacePair) attach(t *testing.T, s *Space, r *refSpace, p, gi int) {
+	t.Helper()
+	gerr := s.AttachShared(p, sp.groups[0][gi])
+	werr := r.AttachShared(p, sp.groups[1][gi])
+	if (gerr == nil) != (werr == nil) {
+		t.Fatalf("AttachShared(%d, group %d): %v; reference %v", p, gi, gerr, werr)
+	}
+}
+
+// compare fails on the first observable that differs between the two
+// sides, then runs CheckInvariants on every Space. x and y pick the
+// RangeHash window.
+func (sp *spacePair) compare(t *testing.T, x, y byte) {
+	t.Helper()
+	for i, s := range sp.got {
+		r := sp.want[i]
+		if s.NumPages() != r.npages || s.Forked() != (r.tmpl != nil) {
+			t.Fatalf("slot %d: %d pages forked=%t; reference %d forked=%t",
+				i, s.NumPages(), s.Forked(), r.npages, r.tmpl != nil)
+		}
+		for p := 0; p < s.NumPages(); p++ {
+			gc, gerr := s.Read(p)
+			wc, werr := r.Read(p)
+			gi, gs, gv := s.PageInfo(p)
+			wi, ws, wv := r.PageInfo(p)
+			gg, _ := s.Shared(p)
+			wg, _ := r.Shared(p)
+			if gc != wc || gerr != nil || werr != nil || gi != wi || gs != ws || gv != wv ||
+				(gg == nil) != (wg == nil) || (gg != nil && sp.ids[gg] != sp.ids[wg]) || s.Volatile(p) != r.Volatile(p) {
+				t.Fatalf("slot %d page %d: content %#x shared %t (group %d) volatile %t; reference %#x %t (group %d) %t",
+					i, p, gc, gs, sp.ids[gg], gv, wc, ws, sp.ids[wg], wv)
+			}
+		}
+		gw, gcow := s.Stats()
+		if s.DirtyCount() != r.dirty.Count() || gw != r.writes || gcow != r.cowBreaks ||
+			s.ForkStats() != r.forkCopies || s.MaterializedChunks() != r.MaterializedChunks() {
+			t.Fatalf("slot %d: dirty %d writes %d cow %d copies %d chunks %d; reference %d %d %d %d %d",
+				i, s.DirtyCount(), gw, gcow, s.ForkStats(), s.MaterializedChunks(),
+				r.dirty.Count(), r.writes, r.cowBreaks, r.forkCopies, r.MaterializedChunks())
+		}
+		if s.ContentHash() != r.hash {
+			t.Fatalf("slot %d: ContentHash %#x; reference %#x", i, s.ContentHash(), r.hash)
+		}
+		from, n := int(x)-8, int(y)*3
+		if g, w := s.RangeHash(from, n), r.RangeHash(from, n); g != w {
+			t.Fatalf("slot %d: RangeHash(%d, %d) = %#x; reference %#x", i, from, n, g, w)
+		}
+		if err := s.CheckInvariants(); err != nil {
+			t.Fatalf("slot %d: %v", i, err)
+		}
+	}
+	for gi, g := range sp.groups[0] {
+		if w := sp.groups[1][gi]; g.Refs != w.Refs {
+			t.Fatalf("group %d: %d refs; reference %d", gi, g.Refs, w.Refs)
+		}
+	}
+}
+
+// FuzzSpaceOps is the differential check of the page layout: a byte string
+// decodes into Write, LoadFile, FillRandom, Reset, AttachShared to a new or
+// an existing group, MarkVolatile, DrainDirtyInto, ClearDirty,
+// MarkAllDirty, SnapshotInto, and Freeze then SpawnFrom, four bytes per
+// operation, run on Spaces and on the previous layout in refSpace. After
+// every operation every observable must agree and CheckInvariants must
+// pass.
+func FuzzSpaceOps(f *testing.F) {
+	// Records are (op, page hi, page lo, value); op%12 is the kind and
+	// op/12 the slot.
+	f.Add([]byte{
+		0, 0, 5, 3, // write a[5] = 3
+		0, 0, 6, 3, // write a[6] = 3
+		4, 0, 5, 0, // attach a[5] to new group 0
+		5, 0, 6, 0, // attach a[6] to group 0
+		0, 0, 5, 4, // COW break a[5]
+		11, 0, 0, 2, // freeze a, spawn into c
+		30, 1, 9, 1, // MarkVolatile c[265]
+		28, 1, 7, 1, // attach c[263] to a new group
+		24, 1, 7, 6, // write c[263] (COW break on the fork)
+		31, 0, 0, 3, // drain c's dirty log
+		26, 0, 0, 9, // FillRandom c
+		27, 0, 0, 0, // Reset c
+	})
+	f.Add([]byte{
+		9, 0, 0, 0, // mark all of a dirty
+		1, 2, 30, 4, // load a file over the partial last chunk
+		19, 0, 0, 5, // drain 5 pages of b
+		11, 0, 0, 1, // freeze a into b
+		13, 2, 40, 2, // load a file into fork b
+		16, 0, 1, 0, // attach b[1] to a new group
+		22, 0, 0, 0, // snapshot b
+		23, 0, 0, 0, // freeze b into a
+		6, 0, 3, 1, // MarkVolatile a[3]
+		2, 0, 1, 7, // FillRandom a
+		20, 0, 0, 0, // clear b's dirty log
+	})
+	f.Fuzz(func(t *testing.T, data []byte) {
+		sp := newSpacePair()
+		for ; len(data) >= 4; data = data[4:] {
+			sp.apply(t, data[0], data[1], data[2], data[3])
+			sp.compare(t, data[1], data[2])
+		}
+	})
+}

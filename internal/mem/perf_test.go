@@ -2,12 +2,13 @@ package mem
 
 import (
 	"math/rand"
+	"runtime"
 	"testing"
 	"testing/quick"
 )
 
-// refHash recomputes a space's content hash from scratch; the maintained
-// incremental hash must always agree with it.
+// refHash recomputes a space's content hash from its snapshot; ContentHash
+// must always agree with it.
 func refHash(s *Space) uint64 {
 	h := uint64(0)
 	for i, c := range s.Snapshot() {
@@ -122,15 +123,15 @@ func TestSetAllTailWord(t *testing.T) {
 }
 
 // TestContentHashTracksMutations: after any interleaving of writes, file
-// loads, resets, fills, and shared attach/detach, the incremental hash
-// equals a from-scratch recompute.
+// loads, resets, fills, and shared attach/detach, ContentHash equals a
+// recompute from the space's snapshot.
 func TestContentHashTracksMutations(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
 	s := NewSpace("g", 64*PageSize)
 	check := func(stage string) {
 		t.Helper()
 		if s.ContentHash() != refHash(s) {
-			t.Fatalf("%s: incremental hash %#x != recomputed %#x", stage, s.ContentHash(), refHash(s))
+			t.Fatalf("%s: ContentHash %#x != recomputed %#x", stage, s.ContentHash(), refHash(s))
 		}
 	}
 	check("fresh (must be 0)")
@@ -179,8 +180,8 @@ func TestContentHashTracksMutations(t *testing.T) {
 	}
 }
 
-// TestEqualContentsHashAgreement: EqualContents (now hash-gated) still
-// decides exactly by logical contents.
+// TestEqualContentsHashAgreement: EqualContents decides exactly by logical
+// contents, and ContentHash agrees with it.
 func TestEqualContentsHashAgreement(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	a := NewSpace("a", 32*PageSize)
@@ -244,8 +245,8 @@ func TestPageInfoMatchesAccessors(t *testing.T) {
 	}
 }
 
-// TestSpaceWriteZeroAlloc pins that the write fast path (with the hash
-// update) stays allocation-free.
+// TestSpaceWriteZeroAlloc pins that the write fast path stays
+// allocation-free.
 func TestSpaceWriteZeroAlloc(t *testing.T) {
 	s := NewSpace("g", 64*PageSize)
 	i := 0
@@ -280,5 +281,114 @@ func TestDrainDirtyIntoZeroAlloc(t *testing.T) {
 	})
 	if allocs != 0 {
 		t.Fatalf("dirty-harvest round allocates %v objects/op, want 0", allocs)
+	}
+}
+
+// TestNewSpaceBytesPerPage pins the page layout: a fresh space costs one
+// 8-byte content word per page plus a fixed-size header, with no per-page
+// KSM or volatility state until something needs it.
+func TestNewSpaceBytesPerPage(t *testing.T) {
+	const size = 1 << 30
+	const pages = size / PageSize
+	const slack = 1024 // the Space header and the empty dirty Bitmap
+	var before, after runtime.MemStats
+	best := uint64(1<<64 - 1)
+	for try := 0; try < 3; try++ {
+		runtime.ReadMemStats(&before)
+		s := NewSpace("g", size)
+		runtime.ReadMemStats(&after)
+		runtime.KeepAlive(s)
+		best = min(best, after.TotalAlloc-before.TotalAlloc)
+	}
+	if best > 8*pages+slack {
+		t.Fatalf("NewSpace(1 GiB) allocated %d bytes = %.2f per page, want at most 8 per page + %d",
+			best, float64(best)/pages, slack)
+	}
+}
+
+// benchSpace is a 1 GiB guest, the paper's Fig. 4 migration size.
+const benchSpace = 1 << 30
+
+var benchSink *Space
+
+func BenchmarkNewSpace(b *testing.B) {
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		benchSink = NewSpace("g", benchSpace)
+	}
+}
+
+func BenchmarkFillRandom(b *testing.B) {
+	s := NewSpace("g", benchSpace)
+	rng := rand.New(rand.NewSource(1))
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		s.FillRandom(rng, 0.3)
+	}
+}
+
+// BenchmarkSpaceWriteWorkingSet is the Fig. 4 kernel-compile dirtier's
+// inner loop: a cursor cycling sequentially through the low half of a
+// 1 GiB guest, one write per op.
+func BenchmarkSpaceWriteWorkingSet(b *testing.B) {
+	s := NewSpace("g", benchSpace)
+	ws := s.NumPages() / 2
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := s.Write(i%ws, Content(i)|1); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// BenchmarkFirstWriteCOW is the copy-on-write materialization cost: each op
+// is the first write into one chunk of a fork of a 1 GiB golden image, so
+// it privatizes that chunk. A fresh fork is spawned once every chunk of the
+// previous one has been written.
+func BenchmarkFirstWriteCOW(b *testing.B) {
+	src := NewSpace("golden", benchSpace)
+	src.FillRandom(rand.New(rand.NewSource(1)), 0.25)
+	tmpl := Freeze("golden.img", src)
+	chunks := (tmpl.NumPages() + chunkMask) >> chunkShift
+	var s *Space
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		ci := i % chunks
+		if ci == 0 {
+			s = SpawnFrom("guest", tmpl)
+		}
+		if _, err := s.Write(ci<<chunkShift, Content(i)|1); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// BenchmarkDrainDirtyInto harvests a 1 GiB guest's dirty log into a reused
+// buffer: "all" is pre-copy's first round (every page dirty), "sparse" a
+// later round with one page in 64 dirty.
+func BenchmarkDrainDirtyInto(b *testing.B) {
+	for _, bc := range []struct {
+		name   string
+		stride int
+	}{{"all", 1}, {"sparse", 64}} {
+		b.Run(bc.name, func(b *testing.B) {
+			s := NewSpace("g", benchSpace)
+			buf := make([]int, 0, s.NumPages())
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if bc.stride == 1 {
+					s.MarkAllDirty()
+				} else {
+					for p := i % bc.stride; p < s.NumPages(); p += bc.stride {
+						s.dirty.Set(p)
+					}
+				}
+				buf = s.DrainDirtyInto(buf[:0], 0)
+			}
+		})
 	}
 }

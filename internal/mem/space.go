@@ -5,6 +5,14 @@
 // are equal. This keeps a 1 GiB guest at ~2 MiB of simulator state while
 // preserving everything KSM, live migration, and the detector care about —
 // identity, uniqueness, and change of page contents.
+//
+// Layout: a space stores exactly one pointer-free Content word per page (a
+// flat []Content, or a template plus privatized []Content chunks for a
+// fork), and that word is always the page's logical content, merged or not.
+// Per-page state that most pages never have lives in side tables allocated
+// on first use: the KSM table of shared groups (on the first AttachShared)
+// and the volatility and dirty bitmaps (on the first bit set). So a fresh
+// 1 GiB space is 2 MiB of words the garbage collector never scans.
 package mem
 
 import (
@@ -51,18 +59,11 @@ var ErrOutOfRange = errors.New("mem: page number out of range")
 
 // SharedGroup is one KSM-merged physical page: several (space, page) slots
 // all backed by a single read-only frame. Writes to any member must break
-// the sharing (copy-on-write).
+// the sharing (copy-on-write). Content is fixed at creation: a merged
+// page's own word equals it for as long as the page stays attached.
 type SharedGroup struct {
 	Content Content
 	Refs    int
-}
-
-type page struct {
-	content Content
-	shared  *SharedGroup
-	// volatile pages change too often for KSM to bother merging
-	// (the ksmd heuristic of skipping pages whose checksum churns).
-	volatile bool
 }
 
 // WriteResult describes what a page write did, so cost models can charge
@@ -91,33 +92,33 @@ const (
 type Space struct {
 	name string
 	// npages is the authoritative page count. pages (standalone) or
-	// tmpl+chunks (forked) provide the backing storage.
+	// tmpl+chunks (forked) provide the backing words.
 	npages int
 	// pages is the flat backing array of a standalone space. It is nil for
 	// a space spawned from a Template, which starts with zero private
 	// storage and materializes chunks on first write.
-	pages []page
+	pages []Content
 	// tmpl is the frozen golden image a forked space reads through; nil
 	// for standalone spaces.
 	tmpl *Template
 	// chunks holds the privatized chunk copies of a forked space, indexed
 	// by page>>chunkShift; a nil entry means "still reading the template".
-	chunks [][]page
-	dirty  *Bitmap
-
-	// hash is an incrementally-maintained XOR of pageSig over every
-	// (index, logical content) pair, with zero pages contributing nothing —
-	// so a fresh or reset space hashes to 0. Every mutation path (Write,
-	// LoadFile, FillRandom, Reset) keeps it current; equal logical contents
-	// therefore imply equal hashes, making hash inequality an O(1)
-	// "definitely different" answer for full-space comparisons.
-	hash uint64
+	chunks [][]Content
+	// shared is the KSM side table: shared[p] is the group page p is
+	// merged into, or nil. It stays nil until the first AttachShared, then
+	// covers every page until Reset or FillRandom drops it.
+	shared []*SharedGroup
+	// volatile flags pages that change too often for KSM to bother
+	// merging (the ksmd heuristic of skipping pages whose checksum churns).
+	volatile Bitmap
+	dirty    *Bitmap
 
 	// gen is the mutation generation: bumped by every change to a page's
 	// content, sharing or volatility (Write, LoadFile, FillRandom, Reset,
 	// MarkVolatile, AttachShared). An unchanged generation proves every
 	// page reads back exactly as it did, which is what lets the KSM scan
-	// skip regions it has already found settled.
+	// skip regions it has already found settled and loadvm skip an
+	// unchanged restore.
 	gen uint64
 
 	writes    uint64
@@ -138,31 +139,31 @@ type Space struct {
 func NewSpace(name string, sizeBytes int64) *Space {
 	n := int((sizeBytes + PageSize - 1) / PageSize)
 	return &Space{
-		name:   name,
-		npages: n,
-		pages:  make([]page, n),
-		dirty:  NewBitmap(n),
+		name:     name,
+		npages:   n,
+		pages:    make([]Content, n),
+		volatile: Bitmap{n: n},
+		dirty:    NewBitmap(n),
 	}
 }
 
-// pageRef returns a read-only view of page p. Callers must have bounds-
-// checked p. The returned pointer may alias the shared template; it must
-// never be written through — use pageMut for mutation.
-func (s *Space) pageRef(p int) *page {
+// word returns page p's logical content. Callers must have bounds-checked p.
+func (s *Space) word(p int) Content {
 	if s.pages != nil {
-		return &s.pages[p]
+		return s.pages[p]
 	}
 	if s.chunks != nil {
 		if ch := s.chunks[p>>chunkShift]; ch != nil {
-			return &ch[p&chunkMask]
+			return ch[p&chunkMask]
 		}
 	}
-	return &s.tmpl.pages[p]
+	return s.tmpl.pages[p]
 }
 
-// pageMut returns a writable pointer to page p, privatizing the enclosing
-// chunk from the template on first touch. Callers must have bounds-checked p.
-func (s *Space) pageMut(p int) *page {
+// wordMut returns a writable pointer to page p's word, privatizing the
+// enclosing chunk from the template on first touch. Callers must have
+// bounds-checked p.
+func (s *Space) wordMut(p int) *Content {
 	if s.pages != nil {
 		return &s.pages[p]
 	}
@@ -170,43 +171,56 @@ func (s *Space) pageMut(p int) *page {
 		// First write since the fork: materialize the chunk index. Kept
 		// out of SpawnFrom so a fork is O(1) even in its bookkeeping —
 		// the index is npages/chunkSize wide, noticeable at 1 GB guests.
-		s.chunks = make([][]page, (s.npages+chunkMask)>>chunkShift)
+		s.chunks = make([][]Content, (s.npages+chunkMask)>>chunkShift)
 	}
 	ci := p >> chunkShift
 	ch := s.chunks[ci]
 	if ch == nil {
 		lo := ci << chunkShift
-		hi := lo + chunkSize
-		if hi > s.npages {
-			hi = s.npages
-		}
-		ch = make([]page, hi-lo)
-		copy(ch, s.tmpl.pages[lo:hi])
+		ch = make([]Content, chunkLen(ci, s.npages))
+		copy(ch, s.tmpl.pages[lo:])
 		s.chunks[ci] = ch
 		s.forkCopies++
 	}
 	return &ch[p&chunkMask]
 }
 
-// decommissionFork detaches a forked space from its template, dropping all
-// materialized chunks after releasing their KSM refcounts. Whole-space
-// rewrites (Reset, FillRandom) call it before installing a fresh flat
-// backing array; template pages never hold shared groups, so only the
-// privatized chunks can carry refs.
-func (s *Space) decommissionFork() {
-	if s.tmpl == nil {
-		return
+// chunkLen is the page count of chunk ci in a space of n pages: chunkSize,
+// or less for the final chunk.
+func chunkLen(ci, n int) int {
+	return min(chunkSize, n-ci<<chunkShift)
+}
+
+// unshare detaches page p from its KSM group, if it has one, and reports
+// whether it did. Callers must have bounds-checked p.
+func (s *Space) unshare(p int) bool {
+	if s.shared == nil || s.shared[p] == nil {
+		return false
 	}
-	for _, ch := range s.chunks {
-		for i := range ch {
-			if ch[i].shared != nil {
-				ch[i].shared.Refs--
-			}
+	s.shared[p].Refs--
+	s.shared[p] = nil
+	return true
+}
+
+// rewriteAll prepares a whole-space rewrite (Reset, FillRandom): every KSM
+// ref is released and the side table dropped, volatility and the dirty log
+// are cleared, and a forked space detaches from its template onto a fresh
+// zeroed flat array.
+func (s *Space) rewriteAll() {
+	for _, g := range s.shared {
+		if g != nil {
+			g.Refs--
 		}
 	}
-	s.tmpl = nil
-	s.chunks = nil
-	s.pages = make([]page, s.npages)
+	s.shared = nil
+	s.volatile.ClearAll()
+	s.dirty.ClearAll()
+	s.gen++
+	if s.tmpl != nil {
+		s.tmpl = nil
+		s.chunks = nil
+		s.pages = make([]Content, s.npages)
+	}
 }
 
 // Name returns the space's label.
@@ -223,11 +237,7 @@ func (s *Space) Read(p int) (Content, error) {
 	if p < 0 || p >= s.npages {
 		return 0, fmt.Errorf("%w: %s page %d of %d", ErrOutOfRange, s.name, p, s.npages)
 	}
-	pg := s.pageRef(p)
-	if pg.shared != nil {
-		return pg.shared.Content, nil
-	}
-	return pg.content, nil
+	return s.word(p), nil
 }
 
 // MustRead is Read for callers that have already validated the index
@@ -247,26 +257,18 @@ func (s *Space) Write(p int, c Content) (WriteResult, error) {
 	if p < 0 || p >= s.npages {
 		return WriteResult{}, fmt.Errorf("%w: %s page %d of %d", ErrOutOfRange, s.name, p, s.npages)
 	}
-	pg := s.pageMut(p)
+	w := s.wordMut(p)
 	s.writes++
 	s.gen++
-	var res WriteResult
-	if pg.shared != nil {
-		// Copy-on-write: detach from the shared frame regardless of
-		// whether the new content equals the old — the hardware fault
-		// and page copy happen before the store is inspected.
+	res := WriteResult{Changed: *w != c}
+	// Copy-on-write: a merged page detaches from the shared frame whether
+	// or not the new content equals the old — the hardware fault and page
+	// copy happen before the store is inspected.
+	if s.unshare(p) {
 		res.CowBroken = true
-		res.Changed = pg.shared.Content != c
-		s.hash ^= pageSig(p, pg.shared.Content) ^ pageSig(p, c)
-		pg.shared.Refs--
-		pg.shared = nil
-		pg.content = c
 		s.cowBreaks++
-	} else {
-		res.Changed = pg.content != c
-		s.hash ^= pageSig(p, pg.content) ^ pageSig(p, c)
-		pg.content = c
 	}
+	*w = c
 	s.dirty.Set(p)
 	if s.onWrite != nil {
 		s.onWrite(p, c)
@@ -292,10 +294,18 @@ func (s *Space) MarkVolatile(p int, v bool) error {
 		return fmt.Errorf("%w: %s page %d", ErrOutOfRange, s.name, p)
 	}
 	// Skip the no-op case without privatizing a template chunk.
-	if s.pageRef(p).volatile == v {
+	if s.volatile.Test(p) == v {
 		return nil
 	}
-	s.pageMut(p).volatile = v
+	// A fork privatizes the page's chunk even though the flag lives in a
+	// side table, so ForkStats and MaterializedChunks count every chunk
+	// whose page state diverged from the image, flags included.
+	s.wordMut(p)
+	if v {
+		s.volatile.Set(p)
+	} else {
+		s.volatile.Clear(p)
+	}
 	s.gen++
 	return nil
 }
@@ -305,16 +315,16 @@ func (s *Space) Volatile(p int) bool {
 	if p < 0 || p >= s.npages {
 		return false
 	}
-	return s.pageRef(p).volatile
+	return s.volatile.Test(p)
 }
 
 // Shared reports whether page p is currently KSM-merged, and with which
 // group.
 func (s *Space) Shared(p int) (*SharedGroup, bool) {
-	if p < 0 || p >= s.npages {
+	if p < 0 || p >= s.npages || s.shared == nil {
 		return nil, false
 	}
-	g := s.pageRef(p).shared
+	g := s.shared[p]
 	return g, g != nil
 }
 
@@ -326,20 +336,21 @@ func (s *Space) AttachShared(p int, g *SharedGroup) error {
 	if p < 0 || p >= s.npages {
 		return fmt.Errorf("%w: %s page %d", ErrOutOfRange, s.name, p)
 	}
-	if s.pageRef(p).shared == g {
+	if cur, _ := s.Shared(p); cur == g {
 		return nil
 	}
 	// Validate against the read view before privatizing anything.
-	cur, _, _ := s.PageInfo(p)
-	if cur != g.Content {
+	if cur := s.word(p); cur != g.Content {
 		return fmt.Errorf("mem: attach %s page %d: content %#x != group %#x",
 			s.name, p, cur, g.Content)
 	}
-	pg := s.pageMut(p)
-	if pg.shared != nil {
-		pg.shared.Refs--
+	// A fork privatizes the page's chunk, as in MarkVolatile.
+	s.wordMut(p)
+	if s.shared == nil {
+		s.shared = make([]*SharedGroup, s.npages)
 	}
-	pg.shared = g
+	s.unshare(p)
+	s.shared[p] = g
 	g.Refs++
 	s.gen++
 	return nil
@@ -378,49 +389,34 @@ func (s *Space) Stats() (writes, cowBreaks uint64) {
 // what a machine reset does to RAM contents. A forked space detaches from
 // its template: post-reset contents owe nothing to the golden image.
 func (s *Space) Reset() {
-	s.decommissionFork()
-	for i := range s.pages {
-		if s.pages[i].shared != nil {
-			s.pages[i].shared.Refs--
-			s.pages[i].shared = nil
-		}
-		s.pages[i].content = ZeroPage
-		s.pages[i].volatile = false
+	if s.tmpl == nil {
+		clear(s.pages)
 	}
-	s.hash = 0
-	s.gen++
-	s.dirty.ClearAll()
+	s.rewriteAll()
 }
 
 // FillRandom populates the space with guest-like contents: zeroFraction of
 // the pages stay zero (free memory), the rest get contents drawn from rng
-// that are almost surely unique. KSM sharing is detached with proper
-// refcount accounting, as in Reset. The dirty log is cleared afterwards so
-// the fill itself doesn't count as guest activity.
+// that are almost surely unique. As in Reset — this models a boot
+// repopulating RAM — KSM sharing is detached with proper refcount
+// accounting, volatility flags are cleared, and a fork detaches from its
+// template. The dirty log is cleared too, so the fill itself doesn't count
+// as guest activity.
 func (s *Space) FillRandom(rng *rand.Rand, zeroFraction float64) {
-	s.decommissionFork()
-	h := uint64(0)
+	s.rewriteAll()
 	for i := range s.pages {
 		if rng.Float64() < zeroFraction {
-			s.pages[i].content = ZeroPage
+			s.pages[i] = ZeroPage
 		} else {
 			// Avoid drawing the zero value for a "used" page.
-			s.pages[i].content = Content(rng.Uint64() | 1)
-			h ^= pageSig(i, s.pages[i].content)
-		}
-		if s.pages[i].shared != nil {
-			s.pages[i].shared.Refs--
-			s.pages[i].shared = nil
+			s.pages[i] = Content(rng.Uint64() | 1)
 		}
 	}
-	s.hash = h
-	s.gen++
-	s.dirty.ClearAll()
 }
 
-// Snapshot copies out the logical contents of every page (resolving shared
-// frames). Migration uses it to verify the memory-equality invariant.
-// Loops that snapshot repeatedly should hold a buffer and call SnapshotInto.
+// Snapshot copies out the logical contents of every page. Migration uses it
+// to verify the memory-equality invariant. Loops that snapshot repeatedly
+// should hold a buffer and call SnapshotInto.
 func (s *Space) Snapshot() []Content {
 	return s.SnapshotInto(nil)
 }
@@ -434,33 +430,13 @@ func (s *Space) SnapshotInto(dst []Content) []Content {
 		dst = make([]Content, s.npages)
 	}
 	dst = dst[:s.npages]
-	fill := func(pages []page, base int) {
-		for i := range pages {
-			if pages[i].shared != nil {
-				dst[base+i] = pages[i].shared.Content
-			} else {
-				dst[base+i] = pages[i].content
-			}
-		}
-	}
 	if s.pages != nil {
-		fill(s.pages, 0)
+		copy(dst, s.pages)
 		return dst
 	}
-	if s.chunks == nil {
-		fill(s.tmpl.pages, 0)
-		return dst
-	}
+	copy(dst, s.tmpl.pages)
 	for ci, ch := range s.chunks {
-		lo := ci << chunkShift
-		if ch == nil {
-			hi := lo + chunkSize
-			if hi > s.npages {
-				hi = s.npages
-			}
-			ch = s.tmpl.pages[lo:hi]
-		}
-		fill(ch, lo)
+		copy(dst[ci<<chunkShift:], ch)
 	}
 	return dst
 }
@@ -491,7 +467,7 @@ func Fingerprint(s *Space, n int) uint64 {
 
 // pageSig is the per-page contribution to a space's content hash: a
 // splitmix64-style mix of (index, logical content). Zero pages contribute
-// nothing, so an untouched space hashes to 0 and sparse updates stay cheap.
+// nothing, so an untouched space hashes to 0.
 func pageSig(p int, c Content) uint64 {
 	if c == ZeroPage {
 		return 0
@@ -504,12 +480,12 @@ func pageSig(p int, c Content) uint64 {
 	return x ^ x>>31
 }
 
-// RangeHash digests the logical contents of pages [from, from+n), resolving
-// shared frames and clamping the range to the space. It is the primitive an
-// invariant-checksum detector audits pinned regions with: equal logical
-// contents of the range guarantee equal hashes, and — unlike Fingerprint —
-// it composes with the per-page pageSig the full-space ContentHash uses, so
-// a range covering the whole space reproduces ContentHash exactly.
+// RangeHash digests the logical contents of pages [from, from+n), clamping
+// the range to the space. It is the primitive an invariant-checksum
+// detector audits pinned regions with: equal logical contents of the range
+// guarantee equal hashes, and — unlike Fingerprint — it composes with the
+// per-page pageSig the full-space ContentHash uses, so a range covering the
+// whole space reproduces ContentHash exactly.
 func (s *Space) RangeHash(from, n int) uint64 {
 	if from < 0 {
 		n += from
@@ -520,22 +496,17 @@ func (s *Space) RangeHash(from, n int) uint64 {
 	}
 	h := uint64(0)
 	for p := from; p < from+n; p++ {
-		pg := s.pageRef(p)
-		c := pg.content
-		if pg.shared != nil {
-			c = pg.shared.Content
-		}
-		h ^= pageSig(p, c)
+		h ^= pageSig(p, s.word(p))
 	}
 	return h
 }
 
-// ContentHash returns the space's incrementally-maintained content digest.
-// Equal logical contents guarantee equal hashes; differing hashes guarantee
-// differing contents. Hash equality alone does not prove content equality
-// (use EqualContents, which verifies), but it makes "definitely changed"
-// an O(1) question.
-func (s *Space) ContentHash() uint64 { return s.hash }
+// ContentHash returns the space's content digest, RangeHash over the whole
+// space. Equal logical contents guarantee equal hashes; differing hashes
+// guarantee differing contents. Hash equality alone does not prove content
+// equality (use EqualContents, which verifies). The digest is computed on
+// demand, one pass over the pages per call.
+func (s *Space) ContentHash() uint64 { return s.RangeHash(0, s.npages) }
 
 // Generation returns the space's mutation generation. It never decreases,
 // and it is unchanged between two calls only if no page's content, sharing
@@ -550,26 +521,17 @@ func (s *Space) PageInfo(p int) (c Content, shared, volatile bool) {
 	if p < 0 || p >= s.npages {
 		return ZeroPage, false, false
 	}
-	pg := s.pageRef(p)
-	if pg.shared != nil {
-		return pg.shared.Content, true, pg.volatile
-	}
-	return pg.content, false, pg.volatile
+	return s.word(p), s.shared != nil && s.shared[p] != nil, s.volatile.Test(p)
 }
 
-// EqualContents reports whether two spaces hold identical logical contents.
-// The maintained content hashes reject unequal spaces in O(1); a hash match
-// falls back to the page-by-page verify, so a (vanishingly unlikely) hash
-// collision can never report false equality.
+// EqualContents reports whether two spaces hold identical logical contents,
+// comparing page by page.
 func EqualContents(a, b *Space) bool {
-	if a.NumPages() != b.NumPages() {
+	if a.npages != b.npages {
 		return false
 	}
-	if a.hash != b.hash {
-		return false
-	}
-	for i := 0; i < a.NumPages(); i++ {
-		if a.MustRead(i) != b.MustRead(i) {
+	for p := 0; p < a.npages; p++ {
+		if a.word(p) != b.word(p) {
 			return false
 		}
 	}

@@ -8,14 +8,13 @@ import "fmt"
 // from any number of forked spaces. A template is never written again;
 // SpawnFrom spaces privatize chunks away from it on first write.
 //
-// The content-hash invariant across a fork: the template carries the same
-// incrementally-maintained hash a standalone space with its contents would,
-// a freshly spawned space inherits it verbatim in O(1), and the ordinary
-// Write path keeps it current from there — so ContentHash, EqualContents,
-// and RangeHash behave identically on forked and standalone spaces.
+// The template records its content hash at Freeze. A forked space hashes
+// its own read view (template pages overlaid with its private chunks), so
+// ContentHash, EqualContents and RangeHash behave identically on forked
+// and standalone spaces.
 type Template struct {
 	name   string
-	pages  []page
+	pages  []Content
 	hash   uint64
 	spawns uint64
 }
@@ -25,20 +24,11 @@ type Template struct {
 // the copy is O(pages), paid once per golden image rather than once per
 // guest. The template's pages carry no shared groups and no volatile flags.
 func Freeze(name string, src *Space) *Template {
-	t := &Template{
+	return &Template{
 		name:  name,
-		pages: make([]page, src.npages),
-		hash:  src.hash,
+		pages: src.Snapshot(),
+		hash:  src.ContentHash(),
 	}
-	for i := 0; i < src.npages; i++ {
-		pg := src.pageRef(i)
-		c := pg.content
-		if pg.shared != nil {
-			c = pg.shared.Content
-		}
-		t.pages[i].content = c
-	}
-	return t
 }
 
 // Name returns the template's label.
@@ -61,7 +51,7 @@ func (t *Template) Read(p int) (Content, error) {
 	if p < 0 || p >= len(t.pages) {
 		return 0, fmt.Errorf("%w: template %s page %d of %d", ErrOutOfRange, t.name, p, len(t.pages))
 	}
-	return t.pages[p].content, nil
+	return t.pages[p], nil
 }
 
 // Spawns returns how many spaces have been forked from this template.
@@ -69,19 +59,19 @@ func (t *Template) Spawns() uint64 { return t.spawns }
 
 // SpawnFrom forks a new space from a template in O(1) time and O(chunks)
 // index storage — no page contents are copied until the space is written.
-// The spawned space reads through the template, inherits its content hash,
-// and starts with a clean (and storage-free) dirty log.
+// The spawned space reads through the template and has a clean (and
+// storage-free) dirty log.
 func SpawnFrom(name string, t *Template) *Space {
 	t.spawns++
 	n := len(t.pages)
-	// No chunk index, no bitmap words: both materialize on first write,
-	// so a spawn's cost is one fixed-size struct regardless of n.
+	// No chunk index, no side tables, no bitmap words: all materialize on
+	// first use, so a spawn's cost is one fixed-size struct regardless of n.
 	return &Space{
-		name:   name,
-		npages: n,
-		tmpl:   t,
-		dirty:  NewBitmap(n),
-		hash:   t.hash,
+		name:     name,
+		npages:   n,
+		tmpl:     t,
+		volatile: Bitmap{n: n},
+		dirty:    NewBitmap(n),
 	}
 }
 

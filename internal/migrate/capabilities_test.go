@@ -33,7 +33,7 @@ func TestXBZRLEReducesWireBytes(t *testing.T) {
 		tb.vm(t, "dst", 32, "tcp:0.0.0.0:4444")
 		tk := dirtier(tb, src, 40)
 		defer tk.Stop()
-		if err := tb.me.Migrate(src, "tcp:127.0.0.1:4444"); err != nil {
+		if err := tb.migrate(t, src, "tcp:127.0.0.1:4444"); err != nil {
 			t.Fatal(err)
 		}
 		res, _ := tb.me.LastResult()
@@ -94,7 +94,7 @@ func TestAutoConvergeRescuesHogWorkload(t *testing.T) {
 			}
 		})
 		defer tk.Stop()
-		if err := tb.me.Migrate(src, "tcp:127.0.0.1:4444"); err != nil {
+		if err := tb.migrate(t, src, "tcp:127.0.0.1:4444"); err != nil {
 			t.Fatal(err)
 		}
 		tk.Stop()
@@ -141,7 +141,7 @@ func TestMigrateCancelMidFlight(t *testing.T) {
 			t.Errorf("cancel: %v", err)
 		}
 	})
-	err := tb.me.Migrate(src, "tcp:127.0.0.1:4444")
+	err := tb.migrate(t, src, "tcp:127.0.0.1:4444")
 	if !errors.Is(err, ErrCancelled) {
 		t.Fatalf("err = %v", err)
 	}
@@ -157,7 +157,7 @@ func TestMigrateCancelMidFlight(t *testing.T) {
 	}
 	// A fresh migration afterwards succeeds.
 	tk.Stop()
-	if err := tb.me.Migrate(src, "tcp:127.0.0.1:4444"); err != nil {
+	if err := tb.migrate(t, src, "tcp:127.0.0.1:4444"); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -183,7 +183,7 @@ func TestMidMigrationLinkFailureResumesSource(t *testing.T) {
 	tb.eng.Schedule(500*time.Millisecond, "linkfail", func() {
 		tb.net.SetLink("host", "dst.nic", vnet.LinkSpec{Bandwidth: 1, Down: true})
 	})
-	err := tb.me.Migrate(src, "tcp:127.0.0.1:4444")
+	err := tb.migrate(t, src, "tcp:127.0.0.1:4444")
 	if !errors.Is(err, ErrAborted) {
 		t.Fatalf("err = %v", err)
 	}

@@ -49,6 +49,28 @@ func (tb *testbed) vm(t *testing.T, name string, memMB int64, incoming string) *
 	return vm
 }
 
+// migrate runs one migration and then checks the memory bookkeeping of
+// every guest on the host, nested ones included, so source and destination
+// both pass CheckInvariants whatever the migration's outcome.
+func (tb *testbed) migrate(t *testing.T, src *qemu.VM, uri string) error {
+	t.Helper()
+	err := tb.me.Migrate(src, uri)
+	checkRAM(t, tb.h.Hypervisor())
+	return err
+}
+
+func checkRAM(t *testing.T, hv *kvm.Hypervisor) {
+	t.Helper()
+	for _, vm := range hv.VMs() {
+		if err := vm.RAM().CheckInvariants(); err != nil {
+			t.Fatalf("after migration: %v", err)
+		}
+		if inner, ok := hv.Nested(vm.Name()); ok {
+			checkRAM(t, inner)
+		}
+	}
+}
+
 var _ kvm.MigrationService = (*Engine)(nil)
 
 func TestModeString(t *testing.T) {
@@ -69,6 +91,7 @@ func TestPreCopyIdleMigration(t *testing.T) {
 	if _, err := src.Monitor().Execute("migrate tcp:127.0.0.1:4444"); err != nil {
 		t.Fatal(err)
 	}
+	checkRAM(t, tb.h.Hypervisor())
 	res, ok := tb.me.LastResult()
 	if !ok {
 		t.Fatal("no result")
@@ -118,7 +141,7 @@ func TestZeroPageCompressionShortensIdleMigration(t *testing.T) {
 	src := tb.vm(t, "src", 64, "")
 	tb.vm(t, "dst", 64, "tcp:0.0.0.0:4444")
 	start := tb.eng.Now()
-	if err := tb.me.Migrate(src, "tcp:127.0.0.1:4444"); err != nil {
+	if err := tb.migrate(t, src, "tcp:127.0.0.1:4444"); err != nil {
 		t.Fatal(err)
 	}
 	elapsed := tb.eng.Now() - start
@@ -149,7 +172,7 @@ func TestPreCopyWithDirtyingWorkloadIterates(t *testing.T) {
 	})
 	defer ticker.Stop()
 
-	if err := tb.me.Migrate(src, "tcp:127.0.0.1:4444"); err != nil {
+	if err := tb.migrate(t, src, "tcp:127.0.0.1:4444"); err != nil {
 		t.Fatal(err)
 	}
 	ticker.Stop()
@@ -187,7 +210,7 @@ func TestPreCopyNonConvergenceForcedStop(t *testing.T) {
 	})
 	defer ticker.Stop()
 
-	if err := tb.me.Migrate(src, "tcp:127.0.0.1:4444"); err != nil {
+	if err := tb.migrate(t, src, "tcp:127.0.0.1:4444"); err != nil {
 		t.Fatal(err)
 	}
 	res, _ := tb.me.LastResult()
@@ -204,16 +227,16 @@ func TestMigrationErrors(t *testing.T) {
 	src := tb.vm(t, "src", 16, "")
 
 	// No incoming listener anywhere.
-	if err := tb.me.Migrate(src, "tcp:127.0.0.1:9999"); !errors.Is(err, ErrNoIncoming) {
+	if err := tb.migrate(t, src, "tcp:127.0.0.1:9999"); !errors.Is(err, ErrNoIncoming) {
 		t.Fatalf("err = %v", err)
 	}
 	// Bad URI.
-	if err := tb.me.Migrate(src, "fd:3"); !errors.Is(err, qemu.ErrBadCommandLine) {
+	if err := tb.migrate(t, src, "fd:3"); !errors.Is(err, qemu.ErrBadCommandLine) {
 		t.Fatalf("err = %v", err)
 	}
 	// Config mismatch.
 	tb.vm(t, "small", 8, "tcp:0.0.0.0:4444")
-	if err := tb.me.Migrate(src, "tcp:127.0.0.1:4444"); !errors.Is(err, ErrConfigMismatch) {
+	if err := tb.migrate(t, src, "tcp:127.0.0.1:4444"); !errors.Is(err, ErrConfigMismatch) {
 		t.Fatalf("err = %v", err)
 	}
 	if src.MigrationStatus().Status != "failed" {
@@ -221,14 +244,14 @@ func TestMigrationErrors(t *testing.T) {
 	}
 	// Unregistered VM.
 	other := qemu.NewVM(tb.eng, qemu.DefaultConfig("x"), tb.h.Model, 1, "x.nic")
-	if err := tb.me.Migrate(other, "tcp:127.0.0.1:4444"); !errors.Is(err, ErrUnknownVM) {
+	if err := tb.migrate(t, other, "tcp:127.0.0.1:4444"); !errors.Is(err, ErrUnknownVM) {
 		t.Fatalf("err = %v", err)
 	}
 	// Shut-off source.
 	if err := src.Shutdown(); err != nil {
 		t.Fatal(err)
 	}
-	if err := tb.me.Migrate(src, "tcp:127.0.0.1:4444"); !errors.Is(err, ErrSourceState) {
+	if err := tb.migrate(t, src, "tcp:127.0.0.1:4444"); !errors.Is(err, ErrSourceState) {
 		t.Fatalf("err = %v", err)
 	}
 }
@@ -238,12 +261,12 @@ func TestDestinationNotInIncomingState(t *testing.T) {
 	src := tb.vm(t, "src", 16, "")
 	dst := tb.vm(t, "dst", 16, "tcp:0.0.0.0:4444")
 	// Complete one migration; the listener is consumed.
-	if err := tb.me.Migrate(src, "tcp:127.0.0.1:4444"); err != nil {
+	if err := tb.migrate(t, src, "tcp:127.0.0.1:4444"); err != nil {
 		t.Fatal(err)
 	}
 	// A second attempt must fail: dst is running now.
 	src2 := tb.vm(t, "src2", 16, "")
-	if err := tb.me.Migrate(src2, "tcp:127.0.0.1:4444"); !errors.Is(err, ErrNoIncoming) {
+	if err := tb.migrate(t, src2, "tcp:127.0.0.1:4444"); !errors.Is(err, ErrNoIncoming) {
 		t.Fatalf("err = %v", err)
 	}
 	_ = dst
@@ -254,7 +277,7 @@ func TestMigrationOverDownLinkFails(t *testing.T) {
 	src := tb.vm(t, "src", 16, "")
 	tb.vm(t, "dst", 16, "tcp:0.0.0.0:4444")
 	tb.net.SetLink("host", "dst.nic", vnet.LinkSpec{Bandwidth: 1 << 20, Down: true})
-	if err := tb.me.Migrate(src, "tcp:127.0.0.1:4444"); !errors.Is(err, ErrAborted) {
+	if err := tb.migrate(t, src, "tcp:127.0.0.1:4444"); !errors.Is(err, ErrAborted) {
 		t.Fatalf("err = %v", err)
 	}
 }
@@ -270,7 +293,7 @@ func TestMonitorSpeedLimitRespected(t *testing.T) {
 			}
 		}
 		start := tb.eng.Now()
-		if err := tb.me.Migrate(src, "tcp:127.0.0.1:4444"); err != nil {
+		if err := tb.migrate(t, src, "tcp:127.0.0.1:4444"); err != nil {
 			t.Fatal(err)
 		}
 		return tb.eng.Now() - start
@@ -319,7 +342,7 @@ func TestNestedDestinationIsSlower(t *testing.T) {
 			tb.vm(t, "dst", 32, "tcp:0.0.0.0:4444")
 		}
 		start := tb.eng.Now()
-		if err := tb.me.Migrate(src, "tcp:127.0.0.1:4444"); err != nil {
+		if err := tb.migrate(t, src, "tcp:127.0.0.1:4444"); err != nil {
 			t.Fatal(err)
 		}
 		return tb.eng.Now() - start
@@ -340,7 +363,7 @@ func TestPostCopy(t *testing.T) {
 	tb.me.Tunables.Mode = PostCopy
 	src := tb.vm(t, "src", 32, "")
 	dst := tb.vm(t, "dst", 32, "tcp:0.0.0.0:4444")
-	if err := tb.me.Migrate(src, "tcp:127.0.0.1:4444"); err != nil {
+	if err := tb.migrate(t, src, "tcp:127.0.0.1:4444"); err != nil {
 		t.Fatal(err)
 	}
 	res, _ := tb.me.LastResult()
@@ -369,7 +392,7 @@ func TestReentrantMigrationRejected(t *testing.T) {
 	tb.eng.Schedule(time.Millisecond, "reenter", func() {
 		innerErr = tb.me.Migrate(src, "tcp:127.0.0.1:4444")
 	})
-	if err := tb.me.Migrate(src, "tcp:127.0.0.1:4444"); err != nil {
+	if err := tb.migrate(t, src, "tcp:127.0.0.1:4444"); err != nil {
 		t.Fatal(err)
 	}
 	if !errors.Is(innerErr, ErrInProgress) {
@@ -404,7 +427,7 @@ func TestResultsAccumulate(t *testing.T) {
 	}
 	src := tb.vm(t, "src", 16, "")
 	tb.vm(t, "dst", 16, "tcp:0.0.0.0:4444")
-	if err := tb.me.Migrate(src, "tcp:127.0.0.1:4444"); err != nil {
+	if err := tb.migrate(t, src, "tcp:127.0.0.1:4444"); err != nil {
 		t.Fatal(err)
 	}
 	if got := tb.me.Results(); len(got) != 1 {
@@ -433,7 +456,7 @@ func TestMigrationInvariantProperty(t *testing.T) {
 			}
 		})
 		defer tk.Stop()
-		if err := tb.me.Migrate(src, "tcp:127.0.0.1:4444"); err != nil {
+		if err := tb.migrate(t, src, "tcp:127.0.0.1:4444"); err != nil {
 			return false
 		}
 		tk.Stop()

@@ -21,9 +21,10 @@ type Snapshot struct {
 	TakenAt time.Duration
 	state   State
 	ram     []mem.Content
-	// hash is the RAM's content hash at save time, so a later restore can
-	// decide "nothing changed" in O(1) instead of diffing page contents.
-	hash uint64
+	// gen is the RAM's mutation generation at save time. While it has not
+	// moved, no page has changed, and a restore knows in O(1) that it has
+	// nothing to write back.
+	gen uint64
 }
 
 // equalRAM reports whether the space's logical contents still match the
@@ -60,7 +61,7 @@ func (v *VM) SaveSnapshot(name string) error {
 		TakenAt: v.eng.Now(),
 		state:   v.state,
 		ram:     v.ram.Snapshot(),
-		hash:    v.ram.ContentHash(),
+		gen:     v.ram.Generation(),
 	}
 	return nil
 }
@@ -76,11 +77,11 @@ func (v *VM) LoadSnapshot(name string) error {
 	if !ok {
 		return fmt.Errorf("%w: %q", ErrNoSnapshot, name)
 	}
-	// Equality gate: when RAM still matches the checkpoint (O(1) hash
-	// reject for the common "something changed" case, read-only verify on
-	// a hash match) there is nothing to write back, so the restore skips
-	// the page-store loop and its COW breaks entirely.
-	if v.ram.ContentHash() != snap.hash || !snap.equalRAM(v.ram) {
+	// Equality gate: when RAM still matches the checkpoint (O(1) when the
+	// generation has not moved, a read-only verify otherwise) there is
+	// nothing to write back, so the restore skips the page-store loop and
+	// its COW breaks entirely.
+	if v.ram.Generation() != snap.gen && !snap.equalRAM(v.ram) {
 		for p, c := range snap.ram {
 			if _, err := v.ram.Write(p, c); err != nil {
 				return err

@@ -4,6 +4,8 @@ import (
 	"errors"
 	"strings"
 	"testing"
+
+	"cloudskulk/internal/mem"
 )
 
 func TestSnapshotRoundTrip(t *testing.T) {
@@ -36,6 +38,90 @@ func TestSnapshotRoundTrip(t *testing.T) {
 	if vm.RAM().DirtyCount() != 0 {
 		t.Fatal("restore left dirty log set")
 	}
+}
+
+// TestLoadSnapshotSkipsUnchangedRAM pins loadvm's equality gate: a restore
+// writes pages back only when RAM differs from the checkpoint, so KSM
+// sharing survives a restore with nothing to undo and breaks (copy-on-write)
+// only when pages really are rewritten.
+func TestLoadSnapshotSkipsUnchangedRAM(t *testing.T) {
+	const merged, scratch = 10, 30
+	// setup saves a checkpoint of a guest whose pages 10 and 11 are merged
+	// into one KSM group.
+	setup := func(t *testing.T) (*VM, *mem.SharedGroup) {
+		vm := runningVM(t)
+		ram := vm.RAM()
+		g := &mem.SharedGroup{Content: 0xabc}
+		for _, p := range []int{merged, merged + 1} {
+			if _, err := ram.Write(p, g.Content); err != nil {
+				t.Fatal(err)
+			}
+			if err := ram.AttachShared(p, g); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := vm.SaveSnapshot("snap"); err != nil {
+			t.Fatal(err)
+		}
+		return vm, g
+	}
+	// restore runs loadvm and reports how many writes and COW breaks it
+	// made.
+	restore := func(t *testing.T, vm *VM) (writes, cows uint64) {
+		t.Helper()
+		w0, c0 := vm.RAM().Stats()
+		if err := vm.LoadSnapshot("snap"); err != nil {
+			t.Fatal(err)
+		}
+		w1, c1 := vm.RAM().Stats()
+		return w1 - w0, c1 - c0
+	}
+	stillShared := func(t *testing.T, vm *VM, g *mem.SharedGroup) {
+		t.Helper()
+		if got, ok := vm.RAM().Shared(merged); !ok || got != g || g.Refs != 2 {
+			t.Fatalf("page %d shared=%t, group refs %d; want the same group with 2 refs", merged, ok, g.Refs)
+		}
+	}
+
+	t.Run("no writes since savevm", func(t *testing.T) {
+		vm, g := setup(t)
+		if w, _ := restore(t, vm); w != 0 {
+			t.Fatalf("loadvm made %d writes, want 0", w)
+		}
+		stillShared(t, vm, g)
+	})
+	t.Run("page written and written back", func(t *testing.T) {
+		vm, g := setup(t)
+		orig := vm.RAM().MustRead(scratch)
+		for _, c := range []mem.Content{mem.MutateContent(orig), orig} {
+			if _, err := vm.RAM().Write(scratch, c); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if w, _ := restore(t, vm); w != 0 {
+			t.Fatalf("loadvm made %d writes to RAM equal to the checkpoint, want 0", w)
+		}
+		stillShared(t, vm, g)
+	})
+	t.Run("diverged", func(t *testing.T) {
+		vm, g := setup(t)
+		orig := vm.RAM().MustRead(scratch)
+		if _, err := vm.RAM().Write(scratch, mem.MutateContent(orig)); err != nil {
+			t.Fatal(err)
+		}
+		w, cows := restore(t, vm)
+		if w == 0 || vm.RAM().MustRead(scratch) != orig {
+			t.Fatalf("loadvm made %d writes and left page %d at %#x, want it restored to %#x",
+				w, scratch, vm.RAM().MustRead(scratch), orig)
+		}
+		if _, ok := vm.RAM().Shared(merged); ok || cows != 2 || g.Refs != 0 {
+			t.Fatalf("after write-back: page %d shared=%t, %d COW breaks, group refs %d; want unshared, 2, 0",
+				merged, ok, cows, g.Refs)
+		}
+		if got := vm.RAM().MustRead(merged); got != g.Content {
+			t.Fatalf("page %d = %#x after write-back, want %#x", merged, got, g.Content)
+		}
+	})
 }
 
 func TestSnapshotRestoresRunState(t *testing.T) {

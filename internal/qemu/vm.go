@@ -113,8 +113,8 @@ func NewVM(eng *sim.Engine, cfg Config, model cpu.Model, level cpu.Level, endpoi
 		// Golden-image boot: fork the template copy-on-write instead of
 		// allocating pages — O(1) regardless of guest memory size. The
 		// cold-path NewSpace must not run even transiently: its page
-		// table alone is ~1.3 MB at a 128 MB image, which at 100k
-		// template guests is ~130 GB of allocator churn.
+		// array alone is 256 KiB at a 128 MB image, which at 100k
+		// template guests is ~25 GB of allocator churn.
 		ram = mem.SpawnFrom(cfg.Name+".ram", cfg.MemTemplate)
 	} else {
 		ram = mem.NewSpace(cfg.Name+".ram", cfg.MemoryMB<<20)
