@@ -3,8 +3,8 @@ package mem
 import "math/bits"
 
 // Bitmap is a fixed-size bitset used for per-page dirty tracking. Live
-// migration's pre-copy loop repeatedly harvests and clears it, so the
-// operations are kept allocation-free.
+// migration's pre-copy loop fetches and clears it once per round, a word
+// at a time (Space.PullDirty), so the operations are kept allocation-free.
 //
 // The word array is allocated lazily on the first Set/SetAll: an all-clear
 // bitmap carries no storage, which is what keeps SpawnFrom — whose forked
@@ -141,45 +141,29 @@ func (b *Bitmap) ForEach(fn func(i int)) {
 	}
 }
 
-// Drain harvests up to max set bits (ascending), clearing them as it goes,
-// and returns their indices in a fresh slice. max <= 0 means no limit.
-// This is the "fetch-and-clear the dirty log" primitive pre-copy migration
-// uses; hot loops should hold a reusable buffer and call DrainInto instead.
-func (b *Bitmap) Drain(max int) []int {
-	if max <= 0 || max > b.set {
-		max = b.set
-	}
-	return b.DrainInto(make([]int, 0, max), max)
-}
-
-// DrainInto appends up to max set bit indices (ascending) to buf, clearing
-// each as it is extracted, and returns the extended buffer. max <= 0 means
-// no limit. All-zero words are skipped in one comparison and cleared bits
-// are folded back a word at a time, so a drain touches each word at most
-// twice and allocates nothing when buf has capacity.
+// orWord ORs w into word wi, keeping the set-bit count, and returns the
+// word's previous value. Callers must have bounds-checked wi and keep w's
+// bits below Len.
 //
 //detlint:hotpath
-func (b *Bitmap) DrainInto(buf []int, max int) []int {
-	if max <= 0 || max > b.set {
-		max = b.set
+func (b *Bitmap) orWord(wi int, w uint64) uint64 {
+	b.ensure()
+	old := b.words[wi]
+	b.words[wi] = old | w
+	b.set += bits.OnesCount64(w &^ old)
+	return old
+}
+
+// setRange sets bits [lo, hi) a word at a time. Callers must have
+// bounds-checked the range.
+//
+//detlint:hotpath
+func (b *Bitmap) setRange(lo, hi int) {
+	for lo < hi {
+		end := min(hi, (lo|63)+1)
+		b.orWord(lo/64, ^uint64(0)>>(64-uint(end-lo))<<(uint(lo)%64))
+		lo = end
 	}
-	taken := 0
-	for wi := 0; wi < len(b.words) && taken < max; wi++ {
-		w := b.words[wi]
-		if w == 0 {
-			continue
-		}
-		base := wi * 64
-		for w != 0 && taken < max {
-			bit := bits.TrailingZeros64(w)
-			buf = append(buf, base+bit)
-			w &^= 1 << uint(bit)
-			taken++
-		}
-		b.words[wi] = w
-	}
-	b.set -= taken
-	return buf
 }
 
 // Clone returns a deep copy of the bitmap.

@@ -123,7 +123,7 @@ func TestCOWForkDivergence(t *testing.T) {
 		t.Fatalf("a: dirty=%d chunks=%d copies=%d, want 1/1/1",
 			a.DirtyCount(), a.MaterializedChunks(), a.ForkStats())
 	}
-	if got := a.DrainDirty(0); len(got) != 1 || got[0] != p {
+	if got := dirtyPages(a); len(got) != 1 || got[0] != p {
 		t.Fatalf("a dirty log = %v, want [%d]", got, p)
 	}
 	// A neighbouring page in the same chunk reads the copied content, and a

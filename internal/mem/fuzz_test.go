@@ -1,6 +1,7 @@
 package mem
 
 import (
+	"fmt"
 	"math/rand"
 	"slices"
 	"testing"
@@ -17,11 +18,16 @@ type spacePair struct {
 	// ids maps each group to its index on its side.
 	groups [2][]*SharedGroup
 	ids    map[*SharedGroup]int
-	buf    [2][]int
+	// sent is each side's XBZRLE sent bitmap, sized for the two large
+	// slots; hooked is the slot whose write hook is installed (-1: none),
+	// and log each side's record of the hook's calls since the last compare.
+	sent   [2]*Bitmap
+	hooked int
+	log    [2][]string
 }
 
 func newSpacePair() *spacePair {
-	sp := &spacePair{ids: make(map[*SharedGroup]int)}
+	sp := &spacePair{ids: make(map[*SharedGroup]int), hooked: -1}
 	// Two multi-chunk spaces (the last chunk partial) and one smaller than
 	// a chunk, so forks exercise full, partial and single-chunk layouts.
 	for i, pages := range []int{2*chunkSize + 88, 2*chunkSize + 88, 130} {
@@ -29,10 +35,13 @@ func newSpacePair() *spacePair {
 		sp.got = append(sp.got, NewSpace(name, int64(pages)*PageSize))
 		sp.want = append(sp.want, newRefSpace(name, int64(pages)*PageSize))
 	}
+	for side := range sp.sent {
+		sp.sent[side] = NewBitmap(sp.got[0].NumPages())
+	}
 	return sp
 }
 
-const spaceOpKinds = 12
+const spaceOpKinds = 14
 
 // apply decodes one four-byte record into an operation, runs it on both
 // sides of slot op/spaceOpKinds, and fails on any disagreement in what the
@@ -83,11 +92,23 @@ func (sp *spacePair) apply(t *testing.T, op, x, y, z byte) {
 			t.Fatalf("MarkVolatile(%d, %t): %v; reference %v", p, v, gerr, werr)
 		}
 	case 7:
-		max := int(z % 20)
-		sp.buf[0] = s.DrainDirtyInto(sp.buf[0][:0], max)
-		sp.buf[1] = r.dirty.DrainInto(sp.buf[1][:0], max)
-		if !slices.Equal(sp.buf[0], sp.buf[1]) {
-			t.Fatalf("DrainDirtyInto(%d) = %v; reference %v", max, sp.buf[0], sp.buf[1])
+		// Pull this slot's dirty log into slot z>>1 further on (itself, the
+		// other large slot, or the small one, whose size differs), with
+		// the sent bitmaps when z is odd.
+		di := (slot + int(z>>1)) % len(sp.got)
+		d, rd := sp.got[di], sp.want[di]
+		var sent [2]*Bitmap
+		if z&1 == 1 {
+			sent = sp.sent
+		}
+		gen, writes := d.Generation(), d.writes
+		gn, gerr := d.PullDirty(s, sent[0])
+		wn, werr := rd.PullDirty(r, sent[1])
+		if gn != wn || (gerr == nil) != (werr == nil) {
+			t.Fatalf("slot %d PullDirty(slot %d, sent %t) = %+v, %v; reference %+v, %v", di, slot, z&1 == 1, gn, gerr, wn, werr)
+		}
+		if d.Generation()-gen != d.writes-writes {
+			t.Fatalf("PullDirty moved the generation %d for %d writes", d.Generation()-gen, d.writes-writes)
 		}
 	case 8:
 		s.ClearDirty()
@@ -110,6 +131,51 @@ func (sp *spacePair) apply(t *testing.T, op, x, y, z byte) {
 		}
 		sp.got[dst] = SpawnFrom("fork", tmpl)
 		sp.want[dst] = refSpawnFrom("fork", rtmpl)
+		if dst == sp.hooked {
+			sp.hooked = -1
+		}
+	case 12:
+		run := make([]Content, int(z)%75)
+		for i := range run {
+			run[i] = Content((int(z) + i) % 8)
+		}
+		gen, writes := s.Generation(), s.writes
+		if gerr, werr := s.WriteRun(p, run), r.WriteRun(p, run); (gerr == nil) != (werr == nil) {
+			t.Fatalf("WriteRun(%d, %d pages): %v; reference %v", p, len(run), gerr, werr)
+		}
+		if s.Generation()-gen != s.writes-writes {
+			t.Fatalf("WriteRun moved the generation %d for %d writes", s.Generation()-gen, s.writes-writes)
+		}
+	case 13:
+		sp.hook(slot)
+	}
+}
+
+// hook moves the write hook to slot, or removes it if slot has it. The
+// hook logs each call with the state it sees and mirrors the write into
+// the next slot, which may be the source of the pull that triggered it.
+func (sp *spacePair) hook(slot int) {
+	if sp.hooked >= 0 {
+		sp.got[sp.hooked].SetWriteHook(nil)
+		sp.want[sp.hooked].onWrite = nil
+	}
+	if sp.hooked == slot {
+		sp.hooked = -1
+		return
+	}
+	sp.hooked = slot
+	next := (slot + 1) % len(sp.got)
+	s, r := sp.got[slot], sp.want[slot]
+	s.SetWriteHook(func(p int, c Content) {
+		sp.log[0] = append(sp.log[0], fmt.Sprintf("%d=%#x read %#x dirty %d writes %d", p, c, s.MustRead(p), s.DirtyCount(), s.writes))
+		m := sp.got[next]
+		_, _ = m.Write(p%m.NumPages(), c)
+	})
+	r.onWrite = func(p int, c Content) {
+		cur, _ := r.Read(p)
+		sp.log[1] = append(sp.log[1], fmt.Sprintf("%d=%#x read %#x dirty %d writes %d", p, c, cur, r.dirty.Count(), r.writes))
+		m := sp.want[next]
+		_, _ = m.Write(p%m.npages, c)
 	}
 }
 
@@ -147,6 +213,9 @@ func (sp *spacePair) compare(t *testing.T, x, y byte) {
 			}
 		}
 		gw, gcow := s.Stats()
+		if !slices.Equal(dirtyPages(s), setBits(r.dirty)) {
+			t.Fatalf("slot %d: dirty pages %v; reference %v", i, dirtyPages(s), setBits(r.dirty))
+		}
 		if s.DirtyCount() != r.dirty.Count() || gw != r.writes || gcow != r.cowBreaks ||
 			s.ForkStats() != r.forkCopies || s.MaterializedChunks() != r.MaterializedChunks() {
 			t.Fatalf("slot %d: dirty %d writes %d cow %d copies %d chunks %d; reference %d %d %d %d %d",
@@ -169,18 +238,27 @@ func (sp *spacePair) compare(t *testing.T, x, y byte) {
 			t.Fatalf("group %d: %d refs; reference %d", gi, g.Refs, w.Refs)
 		}
 	}
+	if !slices.Equal(setBits(sp.sent[0]), setBits(sp.sent[1])) {
+		t.Fatalf("sent %v; reference %v", setBits(sp.sent[0]), setBits(sp.sent[1]))
+	}
+	if !slices.Equal(sp.log[0], sp.log[1]) {
+		t.Fatalf("write hook saw\n%v\nreference\n%v", sp.log[0], sp.log[1])
+	}
+	sp.log[0], sp.log[1] = sp.log[0][:0], sp.log[1][:0]
 }
 
 // FuzzSpaceOps is the differential check of the page layout: a byte string
 // decodes into Write, LoadFile, FillRandom, Reset, AttachShared to a new or
-// an existing group, MarkVolatile, DrainDirtyInto, ClearDirty,
-// MarkAllDirty, SnapshotInto, and Freeze then SpawnFrom, four bytes per
-// operation, run on Spaces and on the previous layout in refSpace. After
-// every operation every observable must agree and CheckInvariants must
-// pass.
+// an existing group, MarkVolatile, PullDirty between two slots, ClearDirty,
+// MarkAllDirty, SnapshotInto, Freeze then SpawnFrom, WriteRun, and moving
+// a write hook, four bytes per operation, run on Spaces and on the
+// previous layout in refSpace, whose PullDirty drains the source's log and
+// then reads and writes one page at a time. After every operation every
+// observable must agree, the write hook must have seen the same calls in
+// the same states, and CheckInvariants must pass.
 func FuzzSpaceOps(f *testing.F) {
-	// Records are (op, page hi, page lo, value); op%12 is the kind and
-	// op/12 the slot.
+	// Records are (op, page hi, page lo, value); op%14 is the kind and
+	// op/14 the slot.
 	f.Add([]byte{
 		0, 0, 5, 3, // write a[5] = 3
 		0, 0, 6, 3, // write a[6] = 3
@@ -188,25 +266,39 @@ func FuzzSpaceOps(f *testing.F) {
 		5, 0, 6, 0, // attach a[6] to group 0
 		0, 0, 5, 4, // COW break a[5]
 		11, 0, 0, 2, // freeze a, spawn into c
-		30, 1, 9, 1, // MarkVolatile c[265]
-		28, 1, 7, 1, // attach c[263] to a new group
-		24, 1, 7, 6, // write c[263] (COW break on the fork)
-		31, 0, 0, 3, // drain c's dirty log
-		26, 0, 0, 9, // FillRandom c
-		27, 0, 0, 0, // Reset c
+		34, 1, 9, 1, // MarkVolatile c[265]
+		32, 1, 7, 1, // attach c[263] to a new group
+		28, 1, 7, 6, // write c[263] (COW break on the fork)
+		35, 0, 0, 4, // pull fork c into b
+		21, 0, 0, 2, // pull b into fork c
+		35, 0, 0, 3, // pull c into a, which has a KSM side table, with the sent bitmap
+		30, 0, 0, 9, // FillRandom c
+		31, 0, 0, 0, // Reset c
+		26, 0, 60, 70, // WriteRun b[60..130), across a word boundary
+		13, 0, 0, 0, // hook a, mirroring its writes into b
+		23, 0, 0, 0, // mark all of b dirty
+		21, 0, 0, 5, // pull b into hooked a (COW-breaking a[6]) with the sent bitmap
+		21, 0, 0, 5, // again: the hook re-dirtied b, so pages are re-sent
+		12, 0, 7, 3, // WriteRun a[7..10) through the hook
+		13, 0, 0, 0, // unhook a
+		4, 1, 0, 0, // attach a[256] to a new group
+		23, 0, 0, 0, // mark all of b dirty
+		21, 0, 0, 4, // pull b into a: COW-breaks a[256] with no hook
 	})
 	f.Add([]byte{
 		9, 0, 0, 0, // mark all of a dirty
 		1, 2, 30, 4, // load a file over the partial last chunk
-		19, 0, 0, 5, // drain 5 pages of b
+		7, 0, 0, 6, // pull a into itself
 		11, 0, 0, 1, // freeze a into b
-		13, 2, 40, 2, // load a file into fork b
-		16, 0, 1, 0, // attach b[1] to a new group
-		22, 0, 0, 0, // snapshot b
-		23, 0, 0, 0, // freeze b into a
+		15, 2, 40, 2, // load a file into fork b
+		18, 0, 1, 0, // attach b[1] to a new group
+		24, 0, 0, 0, // snapshot b
+		25, 0, 0, 0, // freeze b into a
 		6, 0, 3, 1, // MarkVolatile a[3]
 		2, 0, 1, 7, // FillRandom a
-		20, 0, 0, 0, // clear b's dirty log
+		22, 0, 0, 0, // clear b's dirty log
+		35, 0, 0, 2, // pull c into a: sizes differ
+		40, 0, 120, 20, // WriteRun c[120..140): past the end
 	})
 	f.Fuzz(func(t *testing.T, data []byte) {
 		sp := newSpacePair()

@@ -4,7 +4,6 @@ import (
 	"math/rand"
 	"runtime"
 	"testing"
-	"testing/quick"
 )
 
 // refHash recomputes a space's content hash from its snapshot; ContentHash
@@ -15,70 +14,6 @@ func refHash(s *Space) uint64 {
 		h ^= pageSig(i, c)
 	}
 	return h
-}
-
-// TestDrainIntoMatchesDrain: DrainInto with a fresh buffer is observably
-// identical to the allocating Drain for arbitrary bit patterns and limits.
-func TestDrainIntoMatchesDrain(t *testing.T) {
-	prop := func(seedBits []uint16, max8 uint8) bool {
-		a := NewBitmap(300)
-		b := NewBitmap(300)
-		for _, s := range seedBits {
-			a.Set(int(s) % 300)
-			b.Set(int(s) % 300)
-		}
-		max := int(max8) % 40
-		got := b.DrainInto(nil, max)
-		want := a.Drain(max)
-		if len(got) != len(want) {
-			return false
-		}
-		for i := range got {
-			if got[i] != want[i] {
-				return false
-			}
-		}
-		if a.Count() != b.Count() {
-			return false
-		}
-		for i := 0; i < 300; i++ {
-			if a.Test(i) != b.Test(i) {
-				return false
-			}
-		}
-		return true
-	}
-	if err := quick.Check(prop, nil); err != nil {
-		t.Fatal(err)
-	}
-}
-
-// TestDrainIntoAppendsAndClears: drained bits come back ascending, get
-// cleared in place, and land after any existing buffer contents.
-func TestDrainIntoAppendsAndClears(t *testing.T) {
-	b := NewBitmap(200)
-	for _, i := range []int{3, 64, 65, 190} {
-		b.Set(i)
-	}
-	buf := make([]int, 0, 8)
-	buf = append(buf, -1)
-	buf = b.DrainInto(buf, 3)
-	want := []int{-1, 3, 64, 65}
-	if len(buf) != len(want) {
-		t.Fatalf("buf = %v, want %v", buf, want)
-	}
-	for i := range want {
-		if buf[i] != want[i] {
-			t.Fatalf("buf = %v, want %v", buf, want)
-		}
-	}
-	if b.Count() != 1 || !b.Test(190) {
-		t.Fatalf("after partial drain: count=%d test(190)=%v", b.Count(), b.Test(190))
-	}
-	buf = b.DrainInto(buf[:0], 0)
-	if len(buf) != 1 || buf[0] != 190 || b.Count() != 0 {
-		t.Fatalf("final drain buf=%v count=%d", buf, b.Count())
-	}
 }
 
 // TestNextSetFrom walks a sparse bitmap across word boundaries.
@@ -102,7 +37,7 @@ func TestNextSetFrom(t *testing.T) {
 }
 
 // TestSetAllTailWord: the word-fill SetAll must not set ghost bits past
-// Len — a Drain afterwards yields exactly Len indices.
+// Len — ForEach afterwards visits exactly Len indices.
 func TestSetAllTailWord(t *testing.T) {
 	for _, n := range []int{0, 1, 63, 64, 65, 130} {
 		b := NewBitmap(n)
@@ -110,13 +45,13 @@ func TestSetAllTailWord(t *testing.T) {
 		if b.Count() != n {
 			t.Fatalf("n=%d: Count = %d after SetAll", n, b.Count())
 		}
-		got := b.Drain(0)
+		got := setBits(b)
 		if len(got) != n {
-			t.Fatalf("n=%d: drained %d bits", n, len(got))
+			t.Fatalf("n=%d: ForEach visited %d bits", n, len(got))
 		}
 		for i, v := range got {
 			if v != i {
-				t.Fatalf("n=%d: drain[%d] = %d", n, i, v)
+				t.Fatalf("n=%d: bit[%d] = %d", n, i, v)
 			}
 		}
 	}
@@ -261,26 +196,30 @@ func TestSpaceWriteZeroAlloc(t *testing.T) {
 	}
 }
 
-// TestDrainDirtyIntoZeroAlloc: the dirty-harvest loop with a reused buffer
-// — migration's per-round shape — allocates nothing.
-func TestDrainDirtyIntoZeroAlloc(t *testing.T) {
-	s := NewSpace("g", 256*PageSize)
-	buf := make([]int, 0, s.NumPages())
+// TestPullDirtyZeroAlloc: a pre-copy round's shape — the guest writes a
+// run, the receiver pulls the dirty log with an XBZRLE sent bitmap —
+// allocates nothing once both dirty logs exist.
+func TestPullDirtyZeroAlloc(t *testing.T) {
+	src := NewSpace("src", 256*PageSize)
+	dst := NewSpace("dst", 256*PageSize)
+	sent := NewBitmap(src.NumPages())
+	run := make([]Content, 32)
 	i := 0
 	allocs := testing.AllocsPerRun(200, func() {
-		for p := 0; p < 32; p++ {
-			if _, err := s.Write((i+p*7)%256, Content(i+p)|1); err != nil {
-				t.Fatal(err)
-			}
+		for p := range run {
+			run[p] = Content(i+p) | 1
+		}
+		if err := src.WriteRun((i*7)%(256-len(run)), run); err != nil {
+			t.Fatal(err)
 		}
 		i++
-		buf = s.DrainDirtyInto(buf[:0], 0)
-		if len(buf) == 0 {
-			t.Fatal("expected dirty pages")
+		n, err := dst.PullDirty(src, sent)
+		if err != nil || n.Pages != len(run) {
+			t.Fatalf("pulled %+v, %v; want %d pages", n, err, len(run))
 		}
 	})
 	if allocs != 0 {
-		t.Fatalf("dirty-harvest round allocates %v objects/op, want 0", allocs)
+		t.Fatalf("write-and-pull round allocates %v objects/op, want 0", allocs)
 	}
 }
 
@@ -366,28 +305,31 @@ func BenchmarkFirstWriteCOW(b *testing.B) {
 	}
 }
 
-// BenchmarkDrainDirtyInto harvests a 1 GiB guest's dirty log into a reused
-// buffer: "all" is pre-copy's first round (every page dirty), "sparse" a
+// BenchmarkPullDirty pulls a 1 GiB guest's dirty log into a second 1 GiB
+// space: "all" is pre-copy's first round (every page dirty), "sparse" a
 // later round with one page in 64 dirty.
-func BenchmarkDrainDirtyInto(b *testing.B) {
+func BenchmarkPullDirty(b *testing.B) {
 	for _, bc := range []struct {
 		name   string
 		stride int
 	}{{"all", 1}, {"sparse", 64}} {
 		b.Run(bc.name, func(b *testing.B) {
-			s := NewSpace("g", benchSpace)
-			buf := make([]int, 0, s.NumPages())
+			src := NewSpace("src", benchSpace)
+			src.FillRandom(rand.New(rand.NewSource(1)), 0.3)
+			dst := NewSpace("dst", benchSpace)
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				if bc.stride == 1 {
-					s.MarkAllDirty()
+					src.MarkAllDirty()
 				} else {
-					for p := i % bc.stride; p < s.NumPages(); p += bc.stride {
-						s.dirty.Set(p)
+					for p := i % bc.stride; p < src.NumPages(); p += bc.stride {
+						src.dirty.Set(p)
 					}
 				}
-				buf = s.DrainDirtyInto(buf[:0], 0)
+				if _, err := dst.PullDirty(src, nil); err != nil {
+					b.Fatal(err)
+				}
 			}
 		})
 	}

@@ -22,6 +22,7 @@ type refSpace struct {
 	writes     uint64
 	cowBreaks  uint64
 	forkCopies uint64
+	onWrite    func(p int, c Content)
 }
 
 type refPage struct {
@@ -123,7 +124,56 @@ func (s *refSpace) Write(p int, c Content) (WriteResult, error) {
 		pg.content = c
 	}
 	s.dirty.Set(p)
+	if s.onWrite != nil {
+		s.onWrite(p, c)
+	}
 	return res, nil
+}
+
+func (s *refSpace) WriteRun(start int, cs []Content) error {
+	if start < 0 || start+len(cs) > s.npages {
+		return fmt.Errorf("%w: %s run at %d", ErrOutOfRange, s.name, start)
+	}
+	for i, c := range cs {
+		if _, err := s.Write(start+i, c); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// PullDirty is pre-copy's transfer before the fused kernel: drain src's
+// dirty log, then read and write each page it named in ascending order,
+// counting zero pages and the non-zero pages the sent bitmap already had.
+func (s *refSpace) PullDirty(src *refSpace, sent *Bitmap) (Pulled, error) {
+	var n Pulled
+	if src.npages != s.npages || (sent != nil && sent.Len() != s.npages) {
+		return n, fmt.Errorf("mem: pull %s into %s: size mismatch", src.name, s.name)
+	}
+	var pages []int
+	src.dirty.ForEach(func(p int) { pages = append(pages, p) })
+	src.dirty.ClearAll()
+	for _, p := range pages {
+		c, err := src.Read(p)
+		if err != nil {
+			return n, err
+		}
+		resend := sent != nil && sent.Test(p)
+		if _, err := s.Write(p, c); err != nil {
+			return n, err
+		}
+		n.Pages++
+		switch {
+		case c == ZeroPage:
+			n.Zeros++
+		case resend:
+			n.Resent++
+		}
+		if sent != nil {
+			sent.Set(p)
+		}
+	}
+	return n, nil
 }
 
 func (s *refSpace) LoadFile(f *File, at int) error {

@@ -13,11 +13,18 @@
 // on first use: the KSM table of shared groups (on the first AttachShared)
 // and the volatility and dirty bitmaps (on the first bit set). So a fresh
 // 1 GiB space is 2 MiB of words the garbage collector never scans.
+//
+// Pages are written one at a time (Write) or as a run of consecutive pages
+// (WriteRun). Live migration moves a guest with PullDirty, the pre-copy
+// primitive: it fetches and clears a source's dirty log and copies the
+// pages it names into the receiver a bitmap word at a time. Both keep
+// exactly Write's per-page effects.
 package mem
 
 import (
 	"errors"
 	"fmt"
+	"math/bits"
 	"math/rand"
 )
 
@@ -257,6 +264,12 @@ func (s *Space) Write(p int, c Content) (WriteResult, error) {
 	if p < 0 || p >= s.npages {
 		return WriteResult{}, fmt.Errorf("%w: %s page %d of %d", ErrOutOfRange, s.name, p, s.npages)
 	}
+	return s.write(p, c), nil
+}
+
+// write is Write for a bounds-checked page: every per-page effect of a
+// write, in the order the write hook observes them.
+func (s *Space) write(p int, c Content) WriteResult {
 	w := s.wordMut(p)
 	s.writes++
 	s.gen++
@@ -273,7 +286,117 @@ func (s *Space) Write(p int, c Content) (WriteResult, error) {
 	if s.onWrite != nil {
 		s.onWrite(p, c)
 	}
-	return res, nil
+	return res
+}
+
+// plain reports whether a write to s is nothing but a store plus its
+// counters and dirty bit: a flat page array, no KSM side table to unshare
+// from, no write hook to call. The run kernels take their word-at-a-time
+// route only on a plain space and call write page by page otherwise.
+func (s *Space) plain() bool {
+	return s.pages != nil && s.shared == nil && s.onWrite == nil
+}
+
+// WriteRun stores cs[i] into page start+i for every i, with exactly the
+// effects of Write on each page in ascending order. The whole run is
+// bounds-checked first: a run that does not fit writes nothing.
+//
+//detlint:hotpath
+func (s *Space) WriteRun(start int, cs []Content) error {
+	if start < 0 || start > s.npages-len(cs) {
+		return fmt.Errorf("%w: %s pages [%d, %d) of %d", ErrOutOfRange, s.name, start, start+len(cs), s.npages)
+	}
+	if !s.plain() {
+		for i, c := range cs {
+			s.write(start+i, c)
+		}
+		return nil
+	}
+	copy(s.pages[start:], cs)
+	s.writes += uint64(len(cs))
+	s.gen += uint64(len(cs))
+	s.dirty.setRange(start, start+len(cs))
+	return nil
+}
+
+// isZero is 1 for the zero page and 0 for any other content, without a
+// branch: pulled pages mix zero and random contents unpredictably.
+func isZero(c Content) uint64 {
+	return (uint64(c)|-uint64(c))>>63 ^ 1
+}
+
+// Pulled counts what one PullDirty copied.
+type Pulled struct {
+	// Pages is the number of pages copied: the source's dirty count.
+	Pages int
+	// Zeros is how many of them were zero pages.
+	Zeros int
+	// Resent is how many non-zero pages were already marked in the sent
+	// bitmap.
+	Resent int
+}
+
+// PullDirty fetches and clears src's dirty log, as KVM_GET_DIRTY_LOG does,
+// and copies every page it named into s, in ascending order and with
+// exactly the effects of Write on each. It is one pre-copy round's
+// transfer. A non-nil sent bitmap records the pages copied, and pages
+// already in it count as Resent unless they are zero pages. src and s, and
+// sent if given, must cover the same number of pages.
+//
+// On a plain destination the copy runs a dirty word at a time: each set
+// bit's page is stored, and the word is ORed into s's dirty log and sent.
+//
+//detlint:hotpath
+func (s *Space) PullDirty(src *Space, sent *Bitmap) (Pulled, error) {
+	var n Pulled
+	if src.npages != s.npages {
+		return n, fmt.Errorf("mem: pull %s into %s: %d pages, want %d", src.name, s.name, src.npages, s.npages)
+	}
+	if sent != nil && sent.n != s.npages {
+		return n, fmt.Errorf("mem: pull into %s: sent bitmap of %d pages, want %d", s.name, sent.n, s.npages)
+	}
+	// Fetch-and-clear by taking the whole word array: a write hook that
+	// dirties src during the copy starts a fresh log, as it would after
+	// the drain it models.
+	words := src.dirty.words
+	src.dirty.words, src.dirty.set = nil, 0
+	for wi, w := range words {
+		if w == 0 {
+			continue
+		}
+		words[wi] = 0
+		var sw uint64
+		if sent != nil {
+			sw = sent.orWord(wi, w)
+		}
+		base := wi * 64
+		plain := s.plain()
+		var zeros uint64
+		for m := w; m != 0; m &= m - 1 {
+			b := bits.TrailingZeros64(m)
+			c := src.word(base + b)
+			if plain {
+				s.pages[base+b] = c
+			} else {
+				s.write(base+b, c)
+			}
+			zeros |= isZero(c) << b
+		}
+		if plain {
+			k := uint64(bits.OnesCount64(w))
+			s.writes += k
+			s.gen += k
+			s.dirty.orWord(wi, w)
+		}
+		n.Pages += bits.OnesCount64(w)
+		n.Zeros += bits.OnesCount64(zeros)
+		n.Resent += bits.OnesCount64(sw & w &^ zeros)
+	}
+	// Hand the cleared array back unless a write hook re-dirtied src.
+	if src.dirty.words == nil {
+		src.dirty.words = words
+	}
+	return n, nil
 }
 
 // SetWriteHook installs (or clears, with nil) the write-trap observer.
@@ -357,20 +480,8 @@ func (s *Space) AttachShared(p int, g *SharedGroup) error {
 }
 
 // DirtyCount returns the number of pages written since the dirty log was
-// last drained.
+// last pulled or cleared.
 func (s *Space) DirtyCount() int { return s.dirty.Count() }
-
-// DrainDirty harvests and clears up to max dirty page numbers (max <= 0
-// means all). This models KVM's KVM_GET_DIRTY_LOG fetch-and-clear.
-func (s *Space) DrainDirty(max int) []int { return s.dirty.Drain(max) }
-
-// DrainDirtyInto is DrainDirty with a caller-owned buffer: harvested page
-// numbers are appended to buf and the extended buffer returned, so a loop
-// that reuses its buffer drains without allocating. This is the primitive
-// migration's pre-copy rounds run on.
-func (s *Space) DrainDirtyInto(buf []int, max int) []int {
-	return s.dirty.DrainInto(buf, max)
-}
 
 // ClearDirty resets the dirty log without reading it.
 func (s *Space) ClearDirty() { s.dirty.ClearAll() }

@@ -2,7 +2,9 @@ package mem
 
 import (
 	"errors"
+	"fmt"
 	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 )
@@ -82,12 +84,8 @@ func TestDirtyTracking(t *testing.T) {
 	if s.DirtyCount() != 3 {
 		t.Fatalf("dirty = %d, want 3", s.DirtyCount())
 	}
-	got := s.DrainDirty(2)
-	if len(got) != 2 || got[0] != 1 || got[1] != 5 {
-		t.Fatalf("DrainDirty(2) = %v", got)
-	}
-	if s.DirtyCount() != 1 {
-		t.Fatalf("dirty after drain = %d", s.DirtyCount())
+	if got := dirtyPages(s); !slices.Equal(got, []int{1, 5, 9}) {
+		t.Fatalf("dirty pages = %v, want [1 5 9]", got)
 	}
 	s.ClearDirty()
 	if s.DirtyCount() != 0 {
@@ -297,6 +295,7 @@ func TestWriteReadProperty(t *testing.T) {
 // calls do not.
 func TestGenerationTracksEveryPageChange(t *testing.T) {
 	s := NewSpace("g", PageSize*4)
+	peer := NewSpace("peer", PageSize*4)
 	g := &SharedGroup{Content: ZeroPage}
 	steps := []struct {
 		name  string
@@ -310,7 +309,10 @@ func TestGenerationTracksEveryPageChange(t *testing.T) {
 		{"AttachShared", func() { s.AttachShared(3, g) }, true},
 		{"AttachShared again", func() { s.AttachShared(3, g) }, false},
 		{"reads", func() { s.Read(3); s.PageInfo(1); s.Snapshot(); s.Shared(3) }, false},
-		{"dirty log", func() { s.DrainDirty(0); s.MarkAllDirty(); s.ClearDirty() }, false},
+		{"dirty log", func() { peer.PullDirty(s, nil); s.MarkAllDirty(); s.ClearDirty() }, false},
+		{"WriteRun", func() { s.WriteRun(0, []Content{0x7, 0x8}) }, true},
+		{"PullDirty", func() { peer.MarkAllDirty(); s.PullDirty(peer, nil) }, true},
+		{"PullDirty of a clean log", func() { s.PullDirty(peer, nil) }, false},
 		{"FillRandom", func() { s.FillRandom(rand.New(rand.NewSource(1)), 0.5) }, true},
 		{"Reset", func() { s.Reset() }, true},
 	}
@@ -340,6 +342,155 @@ func TestFillRandomReleasesSharedRefs(t *testing.T) {
 	for p := 0; p < 2; p++ {
 		if _, shared := s.Shared(p); shared {
 			t.Fatalf("page %d still shared", p)
+		}
+	}
+}
+
+// pullPair builds a source and a receiver of n pages in one of the layouts
+// PullDirty and WriteRun route differently: "plain", a receiver with a
+// KSM-merged page, a forked receiver, and a receiver with a write hook
+// that logs each call with the state it sees.
+func pullPair(t *testing.T, route string, n int, log *[]string) (src, dst *Space) {
+	t.Helper()
+	rng := rand.New(rand.NewSource(5))
+	src = NewSpace("src", int64(n)*PageSize)
+	src.FillRandom(rng, 0.4)
+	dst = NewSpace("dst", int64(n)*PageSize)
+	switch route {
+	case "ksm":
+		if err := dst.AttachShared(3, &SharedGroup{Content: ZeroPage}); err != nil {
+			t.Fatal(err)
+		}
+	case "fork":
+		dst.FillRandom(rng, 0.5)
+		dst = SpawnFrom("dst", Freeze("img", dst))
+	case "hook":
+		dst.SetWriteHook(func(p int, c Content) {
+			*log = append(*log, fmt.Sprintf("%d=%#x read %#x dirty %d writes %d", p, c, dst.MustRead(p), dst.DirtyCount(), dst.writes))
+		})
+	}
+	for _, p := range []int{0, 1, 3, 63, 64, 65, 130, n - 1} {
+		if _, err := src.Write(p, src.MustRead(p)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if _, err := dst.Write(2, 0x99); err != nil {
+		t.Fatal(err)
+	}
+	return src, dst
+}
+
+// TestPullDirty: on every route, PullDirty leaves source and receiver
+// exactly as draining the source's log and then writing each page it named
+// with Write, in ascending order, does — contents, dirty logs, write and
+// COW-break counters, generation and the write hook's calls — and counts
+// pages, zero pages and re-sent pages.
+func TestPullDirty(t *testing.T) {
+	const n = 200
+	for _, route := range []string{"plain", "ksm", "fork", "hook"} {
+		var gotLog, wantLog []string
+		src, dst := pullPair(t, route, n, &gotLog)
+		wsrc, wdst := pullPair(t, route, n, &wantLog)
+		sent, wsent := NewBitmap(n), NewBitmap(n)
+		for _, p := range []int{1, 64, 65, 100} {
+			sent.Set(p)
+			wsent.Set(p)
+		}
+
+		got, err := dst.PullDirty(src, sent)
+		if err != nil {
+			t.Fatalf("%s: %v", route, err)
+		}
+		var want Pulled
+		pages := dirtyPages(wsrc)
+		wsrc.ClearDirty()
+		for _, p := range pages {
+			c := wsrc.MustRead(p)
+			want.Pages++
+			switch {
+			case c == ZeroPage:
+				want.Zeros++
+			case wsent.Test(p):
+				want.Resent++
+			}
+			if _, err := wdst.Write(p, c); err != nil {
+				t.Fatal(err)
+			}
+			wsent.Set(p)
+		}
+
+		if got != want || want.Pages != 8 || want.Zeros == 0 || want.Resent == 0 {
+			t.Errorf("%s: pulled %+v, want %+v with 8 pages, some zero and some re-sent", route, got, want)
+		}
+		if src.DirtyCount() != 0 || dirtyPages(src) != nil {
+			t.Errorf("%s: source log not cleared: %v", route, dirtyPages(src))
+		}
+		if !slices.Equal(dirtyPages(dst), dirtyPages(wdst)) || !slices.Equal(setBits(sent), setBits(wsent)) {
+			t.Errorf("%s: dirty %v sent %v, want %v %v", route, dirtyPages(dst), setBits(sent), dirtyPages(wdst), setBits(wsent))
+		}
+		if !EqualContents(dst, wdst) || dst.writes != wdst.writes || dst.cowBreaks != wdst.cowBreaks ||
+			dst.Generation() != wdst.Generation() || dst.ForkStats() != wdst.ForkStats() {
+			t.Errorf("%s: receiver differs from the write loop's", route)
+		}
+		if !slices.Equal(gotLog, wantLog) {
+			t.Errorf("%s: hook saw\n%v\nwant\n%v", route, gotLog, wantLog)
+		}
+		if err := dst.CheckInvariants(); err != nil {
+			t.Errorf("%s: %v", route, err)
+		}
+	}
+
+	// Size mismatches are errors that leave the source's log alone.
+	src := NewSpace("src", 8*PageSize)
+	src.MarkAllDirty()
+	if _, err := NewSpace("dst", 9*PageSize).PullDirty(src, nil); err == nil {
+		t.Error("pull across sizes succeeded")
+	}
+	if _, err := NewSpace("dst", 8*PageSize).PullDirty(src, NewBitmap(9)); err == nil {
+		t.Error("pull with a mis-sized sent bitmap succeeded")
+	}
+	if src.DirtyCount() != 8 {
+		t.Errorf("failed pulls left %d dirty pages, want 8", src.DirtyCount())
+	}
+}
+
+// TestWriteRun: on every route, WriteRun has exactly the effects of Write
+// on each page in ascending order, across word boundaries, and a run that
+// does not fit writes nothing.
+func TestWriteRun(t *testing.T) {
+	const n = 200
+	run := []Content{0, 7, 7, 9}
+	for i := 0; i < 70; i++ {
+		run = append(run, Content(i)|1)
+	}
+	for _, route := range []string{"plain", "ksm", "fork", "hook"} {
+		var gotLog, wantLog []string
+		_, s := pullPair(t, route, n, &gotLog)
+		_, w := pullPair(t, route, n, &wantLog)
+		if err := s.WriteRun(1, run); err != nil {
+			t.Fatalf("%s: %v", route, err)
+		}
+		for i, c := range run {
+			if _, err := w.Write(1+i, c); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if !EqualContents(s, w) || !slices.Equal(dirtyPages(s), dirtyPages(w)) || s.writes != w.writes ||
+			s.cowBreaks != w.cowBreaks || s.Generation() != w.Generation() || s.ForkStats() != w.ForkStats() ||
+			!slices.Equal(gotLog, wantLog) {
+			t.Errorf("%s: WriteRun differs from the write loop", route)
+		}
+		if err := s.CheckInvariants(); err != nil {
+			t.Errorf("%s: %v", route, err)
+		}
+		gen := s.Generation()
+		for _, start := range []int{-1, n - len(run) + 1} {
+			if err := s.WriteRun(start, run); !errors.Is(err, ErrOutOfRange) {
+				t.Errorf("%s: WriteRun(%d) = %v, want ErrOutOfRange", route, start, err)
+			}
+		}
+		if s.Generation() != gen {
+			t.Errorf("%s: a rejected run wrote", route)
 		}
 	}
 }

@@ -386,34 +386,23 @@ func (e *Engine) effectiveBandwidth(vm, dst *qemu.VM) (int64, error) {
 	return bw, nil
 }
 
-// transferPages copies the given source pages to the destination RAM and
-// returns the on-wire byte count. Zero pages compress to a header; with
-// XBZRLE enabled, pages being *re-sent* (already in the destination from a
-// previous round) cost only a delta.
-func (e *Engine) transferPages(src, dst *mem.Space, pages []int, sent map[int]bool) (int64, error) {
-	var bytes int64
-	for _, p := range pages {
-		c, err := src.Read(p)
-		if err != nil {
-			return bytes, err
-		}
-		resend := sent != nil && sent[p]
-		if _, err := dst.Write(p, c); err != nil {
-			return bytes, err
-		}
-		switch {
-		case c == mem.ZeroPage:
-			bytes += e.Tunables.ZeroPageBytes
-		case e.Tunables.XBZRLE && resend:
-			bytes += e.Tunables.XBZRLEBytes
-		default:
-			bytes += mem.PageSize
-		}
-		if sent != nil {
-			sent[p] = true
-		}
+// pull runs one transfer: it fetches and clears the source's dirty log and
+// copies those pages into the destination RAM, returning the page count
+// and the on-wire bytes. Zero pages compress to a header; with XBZRLE
+// enabled, pages being *re-sent* (marked in sent by an earlier round) cost
+// only a delta.
+func (e *Engine) pull(src, dst *mem.Space, sent *mem.Bitmap) (int, int64, error) {
+	n, err := dst.PullDirty(src, sent)
+	if err != nil {
+		return 0, 0, err
 	}
-	return bytes, nil
+	full := n.Pages - n.Zeros
+	bytes := int64(n.Zeros) * e.Tunables.ZeroPageBytes
+	if e.Tunables.XBZRLE {
+		full -= n.Resent
+		bytes += int64(n.Resent) * e.Tunables.XBZRLEBytes
+	}
+	return n.Pages, bytes + int64(full)*mem.PageSize, nil
 }
 
 func (e *Engine) runPreCopy(vm, dst *qemu.VM) (Result, error) {
@@ -434,15 +423,10 @@ func (e *Engine) runPreCopy(vm, dst *qemu.VM) (Result, error) {
 		TotalMB:     totalMB,
 	})
 
-	var sent map[int]bool
+	var sent *mem.Bitmap
 	if e.Tunables.XBZRLE {
-		sent = make(map[int]bool, src.NumPages())
+		sent = mem.NewBitmap(src.NumPages())
 	}
-	// One harvest buffer for the whole migration: every round (and the
-	// final stop-and-copy) drains into it, so iterating costs no per-round
-	// allocation. Local on purpose — fleet storms nest migrations inside
-	// each other's RunFor, so the buffer cannot live on the Engine.
-	buf := make([]int, 0, src.NumPages())
 	throttle := 0.0
 	converged := false
 	stream := e.spans.Start("stream")
@@ -454,21 +438,21 @@ func (e *Engine) runPreCopy(vm, dst *qemu.VM) (Result, error) {
 		if err != nil {
 			return res, err
 		}
-		pages := src.DrainDirtyInto(buf[:0], 0)
-		if len(pages) == 0 {
-			converged = true
-			break
-		}
-		buf = pages[:0]
-		res.Iterations++
-		round := e.spans.Start("round",
-			telemetry.A("idx", strconv.Itoa(res.Iterations)),
-			telemetry.A("pages", strconv.Itoa(len(pages))))
-		wire, err := e.transferPages(src, dram, pages, sent)
+		// The copy moves no sim time, so the round's span can start
+		// after it, once the page count is known.
+		pages, wire, err := e.pull(src, dram, sent)
 		if err != nil {
 			return res, err
 		}
-		res.PagesTransferred += int64(len(pages))
+		if pages == 0 {
+			converged = true
+			break
+		}
+		res.Iterations++
+		round := e.spans.Start("round",
+			telemetry.A("idx", strconv.Itoa(res.Iterations)),
+			telemetry.A("pages", strconv.Itoa(pages)))
+		res.PagesTransferred += int64(pages)
 		res.BytesOnWire += wire
 		dur := time.Duration(float64(wire) / float64(bw) * float64(time.Second))
 		// The guest (and everything else on the engine) keeps running
@@ -511,7 +495,7 @@ func (e *Engine) runPreCopy(vm, dst *qemu.VM) (Result, error) {
 		// the guest is effectively stopped, so the migration proceeds
 		// straight to stop-and-copy (trading downtime for completion,
 		// exactly the capability's contract).
-		if e.Tunables.AutoConverge && src.DirtyCount() >= len(pages)*9/10 {
+		if e.Tunables.AutoConverge && src.DirtyCount() >= pages*9/10 {
 			if throttle == 0 {
 				throttle = e.Tunables.AutoConvergeInitial
 			} else {
@@ -540,15 +524,14 @@ func (e *Engine) runPreCopy(vm, dst *qemu.VM) (Result, error) {
 	if err != nil {
 		return res, err
 	}
-	pages := src.DrainDirtyInto(buf[:0], 0)
-	wire, err := e.transferPages(src, dram, pages, sent)
+	pages, wire, err := e.pull(src, dram, sent)
 	if err != nil {
 		return res, err
 	}
-	if len(pages) > 0 {
+	if pages > 0 {
 		res.Iterations++
 	}
-	res.PagesTransferred += int64(len(pages))
+	res.PagesTransferred += int64(pages)
 	res.BytesOnWire += wire
 	e.eng.RunFor(time.Duration(float64(wire) / float64(bw) * float64(time.Second)))
 
@@ -570,6 +553,16 @@ func (e *Engine) runPostCopy(vm, dst *qemu.VM) (Result, error) {
 	res := Result{Mode: PostCopy}
 	totalMB := float64(vm.Config().MemoryMB)
 
+	// Background + demand-paged pull of all of RAM. Demand faults make
+	// the effective rate worse than a sequential stream. A down link
+	// fails here, before the handoff resumes the destination: after it
+	// there would be no source left to hand the guest back to.
+	bw, err := e.effectiveBandwidth(vm, dst)
+	if err != nil {
+		return res, err
+	}
+	bw = int64(float64(bw) * 0.9) // fault round trips steal ~10%
+
 	// Stop the source immediately: downtime is just the device-state
 	// switch.
 	if vm.State() == qemu.StateRunning {
@@ -585,24 +578,16 @@ func (e *Engine) runPostCopy(vm, dst *qemu.VM) (Result, error) {
 	down.End()
 	res.Downtime = e.eng.Now() - downStart
 
-	// Background + demand-paged pull of all of RAM. Demand faults make
-	// the effective rate worse than a sequential stream.
-	bw, err := e.effectiveBandwidth(vm, dst)
+	src.MarkAllDirty()
+	// Post-copy sends each page exactly once; XBZRLE has nothing to do.
+	pages, wire, err := e.pull(src, dram, nil)
 	if err != nil {
 		return res, err
 	}
-	bw = int64(float64(bw) * 0.9) // fault round trips steal ~10%
-	src.MarkAllDirty()
-	pages := src.DrainDirty(0)
-	// Post-copy sends each page exactly once; XBZRLE has nothing to do.
-	wire, terr := e.transferPages(src, dram, pages, nil)
-	if terr != nil {
-		return res, terr
-	}
 	res.Iterations = 1
-	res.PagesTransferred = int64(len(pages))
+	res.PagesTransferred = int64(pages)
 	res.BytesOnWire = wire
-	pull := e.spans.Start("pull", telemetry.A("pages", strconv.Itoa(len(pages))))
+	pull := e.spans.Start("pull", telemetry.A("pages", strconv.Itoa(pages)))
 	e.eng.RunFor(time.Duration(float64(wire) / float64(bw) * float64(time.Second)))
 	pull.End()
 

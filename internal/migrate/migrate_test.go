@@ -282,6 +282,23 @@ func TestMigrationOverDownLinkFails(t *testing.T) {
 	}
 }
 
+// TestPostCopyOverDownLinkFails: post-copy checks the link before the
+// handoff, so a down link aborts with the guest still on the source and
+// the destination still waiting, never with two running copies.
+func TestPostCopyOverDownLinkFails(t *testing.T) {
+	tb := newTestbed(t, 1)
+	tb.me.Tunables.Mode = PostCopy
+	src := tb.vm(t, "src", 16, "")
+	dst := tb.vm(t, "dst", 16, "tcp:0.0.0.0:4444")
+	tb.net.SetLink("host", "dst.nic", vnet.LinkSpec{Bandwidth: 1 << 20, Down: true})
+	if err := tb.migrate(t, src, "tcp:127.0.0.1:4444"); !errors.Is(err, ErrAborted) {
+		t.Fatalf("err = %v", err)
+	}
+	if !src.Running() || dst.State() != qemu.StateIncoming {
+		t.Fatalf("src=%v dst=%v, want the source running and the destination incoming", src.State(), dst.State())
+	}
+}
+
 func TestMonitorSpeedLimitRespected(t *testing.T) {
 	run := func(speed string) time.Duration {
 		tb := newTestbed(t, 1)

@@ -140,6 +140,7 @@ func StartBackground(ctx *Context, p Profile) *Background {
 	perTick := p.DirtyPagesPerSec * tickPeriod.Seconds()
 	var cursor int
 	var carry float64
+	var buf []mem.Content
 	b.ticker = sim.NewTicker(ctx.Eng, tickPeriod, "workload."+p.Name, func() {
 		if !ctx.running() {
 			return
@@ -151,13 +152,23 @@ func StartBackground(ctx *Context, p Profile) *Background {
 		n += carry
 		count := int(n)
 		carry = n - float64(count)
+		// Draw the tick's contents first, in page order, then write them
+		// as runs split where the cursor wraps around the working set.
+		// Writes draw no randomness, so the stream is the same as drawing
+		// one page at a time.
+		buf = buf[:0]
 		for i := 0; i < count; i++ {
+			buf = append(buf, mem.Content(ctx.Rng.Uint64()|1))
+		}
+		for run := buf; len(run) > 0; {
 			page := cursor % wsPages
-			cursor++
-			if _, err := ctx.RAM.Write(page, mem.Content(ctx.Rng.Uint64()|1)); err != nil {
+			k := min(len(run), wsPages-page)
+			if err := ctx.RAM.WriteRun(page, run[:k]); err != nil {
 				return
 			}
-			b.pages++
+			cursor += k
+			b.pages += uint64(k)
+			run = run[k:]
 		}
 		if ctx.VM != nil && p.BlockWriteBytesPerSec > 0 {
 			bytes := uint64(float64(p.BlockWriteBytesPerSec) * tickPeriod.Seconds())
