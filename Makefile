@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build test race vet lint lint-sarif lint-baseline check cover fuzz-smoke bench bench-smoke bench-json bench-check bench-backends bench-cloudload bench-armsrace bench-scale fleet-bench experiments clean
+.PHONY: all build test race vet bench-module lint lint-sarif lint-baseline check cover fuzz-smoke bench bench-smoke bench-json bench-check bench-backends bench-cloudload bench-armsrace bench-scale fleet-bench experiments clean
 
 # The headline benchmarks tracked across PRs (BENCH_*.json at the repo root).
 BENCH_PATTERN = BenchmarkFleetMigrationStorm|BenchmarkFigure5DetectNoNested|BenchmarkFigure6DetectNested
@@ -18,6 +18,11 @@ race:
 
 vet:
 	$(GO) vet ./...
+
+# bench/ is a module of its own, so the ./... patterns above never reach
+# it; vet and test it against the current facade.
+bench-module:
+	cd bench && $(GO) vet ./... && $(GO) test ./...
 
 # Determinism lint: the nine detlint rules (five per-package, plus the
 # call-graph wallclock/horizon passes and seedflow/hotpath/errwrap) over
@@ -39,7 +44,7 @@ lint-sarif:
 lint-baseline:
 	$(GO) run ./cmd/detlint -write-baseline ./...
 
-check: build vet lint race
+check: build vet bench-module lint race
 
 cover:
 	@mkdir -p .build

@@ -9,6 +9,7 @@ import (
 
 	"cloudskulk"
 	"cloudskulk/internal/cpu"
+	"cloudskulk/internal/experiments"
 	"cloudskulk/internal/mem"
 )
 
@@ -79,8 +80,8 @@ func BenchmarkFigure4MigrationTiming(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		cell := func(w string, k string) float64 {
-			c, ok := res.Cell(w, cloudskulk.MigrationKind(k))
+		cell := func(w string, k experiments.MigrationKind) float64 {
+			c, ok := res.Cell(w, k)
 			if !ok || len(c.Seconds) == 0 {
 				b.Fatalf("missing cell %s/%s", w, k)
 			}

@@ -30,21 +30,15 @@ package cloudskulk
 import (
 	"cloudskulk/internal/controlplane"
 	"cloudskulk/internal/core"
-	"cloudskulk/internal/cpu"
 	"cloudskulk/internal/detect"
 	"cloudskulk/internal/experiments"
 	"cloudskulk/internal/fleet"
 	"cloudskulk/internal/hv"
 	"cloudskulk/internal/kvm"
-	"cloudskulk/internal/loadgen"
 	"cloudskulk/internal/mem"
-	"cloudskulk/internal/migrate"
 	"cloudskulk/internal/qemu"
-	"cloudskulk/internal/scenario"
-	"cloudskulk/internal/sim"
 	"cloudskulk/internal/telemetry"
 	"cloudskulk/internal/vnet"
-	"cloudskulk/internal/workload"
 )
 
 // Testbed building blocks.
@@ -55,27 +49,10 @@ type (
 	// Host is the physical machine: OS, network endpoint, KSM daemon,
 	// and the L0 hypervisor.
 	Host = kvm.Host
-	// Hypervisor hosts VMs at one virtualization level and can nest.
-	Hypervisor = kvm.Hypervisor
 	// VM is one QEMU guest.
 	VM = qemu.VM
-	// VMConfig is a guest's launch configuration (and recon surface).
-	VMConfig = qemu.Config
 	// FwdRule is one host-port-to-guest-port forwarding rule.
 	FwdRule = qemu.FwdRule
-	// Level is a virtualization level (L0 bare metal, L1 guest, L2
-	// nested guest).
-	Level = cpu.Level
-)
-
-// Virtualization levels, in the Turtles notation the paper uses. L3 is
-// the scenario engine's deeper-nesting strategy: a guest behind two
-// stacked hypervisors.
-const (
-	L0 = cpu.L0
-	L1 = cpu.L1
-	L2 = cpu.L2
-	L3 = cpu.L3
 )
 
 // The attack.
@@ -83,20 +60,12 @@ type (
 	// InstallConfig parameterizes the CloudSkulk installation; the zero
 	// value takes the paper's defaults.
 	InstallConfig = core.InstallConfig
-	// Rootkit is an installed CloudSkulk instance.
-	Rootkit = core.Rootkit
-	// InstallReport carries step timings and the migration result.
-	InstallReport = core.Report
-	// Recon is the attacker's target-discovery toolkit.
-	Recon = core.Recon
 	// Sniffer is the passive traffic-capture service.
 	Sniffer = core.Sniffer
 	// ActiveFilter is the active drop/tamper service.
 	ActiveFilter = core.ActiveFilter
 	// FilterRule matches packets for the active service.
 	FilterRule = core.FilterRule
-	// VMI is the attacker's introspection of the captured victim.
-	VMI = core.VMI
 )
 
 // Active-service actions.
@@ -116,65 +85,13 @@ type (
 	Verdict = detect.Verdict
 	// Evidence carries the t0/t1/t2 timing probes.
 	Evidence = detect.Evidence
-	// VMCSScanner is the memory-forensic baseline detector.
-	VMCSScanner = detect.VMCSScanner
-	// FingerprintDB is the VMI-fingerprint baseline detector.
-	FingerprintDB = detect.FingerprintDB
 )
 
 // Detection verdicts.
 const (
-	VerdictClean        = detect.VerdictClean
-	VerdictNested       = detect.VerdictNested
-	VerdictInconclusive = detect.VerdictInconclusive
+	VerdictClean  = detect.VerdictClean
+	VerdictNested = detect.VerdictNested
 )
-
-// The arms race: generated attacker strategies vs. the detector roster.
-type (
-	// StrategySpec is one fully parameterized attacker strategy,
-	// replayable from its (seed, spec) pair and round-trippable through
-	// its wire form.
-	StrategySpec = scenario.Spec
-	// StrategyKind is the strategy archetype (baseline, evade-ksm,
-	// shape-dirty, nest-deep).
-	StrategyKind = scenario.Kind
-	// ChurnScope selects which shared-candidate regions an evasion
-	// strategy re-dirties.
-	ChurnScope = scenario.Scope
-	// ArmsRaceConfig parameterizes a coverage-matrix sweep.
-	ArmsRaceConfig = scenario.MatrixConfig
-	// ArmsRaceCell is one strategy × detector × backend outcome.
-	ArmsRaceCell = scenario.Cell
-	// ArmsRaceResult is the full deterministic coverage matrix.
-	ArmsRaceResult = scenario.MatrixResult
-	// InvariantDetector is the Hello-rootKitty-style kernel-range
-	// checksum auditor.
-	InvariantDetector = detect.InvariantDetector
-	// SkewDetector flags exit-class skew from the host's telemetry.
-	SkewDetector = detect.SkewDetector
-)
-
-// GenerateStrategies draws n attacker strategies from the seeded strategy
-// space; the first four cover every archetype once.
-func GenerateStrategies(seed int64, n int) []StrategySpec { return scenario.Generate(seed, n) }
-
-// ParseStrategy reads a strategy from its wire form
-// ("kind=evade-ksm churn=80ms scope=shared-all ...").
-func ParseStrategy(wire string) (StrategySpec, error) { return scenario.Parse(wire) }
-
-// DetectorRoster lists the scenario engine's detector roster in matrix
-// order.
-func DetectorRoster() []string { return scenario.RosterNames() }
-
-// NewInvariantDetector arms a checksum auditor over pages [from, from+n)
-// of a guest's RAM as L0 sees it.
-func NewInvariantDetector(eng *sim.Engine, s *mem.Space, from, n int) *InvariantDetector {
-	return detect.NewInvariantDetector(eng, s, from, n)
-}
-
-// NewSkewDetector returns an exit-class-skew detector over the given
-// telemetry registry.
-func NewSkewDetector(reg *TelemetryRegistry) *SkewDetector { return detect.NewSkewDetector(reg) }
 
 // Experiments: the paper's evaluation.
 type (
@@ -186,22 +103,10 @@ type (
 type (
 	// File is an in-memory file image (the detection probe file).
 	File = mem.File
-	// WorkloadProfile is a background guest-activity pattern.
-	WorkloadProfile = workload.Profile
-	// MigrationMode selects pre-copy or post-copy live migration.
-	MigrationMode = migrate.Mode
 	// Packet is one unit of simulated network traffic.
 	Packet = vnet.Packet
 	// Addr is an (endpoint, port) network address.
 	Addr = vnet.Addr
-	// Tap observes (and may rewrite or drop) packets.
-	Tap = vnet.Tap
-)
-
-// Migration modes.
-const (
-	PreCopy  = migrate.PreCopy
-	PostCopy = migrate.PostCopy
 )
 
 // Testbed options for New.
@@ -215,71 +120,37 @@ var (
 	// WithGuestMemMB sets the victim VM's memory size in MiB (default
 	// 1024, the paper's 1 GiB guest).
 	WithGuestMemMB = experiments.WithGuestMemMB
-	// WithMonitorPort moves the victim's QEMU monitor off the default
-	// 5555.
-	WithMonitorPort = experiments.WithMonitorPort
 	// WithKSMStarted starts the host's KSM daemon during construction
 	// instead of leaving it stopped.
 	WithKSMStarted = experiments.WithKSMStarted
 	// WithWorkloadProfile attaches a background guest-activity generator
 	// to the victim (exposed as Cloud.Background).
 	WithWorkloadProfile = experiments.WithWorkloadProfile
-	// WithTelemetry wires a metrics registry through the whole testbed
-	// (host, KSM, vCPUs, network, migration engine).
-	WithTelemetry = experiments.WithTelemetry
-	// WithBackend builds the testbed on the named hypervisor backend
-	// (cost profile); the empty string selects DefaultBackend and unknown
-	// names make New return ErrUnknownBackend.
-	WithBackend = experiments.WithBackend
 )
 
-// Hypervisor backends: named cost-profile calibrations of the simulated
-// substrate. Every experiment and detector runs unchanged on any backend;
-// only the constants (exit costs, multipliers, KSM timing, boot time)
-// move.
-type (
-	// Backend is a registered hypervisor cost profile.
-	Backend = hv.Backend
-	// BackendProfile is the calibration a Backend carries.
-	BackendProfile = hv.Profile
-)
+// Backend is a registered hypervisor cost profile: a named calibration of
+// the simulated substrate. Every experiment and detector runs unchanged on
+// any backend; only the constants (exit costs, multipliers, KSM timing,
+// boot time) move.
+type Backend = hv.Backend
 
 // DefaultBackend names the paper's testbed calibration (Intel i7-4790
 // under KVM), the profile every golden artefact is pinned against.
 const DefaultBackend = hv.DefaultName
 
-// ErrUnknownBackend is returned (wrapped, with the registered names
-// listed) when an option or flag names a backend nobody registered.
-var ErrUnknownBackend = hv.ErrUnknownBackend
-
 // Backends lists the registered backend names, sorted.
 func Backends() []string { return hv.Names() }
 
-// LookupBackend resolves a backend name ("" selects DefaultBackend).
+// LookupBackend resolves a backend name ("" selects DefaultBackend);
+// an unregistered name returns an error listing the registered ones.
 func LookupBackend(name string) (Backend, error) { return hv.Lookup(name) }
 
-// RegisterBackend adds a caller-defined cost profile to the registry,
-// rejecting profiles that break the simulation's core invariants (free
-// exits, an exit multiplier below 1, a KSM COW gap too narrow to ever
-// detect, a zero boot time).
-func RegisterBackend(b Backend) error { return hv.Register(b) }
+// TelemetryRegistry collects sim-time counters, gauges, and histograms
+// from every instrumented layer; exports are deterministic per seed.
+type TelemetryRegistry = telemetry.Registry
 
-// Telemetry: sim-time metrics and structured spans.
-type (
-	// TelemetryRegistry collects counters, gauges, and histograms from
-	// every instrumented layer; exports are deterministic per seed.
-	TelemetryRegistry = telemetry.Registry
-	// MetricSnapshot is one exported metric (stable-sorted by name).
-	MetricSnapshot = telemetry.MetricSnapshot
-	// SpanTracer records span-style traces on a simulation's clock.
-	SpanTracer = telemetry.SpanTracer
-	// Span is one timed operation in a span tree.
-	Span = telemetry.Span
-)
-
-// NewTelemetryRegistry builds an empty metrics registry; pass it to
-// WithTelemetry (testbed), WithFleetTelemetry (fleet), or
-// ExperimentOptions.Telemetry (whole evaluation).
+// NewTelemetryRegistry builds an empty metrics registry; set it as
+// ExperimentOptions.Telemetry to collect a whole evaluation's metrics.
 func NewTelemetryRegistry() *TelemetryRegistry { return telemetry.NewRegistry() }
 
 // The fleet: many hosts on one fabric.
@@ -292,46 +163,17 @@ type (
 	FleetOption = fleet.Option
 	// HostSpec describes one fleet host (name, memory, trust tag).
 	HostSpec = fleet.HostSpec
-	// PlacementPolicy constrains the fleet scheduler's host choice.
-	PlacementPolicy = fleet.Policy
-	// GuestInfo is a fleet guest's resolved placement (host plus the VM
-	// stack the operator actually reaches through the service port).
-	GuestInfo = fleet.GuestInfo
-	// MoveReport summarizes one fleet migration: route, attempts,
-	// retries, and the underlying migration result.
-	MoveReport = fleet.MoveReport
-	// SweepVerdict is one guest's outcome in a fleet detection sweep.
-	SweepVerdict = fleet.GuestVerdict
-	// SweepOptions configures a fleet detection sweep.
-	SweepOptions = fleet.SweepOptions
 	// LinkSpec is a fabric link's bandwidth/latency/down state.
 	LinkSpec = vnet.LinkSpec
 )
 
 // Fleet option constructors.
 var (
-	// WithHosts builds n uniform hosts (h00, h01, ...) with the trailing
-	// quarter tagged trusted.
-	WithHosts = fleet.WithHosts
 	// WithHostSpecs builds exactly the given hosts.
 	WithHostSpecs = fleet.WithHostSpecs
-	// WithHostLink sets the host<->host fabric link spec.
-	WithHostLink = fleet.WithHostLink
 	// WithRetry sets the migration retry budget and initial backoff.
 	WithRetry = fleet.WithRetry
-	// WithFleetTelemetry replaces the fleet's private metrics registry
-	// (nil disables instrumentation entirely).
-	WithFleetTelemetry = fleet.WithTelemetry
-	// WithFleetBackend builds every fleet host on the named backend.
-	WithFleetBackend = fleet.WithBackend
-	// WithHostBackend overrides the backend for one named host; the host
-	// must exist or NewFleet returns ErrUnknownHost.
-	WithHostBackend = fleet.WithHostBackend
 )
-
-// ErrUnknownHost is returned when a fleet call names a host that does not
-// exist (including a WithHostBackend override for an unknown host).
-var ErrUnknownHost = fleet.ErrUnknownHost
 
 // The control plane: the tenant-facing management API over a fleet.
 type (
@@ -342,49 +184,12 @@ type (
 	// ControlPlaneConfig tunes the queue machinery (bound, slots,
 	// dispatch latency, retry policy).
 	ControlPlaneConfig = controlplane.Config
-	// TenantQuota bounds one tenant's footprint; zero fields are
-	// unlimited.
-	TenantQuota = controlplane.Quota
-	// APIRequest is one typed management call (deploy, stop, migrate,
-	// snapshot, list, usage) with a canonical wire form.
-	APIRequest = controlplane.Request
-	// ControlJob is one asynchronous mutation moving through the queue.
-	ControlJob = controlplane.Job
-	// ControlJobState is a job's lifecycle position.
-	ControlJobState = controlplane.JobState
-	// LoadOptions shapes one seeded tenant-traffic run.
-	LoadOptions = loadgen.Options
-	// LoadStats is a load run's deterministic outcome ledger.
-	LoadStats = loadgen.Stats
-	// LoadMix weighs the generated op types.
-	LoadMix = loadgen.Mix
-)
-
-// Control-plane job lifecycle states.
-const (
-	JobQueued    = controlplane.JobQueued
-	JobRunning   = controlplane.JobRunning
-	JobSucceeded = controlplane.JobSucceeded
-	JobFailed    = controlplane.JobFailed
-	JobCancelled = controlplane.JobCancelled
 )
 
 // NewControlPlane builds a management plane over a fleet; the plane
 // shares the fleet's engine, telemetry registry, and span tracer.
 func NewControlPlane(f *Fleet, cfg ControlPlaneConfig) *ControlPlane {
 	return controlplane.New(f, cfg)
-}
-
-// ParseAPIRequest parses the canonical wire form ("deploy t0 web 64",
-// "list t0", ...) into a validated request.
-func ParseAPIRequest(line string) (APIRequest, error) {
-	return controlplane.ParseRequest(line)
-}
-
-// RunLoad replays seeded tenant traffic against a control plane and
-// returns the ledger.
-func RunLoad(p *ControlPlane, o LoadOptions) (LoadStats, error) {
-	return loadgen.Run(p, o)
 }
 
 // NewFleet builds a seeded multi-host fleet: N hosts on a shared fabric
@@ -402,11 +207,6 @@ func NewFleet(seed int64, opts ...FleetOption) (*Fleet, error) {
 // with a 1 GiB victim.
 func New(seed int64, opts ...CloudOption) (*Cloud, error) {
 	return experiments.NewCloud(seed, opts...)
-}
-
-// DefaultInstallConfig returns the paper's attack parameters.
-func DefaultInstallConfig() InstallConfig {
-	return core.DefaultInstallConfig()
 }
 
 // NewDedupDetector returns the paper's detector with its default
@@ -428,9 +228,6 @@ func NewSniffer() *Sniffer { return core.NewSniffer() }
 func NewActiveFilter(rules ...FilterRule) *ActiveFilter {
 	return core.NewActiveFilter(rules...)
 }
-
-// NewFingerprintDB returns an empty VMI-fingerprint baseline database.
-func NewFingerprintDB() *FingerprintDB { return detect.NewFingerprintDB() }
 
 // DefaultExperimentOptions reproduces the paper's evaluation scale
 // (1 GiB guests, 5 runs per cell).

@@ -1,12 +1,12 @@
 package cloudskulk_test
 
 import (
-	"errors"
 	"strings"
 	"testing"
 	"time"
 
 	"cloudskulk"
+	"cloudskulk/internal/cpu"
 )
 
 // TestPublicAPIQuickstart exercises the README's quick-start flow through
@@ -20,7 +20,7 @@ func TestPublicAPIQuickstart(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if rk.Victim.Level() != cloudskulk.L2 {
+	if rk.Victim.Level() != cpu.L2 {
 		t.Fatalf("victim level = %v", rk.Victim.Level())
 	}
 	cloud.Host.KSM().Start()
@@ -100,9 +100,6 @@ func TestPublicAPIExperimentExtensions(t *testing.T) {
 		res.PostVerdict != cloudskulk.VerdictClean {
 		t.Fatalf("remediation: %v", err)
 	}
-	if res, err := cloudskulk.BaselineComparison(o); err != nil || len(res.Rows) != 3 {
-		t.Fatalf("baselines: %v", err)
-	}
 	if res, err := cloudskulk.ArmsRaceSyncCountermeasure(o); err != nil || len(res.Rows) != 6 {
 		t.Fatalf("armsrace: %v", err)
 	}
@@ -139,18 +136,21 @@ func TestPublicAPIExperimentExtensions(t *testing.T) {
 	}
 }
 
+// TestPublicAPIBaselines reaches the VMCS-scan and VMI-fingerprint
+// baseline detectors through the facade's §VI-E comparison.
 func TestPublicAPIBaselines(t *testing.T) {
-	cloud, err := cloudskulk.New(3, cloudskulk.WithGuestMemMB(32))
+	res, err := cloudskulk.BaselineComparison(cloudskulk.QuickExperimentOptions())
 	if err != nil {
 		t.Fatal(err)
 	}
-	db := cloudskulk.NewFingerprintDB()
-	db.Baseline(cloud.Victim)
-	if ok, err := db.Check(cloud.Victim); err != nil || !ok {
-		t.Fatalf("fingerprint self-check %v %v", ok, err)
+	if len(res.Rows) != 3 {
+		t.Fatalf("rows = %d, want 3", len(res.Rows))
 	}
-	if got := (cloudskulk.VMCSScanner{Host: cloud.Host}).Scan(); len(got) != 0 {
-		t.Fatalf("clean host VMCS findings: %v", got)
+	out := res.Render()
+	for _, want := range []string{"VMCS scan", "VMI fingerprint"} {
+		if !strings.Contains(out, want) {
+			t.Fatalf("render lacks %q:\n%s", want, out)
+		}
 	}
 }
 
@@ -190,84 +190,52 @@ func TestEveryBackendDetectsTheRootkit(t *testing.T) {
 	for _, name := range names {
 		name := name
 		t.Run(name, func(t *testing.T) {
-			cloud, err := cloudskulk.New(11,
-				cloudskulk.WithGuestMemMB(32), cloudskulk.WithBackend(name))
+			o := cloudskulk.QuickExperimentOptions()
+			o.Seed = 11
+			o.Backend = name
+			res, err := cloudskulk.Figure6DetectionInfected(o)
 			if err != nil {
 				t.Fatal(err)
 			}
-			if got := cloud.Host.Backend().Name; got != name {
-				t.Fatalf("host built on backend %q, want %q", got, name)
-			}
-			rk, err := cloud.InstallRootkit(cloudskulk.InstallConfig{})
-			if err != nil {
-				t.Fatal(err)
-			}
-			cloud.Host.KSM().Start()
-			det := cloudskulk.NewDedupDetector(cloud.Host)
-			det.Pages = 50
-			agent := cloudskulk.NewGuestAgent(rk.Victim, 2048)
-			agent.OnLoad = rk.InterceptFilePushes(8192)
-			verdict, _, err := det.Run(agent)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if verdict != cloudskulk.VerdictNested {
-				t.Fatalf("backend %s: verdict = %v, want nested", name, verdict)
+			if res.Verdict != cloudskulk.VerdictNested {
+				t.Fatalf("backend %s: verdict = %v, want nested", name, res.Verdict)
 			}
 		})
 	}
 }
 
 // TestPublicBackendAPI exercises the backend surface of the facade:
-// lookup, the typed unknown-name error from both the cloud and fleet
-// constructors, and per-host fleet overrides.
+// lookup by name, the default, and the error for an unregistered name.
 func TestPublicBackendAPI(t *testing.T) {
 	b, err := cloudskulk.LookupBackend("")
 	if err != nil || b.Name != cloudskulk.DefaultBackend {
 		t.Fatalf("LookupBackend(\"\") = %v, %v", b.Name, err)
 	}
-	if _, err := cloudskulk.New(1, cloudskulk.WithBackend("xen-4.1")); !errors.Is(err, cloudskulk.ErrUnknownBackend) {
-		t.Fatalf("New with unknown backend: %v", err)
+	if b, err := cloudskulk.LookupBackend("hvf-m2"); err != nil || b.Name != "hvf-m2" {
+		t.Fatalf("LookupBackend(hvf-m2) = %v, %v", b.Name, err)
 	}
-	if _, err := cloudskulk.NewFleet(1, cloudskulk.WithFleetBackend("xen-4.1")); !errors.Is(err, cloudskulk.ErrUnknownBackend) {
-		t.Fatalf("NewFleet with unknown backend: %v", err)
-	}
-	if _, err := cloudskulk.NewFleet(1, cloudskulk.WithHosts(2),
-		cloudskulk.WithHostBackend("h99", "hvf-m2")); !errors.Is(err, cloudskulk.ErrUnknownHost) {
-		t.Fatalf("WithHostBackend on unknown host: %v", err)
-	}
-	fl, err := cloudskulk.NewFleet(1, cloudskulk.WithHosts(2),
-		cloudskulk.WithHostBackend("h01", "hvf-m2"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	h00, _ := fl.Host("h00")
-	h01, _ := fl.Host("h01")
-	if h00.Backend().Name != cloudskulk.DefaultBackend || h01.Backend().Name != "hvf-m2" {
-		t.Fatalf("per-host backends = %q/%q", h00.Backend().Name, h01.Backend().Name)
+	if _, err := cloudskulk.LookupBackend("xen-4.1"); err == nil ||
+		!strings.Contains(err.Error(), cloudskulk.DefaultBackend) {
+		t.Fatalf("LookupBackend(xen-4.1) error %v does not list the registry", err)
 	}
 }
 
-// TestPublicTelemetryAPI exercises the telemetry facade: a registry built
-// here flows through a testbed via WithTelemetry and through a fleet via
-// WithFleetTelemetry, and both export paths produce sorted, non-empty
-// output.
+// TestPublicTelemetryAPI exercises the telemetry facade: a registry set as
+// ExperimentOptions.Telemetry collects the metrics of both a testbed
+// experiment and a fleet-backed one, and both export paths produce
+// non-empty output.
 func TestPublicTelemetryAPI(t *testing.T) {
 	reg := cloudskulk.NewTelemetryRegistry()
-	if _, err := cloudskulk.New(1, cloudskulk.WithGuestMemMB(32),
-		cloudskulk.WithTelemetry(reg)); err != nil {
+	o := cloudskulk.QuickExperimentOptions()
+	o.Telemetry = reg
+	if _, err := cloudskulk.Figure5DetectionClean(o); err != nil {
 		t.Fatal(err)
 	}
-	fl, err := cloudskulk.NewFleet(1, cloudskulk.WithHosts(2),
-		cloudskulk.WithFleetTelemetry(reg))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := fl.StartGuest("h00", "web", 32); err != nil {
+	if _, err := cloudskulk.CloudLoad(o, cloudskulk.QuickCloudLoadConfig()); err != nil {
 		t.Fatal(err)
 	}
 	text := reg.PromText()
-	for _, want := range []string{"kvm_vms_launched_total", "fleet_placements_total 1"} {
+	for _, want := range []string{"kvm_vms_launched_total", "fleet_placements_total"} {
 		if !strings.Contains(text, want) {
 			t.Fatalf("missing %q in export:\n%s", want, text)
 		}

@@ -9,8 +9,9 @@
 //	... | benchjson -check BENCH_PR4.json -threshold 10       # exit 1 on >10% ns/op regression
 //
 // -check compares the freshly parsed run against the "after" numbers of the
-// committed baseline, using only benchmarks present in both, so adding or
-// removing benchmarks never breaks the gate.
+// committed baseline. Every baseline benchmark must appear in the run: one
+// that was renamed, or that died in b.Fatal before printing its result
+// line, fails the gate as MISSING. Benchmarks new in the run are ignored.
 package main
 
 import (
@@ -182,20 +183,24 @@ func compare(baseline, current []Benchmark) []Comparison {
 	return out
 }
 
-// check reports benchmarks whose ns/op regressed more than threshold
-// percent against the baseline's after-numbers.
+// check reports, in baseline order, each baseline benchmark that is
+// missing from the current run or whose ns/op regressed more than
+// threshold percent against the baseline's after-numbers.
 func check(baseline *Report, current []Benchmark, thresholdPct float64) []string {
-	ref := baseline.Benchmarks
-	base := byName(ref)
+	cur := byName(current)
 	var failures []string
-	for _, b := range current {
-		prev, ok := base[b.Name]
-		if !ok || prev.NsPerOp == 0 {
+	for _, prev := range baseline.Benchmarks {
+		b, ok := cur[prev.Name]
+		if !ok {
+			failures = append(failures, fmt.Sprintf("MISSING %s: in the baseline but not in this run", prev.Name))
+			continue
+		}
+		if prev.NsPerOp == 0 {
 			continue
 		}
 		pct := (b.NsPerOp - prev.NsPerOp) / prev.NsPerOp * 100
 		if pct > thresholdPct {
-			failures = append(failures, fmt.Sprintf("%s: %.0f ns/op vs baseline %.0f (+%.1f%% > %.1f%%)",
+			failures = append(failures, fmt.Sprintf("REGRESSION %s: %.0f ns/op vs baseline %.0f (+%.1f%% > %.1f%%)",
 				b.Name, b.NsPerOp, prev.NsPerOp, pct, thresholdPct))
 		}
 	}
@@ -220,7 +225,7 @@ func run(in io.Reader, out io.Writer, errw io.Writer, baselinePath, checkPath st
 		}
 		failures := check(base, rep.Benchmarks, threshold)
 		for _, f := range failures {
-			fmt.Fprintln(errw, "REGRESSION", f)
+			fmt.Fprintln(errw, f)
 		}
 		if len(failures) > 0 {
 			return 1
@@ -255,7 +260,7 @@ func main() {
 	inPath := flag.String("in", "-", "bench output to parse (- for stdin)")
 	outPath := flag.String("out", "-", "where to write the JSON report (- for stdout)")
 	baseline := flag.String("baseline", "", "prior benchjson report; embeds before/after comparisons")
-	checkPath := flag.String("check", "", "benchjson report to gate against; exits 1 on regression")
+	checkPath := flag.String("check", "", "benchjson report to gate against; exits 1 on a regressed or missing benchmark")
 	threshold := flag.Float64("threshold", 10, "max allowed ns/op regression percent for -check")
 	flag.Parse()
 

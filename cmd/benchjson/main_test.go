@@ -84,6 +84,34 @@ func TestCheckFlagsRegressions(t *testing.T) {
 	}
 }
 
+// TestCheckFailsOnMissingBenchmark: a baseline benchmark absent from the
+// run (renamed, or killed by b.Fatal before printing its line) fails the
+// gate instead of passing silently.
+func TestCheckFailsOnMissingBenchmark(t *testing.T) {
+	dir := t.TempDir()
+	var base bytes.Buffer
+	if code := run(strings.NewReader(sampleBench), &base, os.Stderr, "", "", 10); code != 0 {
+		t.Fatalf("plain run exit = %d", code)
+	}
+	basePath := filepath.Join(dir, "base.json")
+	if err := os.WriteFile(basePath, base.Bytes(), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	var kept []string
+	for _, line := range strings.Split(sampleBench, "\n") {
+		if !strings.HasPrefix(line, "BenchmarkFleetMigrationStorm") {
+			kept = append(kept, line)
+		}
+	}
+	var sink bytes.Buffer
+	if code := run(strings.NewReader(strings.Join(kept, "\n")), &sink, &sink, "", basePath, 50); code != 1 {
+		t.Fatalf("check with a missing benchmark exit = %d, want 1 (output: %s)", code, sink.String())
+	}
+	if !strings.Contains(sink.String(), "MISSING BenchmarkFleetMigrationStorm") {
+		t.Fatalf("output does not name the missing benchmark: %s", sink.String())
+	}
+}
+
 // TestRunEndToEnd drives the whole pipeline: parse → baseline report →
 // second run with -baseline embedding → -check gate both passing and
 // failing.

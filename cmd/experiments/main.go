@@ -6,9 +6,10 @@
 //	experiments [-scale full|quick] [-seed N] [-only artefact] [-workers N]
 //	            [-backend name]
 //
-// Artefacts: table1, fig2, fig3, fig4, table2, table3, table4, fig5, fig6,
-// baselines, armsrace-matrix, fleetstorm, cloudload, megastorm,
-// ablations. Default runs all of them.
+// Artefacts: table1, table1full, fig2, fig3, fig4, table2, table3, table4,
+// fig5, fig6, baselines, armsrace, armsrace-matrix, survey, remediation,
+// watchdog, fleetstorm, cloudload, megastorm, ablations. Default runs all
+// of them.
 //
 // -backend selects the hypervisor cost profile every testbed is built on
 // (default: the paper's kvm-i7-4790 calibration); every artefact runs
@@ -248,7 +249,9 @@ func run(args []string) error {
 	}
 
 	ran := 0
+	names := make([]string, 0, len(artefacts))
 	for _, a := range artefacts {
+		names = append(names, a.name)
 		if *only != "" && a.name != *only {
 			continue
 		}
@@ -268,7 +271,7 @@ func run(args []string) error {
 		ran++
 	}
 	if ran == 0 {
-		return fmt.Errorf("unknown artefact %q", *only)
+		return fmt.Errorf("unknown artefact %q (valid: %s)", *only, strings.Join(names, ", "))
 	}
 	if o.Telemetry != nil {
 		f, err := os.Create(*telemetryPath)

@@ -32,8 +32,6 @@ type (
 	Table4Result = experiments.Table4Result
 	// DetectionResult is one Figs. 5-6 run: verdict plus t0/t1/t2.
 	DetectionResult = experiments.DetectionResult
-	// MigrationKind distinguishes the Fig. 4 series (L0-L0 vs L0-L1).
-	MigrationKind = experiments.MigrationKind
 	// BaselineComparisonResult pits the three detectors against
 	// attacker variants.
 	BaselineComparisonResult = experiments.BaselineComparisonResult

@@ -11,11 +11,9 @@ import (
 	"cloudskulk/internal/qemu"
 )
 
-// Installer errors.
-var (
-	ErrTargetVanished = errors.New("cloudskulk: target vm disappeared during install")
-	ErrNotInstalled   = errors.New("cloudskulk: rootkit not installed")
-)
+// ErrTargetVanished is returned when the target VM disappears during
+// the install.
+var ErrTargetVanished = errors.New("cloudskulk: target vm disappeared during install")
 
 // KernelPages is the size of the guest kernel-image region at the bottom
 // of RAM used for fingerprinting and impersonation.

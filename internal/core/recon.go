@@ -33,7 +33,6 @@ type ReconMethod string
 const (
 	ReconPS      ReconMethod = "ps -ef"
 	ReconHistory ReconMethod = "shell history"
-	ReconMonitor ReconMethod = "qemu monitor"
 )
 
 // Recon discovers target VM configurations the way a root-privileged
@@ -45,8 +44,9 @@ type Recon struct {
 
 // FindTarget locates a victim QEMU process and reconstructs its launch
 // configuration. VMs whose names appear in exclude (e.g. the attacker's
-// own) are skipped. It tries `ps -ef` first, then shell history, then —
-// if a monitor port was learned from either — verifies via the monitor.
+// own) are skipped. It tries `ps -ef` first, then shell history. It does
+// not consult the QEMU monitor; the installer refines the network
+// picture through ConfigViaMonitor afterwards.
 func (r Recon) FindTarget(exclude ...string) (qemu.Config, ReconMethod, error) {
 	skip := make(map[string]bool, len(exclude))
 	for _, n := range exclude {

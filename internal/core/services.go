@@ -53,21 +53,12 @@ func (s *Sniffer) Packets() []*vnet.Packet {
 }
 
 // PayloadsTo returns captured payloads destined for the given final port —
-// e.g. 22 for the keystroke log of an SSH session. Stream segments are
-// unframed to their application bytes; stream control segments (SYN/FIN)
-// are skipped.
+// e.g. 22 for the keystroke log of an SSH session.
 func (s *Sniffer) PayloadsTo(port int) [][]byte {
 	var out [][]byte
 	for _, p := range s.packets {
 		if p.To.Port != port {
 			continue
-		}
-		if data, ok := vnet.StreamPayload(p); ok {
-			out = append(out, append([]byte(nil), data...))
-			continue
-		}
-		if _, isStream, _ := vnet.ClassifySegment(p); isStream {
-			continue // stream control traffic
 		}
 		out = append(out, append([]byte(nil), p.Payload...))
 	}

@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"errors"
 	"fmt"
 	"testing"
 
@@ -127,5 +128,23 @@ func TestBackendGoldenMatrix(t *testing.T) {
 		if want == "" {
 			t.Errorf("golden hash for %s not captured — run with -v and paste the CAPTURE lines", name)
 		}
+	}
+}
+
+// TestNewCloudBackendOption: WithBackend builds the testbed's host on the
+// named backend, and an unregistered name fails the constructor with
+// hv.ErrUnknownBackend.
+func TestNewCloudBackendOption(t *testing.T) {
+	for _, name := range hv.Names() {
+		c, err := NewCloud(11, WithGuestMemMB(32), WithBackend(name))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := c.Host.Backend().Name; got != name {
+			t.Fatalf("host built on backend %q, want %q", got, name)
+		}
+	}
+	if _, err := NewCloud(1, WithBackend("xen-4.1")); !errors.Is(err, hv.ErrUnknownBackend) {
+		t.Fatalf("NewCloud with unknown backend: %v", err)
 	}
 }

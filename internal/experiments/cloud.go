@@ -168,12 +168,11 @@ type Cloud struct {
 
 // cloudConfig is the option state NewCloud builds from.
 type cloudConfig struct {
-	guestMemMB  int64
-	monitorPort int
-	ksmStarted  bool
-	profile     *workload.Profile
-	tele        *telemetry.Registry
-	backend     string
+	guestMemMB int64
+	ksmStarted bool
+	profile    *workload.Profile
+	tele       *telemetry.Registry
+	backend    string
 }
 
 // CloudOption configures NewCloud.
@@ -183,11 +182,6 @@ type CloudOption func(*cloudConfig)
 // paper's 1 GiB guest).
 func WithGuestMemMB(mb int64) CloudOption {
 	return func(c *cloudConfig) { c.guestMemMB = mb }
-}
-
-// WithMonitorPort moves the victim's QEMU monitor off the default 5555.
-func WithMonitorPort(port int) CloudOption {
-	return func(c *cloudConfig) { c.monitorPort = port }
 }
 
 // WithKSMStarted starts the host's KSM daemon as part of testbed
@@ -218,12 +212,11 @@ func WithBackend(name string) CloudOption {
 }
 
 // NewCloud builds a testbed with a running victim VM named "guest0"
-// (SSH forwarded on 2222, monitor on 5555 unless WithMonitorPort) and an
-// idle co-tenant. The zero-option call reproduces the paper's testbed
-// with a 1 GiB victim; the KSM daemon is created stopped unless
-// WithKSMStarted.
+// (SSH forwarded on 2222, monitor on 5555) and an idle co-tenant. The
+// zero-option call reproduces the paper's testbed with a 1 GiB victim;
+// the KSM daemon is created stopped unless WithKSMStarted.
 func NewCloud(seed int64, opts ...CloudOption) (*Cloud, error) {
-	cc := cloudConfig{guestMemMB: 1024, monitorPort: 5555}
+	cc := cloudConfig{guestMemMB: 1024}
 	for _, opt := range opts {
 		opt(&cc)
 	}
@@ -253,7 +246,7 @@ func NewCloud(seed int64, opts ...CloudOption) (*Cloud, error) {
 
 	cfg := qemu.DefaultConfig("guest0")
 	cfg.MemoryMB = cc.guestMemMB
-	cfg.MonitorPort = cc.monitorPort
+	cfg.MonitorPort = 5555
 	cfg.NetDevs[0].HostFwds = []qemu.FwdRule{{HostPort: 2222, GuestPort: 22}}
 	victim, err := host.Hypervisor().CreateVM(cfg)
 	if err != nil {

@@ -8,6 +8,7 @@ import (
 	"cloudskulk/internal/core"
 	"cloudskulk/internal/cpu"
 	"cloudskulk/internal/detect"
+	"cloudskulk/internal/telemetry"
 )
 
 func TestOptionsDefaults(t *testing.T) {
@@ -15,6 +16,18 @@ func TestOptionsDefaults(t *testing.T) {
 	d := DefaultOptions()
 	if o.GuestMemMB != d.GuestMemMB || o.Runs != d.Runs || o.KSMWait != d.KSMWait {
 		t.Fatalf("defaults not applied: %+v", o)
+	}
+}
+
+// TestNewCloudTelemetry: a registry passed through WithTelemetry collects
+// the testbed's metrics.
+func TestNewCloudTelemetry(t *testing.T) {
+	reg := telemetry.NewRegistry()
+	if _, err := NewCloud(1, WithGuestMemMB(32), WithTelemetry(reg)); err != nil {
+		t.Fatal(err)
+	}
+	if text := reg.PromText(); !strings.Contains(text, "kvm_vms_launched_total") {
+		t.Fatalf("missing kvm_vms_launched_total in export:\n%s", text)
 	}
 }
 

@@ -18,8 +18,8 @@ import (
 	"cloudskulk/internal/mem"
 	"cloudskulk/internal/migrate"
 
-	// Make every built-in backend resolvable through WithBackend /
-	// WithHostBackend without each caller importing the registry.
+	// Make every built-in backend resolvable through WithBackend
+	// without each caller importing the registry.
 	_ "cloudskulk/internal/hv/backends"
 	"cloudskulk/internal/qemu"
 	"cloudskulk/internal/sim"
@@ -83,15 +83,14 @@ type HostSpec struct {
 
 // config is the option state New builds from.
 type config struct {
-	hosts        []HostSpec
-	hostLink     vnet.LinkSpec
-	retries      int
-	backoff      time.Duration
-	backend      string
-	hostBackends map[string]string
-	tele         *telemetry.Registry
-	teleSet      bool
-	eng          *sim.Engine
+	hosts    []HostSpec
+	hostLink vnet.LinkSpec
+	retries  int
+	backoff  time.Duration
+	backend  string
+	tele     *telemetry.Registry
+	teleSet  bool
+	eng      *sim.Engine
 }
 
 // Option configures New.
@@ -135,18 +134,6 @@ func WithRetry(attempts int, backoff time.Duration) Option {
 // hv.ErrUnknownBackend from New, listing the registered backends.
 func WithBackend(name string) Option {
 	return func(c *config) { c.backend = name }
-}
-
-// WithHostBackend overrides the backend for one named host — the
-// heterogeneous-fleet knob: mixed hardware generations on one fabric.
-// The host must appear in the fleet's host list when New runs.
-func WithHostBackend(host, name string) Option {
-	return func(c *config) {
-		if c.hostBackends == nil {
-			c.hostBackends = make(map[string]string)
-		}
-		c.hostBackends[host] = name
-	}
 }
 
 // WithEngine runs the fleet on a caller-owned simulation engine instead of
@@ -217,35 +204,11 @@ func New(seed int64, opts ...Option) (*Fleet, error) {
 		c.retries = 1
 	}
 
-	// Resolve every backend up front so a typo fails the constructor
-	// with hv.ErrUnknownBackend instead of surfacing mid-simulation.
-	fleetBackend, err := hv.Lookup(c.backend)
+	// Resolve the backend up front so a typo fails the constructor with
+	// hv.ErrUnknownBackend instead of surfacing mid-simulation.
+	backend, err := hv.Lookup(c.backend)
 	if err != nil {
 		return nil, fmt.Errorf("fleet: %w", err)
-	}
-	backends := make(map[string]hv.Backend, len(c.hosts))
-	matched := 0
-	for _, spec := range c.hosts {
-		b := fleetBackend
-		if name, ok := c.hostBackends[spec.Name]; ok {
-			matched++
-			if b, err = hv.Lookup(name); err != nil {
-				return nil, fmt.Errorf("fleet: host %q: %w", spec.Name, err)
-			}
-		}
-		backends[spec.Name] = b
-	}
-	if matched != len(c.hostBackends) {
-		overrides := make([]string, 0, len(c.hostBackends))
-		for host := range c.hostBackends {
-			overrides = append(overrides, host)
-		}
-		sort.Strings(overrides)
-		for _, host := range overrides {
-			if _, ok := backends[host]; !ok {
-				return nil, fmt.Errorf("%w: %q (WithHostBackend)", ErrUnknownHost, host)
-			}
-		}
 	}
 
 	eng := c.eng
@@ -282,7 +245,7 @@ func New(seed int64, opts ...Option) (*Fleet, error) {
 		if _, dup := f.hosts[spec.Name]; dup {
 			return nil, fmt.Errorf("fleet: duplicate host %q", spec.Name)
 		}
-		h, err := kvm.NewHostWithBackend(eng, network, spec.Name, backends[spec.Name])
+		h, err := kvm.NewHostWithBackend(eng, network, spec.Name, backend)
 		if err != nil {
 			return nil, err
 		}

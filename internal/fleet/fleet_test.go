@@ -2,9 +2,12 @@ package fleet
 
 import (
 	"errors"
+	"strings"
 	"testing"
 	"time"
 
+	"cloudskulk/internal/hv"
+	"cloudskulk/internal/telemetry"
 	"cloudskulk/internal/vnet"
 )
 
@@ -167,6 +170,38 @@ func TestSetHostLinkFlipsAllPairs(t *testing.T) {
 	}
 	if err := f.SetHostLink("nope", true); !errors.Is(err, ErrUnknownHost) {
 		t.Fatalf("err = %v", err)
+	}
+}
+
+func TestWithBackendRejectsUnknownName(t *testing.T) {
+	if _, err := New(1, WithBackend("xen-4.1")); !errors.Is(err, hv.ErrUnknownBackend) {
+		t.Fatalf("New with unknown backend: %v", err)
+	}
+}
+
+// TestWithTelemetryCollectsFleetMetrics: a caller's registry passed
+// through WithTelemetry receives the hosts' and the scheduler's metrics.
+func TestWithTelemetryCollectsFleetMetrics(t *testing.T) {
+	reg := telemetry.NewRegistry()
+	f, err := New(1, WithHosts(2), WithTelemetry(reg))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := f.StartGuest("h00", "web", 32); err != nil {
+		t.Fatal(err)
+	}
+	text := reg.PromText()
+	for _, want := range []string{"kvm_vms_launched_total", "fleet_placements_total 1"} {
+		if !strings.Contains(text, want) {
+			t.Fatalf("missing %q in export:\n%s", want, text)
+		}
+	}
+	var b strings.Builder
+	if err := reg.WriteJSONLines(&b); err != nil {
+		t.Fatal(err)
+	}
+	if !strings.Contains(b.String(), `"type":"counter"`) {
+		t.Fatalf("JSON-lines export has no counter:\n%s", b.String())
 	}
 }
 

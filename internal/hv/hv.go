@@ -1,7 +1,5 @@
-// Package hv is the backend-neutral hypervisor layer: the interface
-// contract every substrate satisfies (Hypervisor / VirtualMachine /
-// VirtualCPU) plus the registered cost profiles that make substrates
-// interchangeable.
+// Package hv is the backend-neutral hypervisor layer: the registered
+// cost profiles that make substrates interchangeable.
 //
 // The paper's results are calibrated to one machine — an Intel i7-4790
 // running QEMU 2.9/KVM — but the phenomena it studies (nested-exit
@@ -13,10 +11,8 @@
 // select a backend by name and run unchanged; artefact goldens are pinned
 // per backend.
 //
-// The interface shapes follow the common hypervisor abstraction layers of
-// multi-backend VMMs (KVM / HVF / WHP behind one contract): a Hypervisor
-// creates and manages VirtualMachines, each VirtualMachine executes on a
-// VirtualCPU whose costs come from the backend's profile.
+// Every backend runs the same mechanism, so a Profile plus the registry
+// carries every difference between them; there is no per-backend code.
 package hv
 
 import (
@@ -24,79 +20,6 @@ import (
 
 	"cloudskulk/internal/cpu"
 	"cloudskulk/internal/ksm"
-	"cloudskulk/internal/mem"
-	"cloudskulk/internal/qemu"
-)
-
-// VirtualCPU is the execution contract a backend's vCPU satisfies:
-// modelled operations advance virtual time by the backend-calibrated cost
-// of running them at the vCPU's virtualization level.
-type VirtualCPU interface {
-	// Level is the virtualization level the vCPU runs at.
-	Level() cpu.Level
-	// Model returns the calibrated cost model in use.
-	Model() cpu.Model
-	// CostOf returns the exact (noise-free) cost of one execution of op.
-	CostOf(op cpu.Op) cpu.Cost
-	// Exec runs op n times and returns the elapsed virtual time.
-	Exec(op cpu.Op, n int) time.Duration
-	// MeasureMean runs op reps times and returns the mean per-op cost.
-	MeasureMean(op cpu.Op, reps int) cpu.Cost
-	// Executed returns how many operations of the class have run.
-	Executed(c cpu.Class) uint64
-	// Busy returns total virtual time the vCPU has consumed.
-	Busy() time.Duration
-}
-
-// VirtualMachine is one guest: a configured machine with RAM, a network
-// identity, a lifecycle state, and a vCPU executing at some level.
-type VirtualMachine interface {
-	// Name is the guest's name (unique per hypervisor).
-	Name() string
-	// Endpoint is the guest NIC's network endpoint.
-	Endpoint() string
-	// Config returns the launch configuration.
-	Config() qemu.Config
-	// State returns the lifecycle state.
-	State() qemu.State
-	// Running reports whether the guest is currently executing.
-	Running() bool
-	// RAM is the guest's physical memory image.
-	RAM() *mem.Space
-	// VCPU is the guest's virtual CPU.
-	VCPU() *cpu.VCPU
-	// Level is the virtualization level the guest executes at.
-	Level() cpu.Level
-}
-
-// Hypervisor hosts VirtualMachines at one virtualization level and can
-// run at any level itself (L0 on bare metal, L1 inside a guest — the
-// nesting CloudSkulk abuses).
-type Hypervisor interface {
-	// RunLevel is the level the hypervisor's own code runs at.
-	RunLevel() cpu.Level
-	// GuestLevel is the level its guests execute at.
-	GuestLevel() cpu.Level
-	// CreateVM defines a VM from cfg, in state created.
-	CreateVM(cfg qemu.Config) (*qemu.VM, error)
-	// Launch boots a created VM.
-	Launch(name string) error
-	// Reboot resets and re-boots a running guest.
-	Reboot(name string) error
-	// Kill terminates a VM and tears down everything CreateVM set up.
-	Kill(name string) error
-	// VM looks a guest up by name.
-	VM(name string) (*qemu.VM, bool)
-	// VMs returns all guests, sorted by name.
-	VMs() []*qemu.VM
-}
-
-// The canonical implementations satisfy the contracts. (The Hypervisor
-// assertion for *kvm.Hypervisor lives in internal/kvm — this package
-// cannot import it.)
-var (
-	_ VirtualCPU     = (*cpu.VCPU)(nil)
-	_ VirtualMachine = (*qemu.VM)(nil)
 )
 
 // Profile is a backend's calibrated cost model: every constant the

@@ -205,10 +205,7 @@ type Hypervisor struct {
 	fwds map[string][]vnet.Addr
 }
 
-var (
-	_ qemu.PortForwarder = (*Hypervisor)(nil)
-	_ hv.Hypervisor      = (*Hypervisor)(nil)
-)
+var _ qemu.PortForwarder = (*Hypervisor)(nil)
 
 // RunLevel returns the level this hypervisor's own code runs at (L0 on
 // bare metal, L1 inside a guest).

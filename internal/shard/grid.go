@@ -199,10 +199,6 @@ func (g *Grid) NumCells() int { return len(g.cells) }
 // Cell returns shard i's stack.
 func (g *Grid) Cell(i int) *Cell { return g.cells[i] }
 
-// CleanKernelHash is the pristine-template kernel-region hash the
-// integrity audit compares against.
-func (g *Grid) CleanKernelHash() uint64 { return g.cleanKernelHash }
-
 // GuestVMName is the canonical tenant-local VM name for guest k of shard
 // i — shard-qualified so migrated guests never collide in the
 // destination fleet's namespace.
