@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build test race vet bench-module lint lint-sarif lint-baseline check cover fuzz-smoke bench bench-smoke bench-json bench-check bench-backends bench-cloudload bench-armsrace bench-scale fleet-bench experiments clean
+.PHONY: all build test race vet fmt-check bench-module lint lint-sarif lint-baseline check cover fuzz-smoke bench bench-smoke bench-json bench-check bench-backends bench-cloudload bench-armsrace bench-scale fleet-bench experiments clean
 
 # The headline benchmarks tracked across PRs (BENCH_*.json at the repo root).
 BENCH_PATTERN = BenchmarkFleetMigrationStorm|BenchmarkFigure5DetectNoNested|BenchmarkFigure6DetectNested
@@ -18,6 +18,12 @@ race:
 
 vet:
 	$(GO) vet ./...
+
+# Fail when a tracked Go file (bench/ and detlint's testdata included) is
+# not gofmt-formatted, or does not parse.
+fmt-check:
+	@out=$$(gofmt -l $$(git ls-files '*.go')) || exit 1; \
+	if [ -n "$$out" ]; then printf 'not gofmt-formatted:\n%s\n' "$$out"; exit 1; fi
 
 # bench/ is a module of its own, so the ./... patterns above never reach
 # it; vet and test it against the current facade.
@@ -44,7 +50,7 @@ lint-sarif:
 lint-baseline:
 	$(GO) run ./cmd/detlint -write-baseline ./...
 
-check: build vet bench-module lint race
+check: fmt-check build vet bench-module lint race
 
 cover:
 	@mkdir -p .build

@@ -8,10 +8,10 @@ import (
 
 // goroutineAnalyzer forbids scheduler-dependent concurrency — go
 // statements, channel operations, select, and the sync package —
-// outside the two packages built for it (internal/runner's worker pool,
-// internal/qemu's connection serving; see concurrencyExempt). Goroutine
-// interleaving is the one source of nondeterminism the seed cannot
-// reach, so sim code must stay single-threaded per cell.
+// outside the package built for it (internal/runner's worker pool; see
+// concurrencyExempt). Goroutine interleaving is the one source of
+// nondeterminism the seed cannot reach, so sim code must stay
+// single-threaded per cell.
 //
 // The `sync` import is reported once per file (the import is the
 // gateway; annotating every mu.Lock would drown the signal), and
@@ -20,7 +20,7 @@ import (
 // contract telemetry's determinism rests on.
 var goroutineAnalyzer = &Analyzer{
 	Name: "goroutine",
-	Doc:  "forbid go statements, channels, select, and sync outside the runner/qemu plumbing",
+	Doc:  "forbid go statements, channels, select, and sync outside the runner's worker pool",
 	Run: func(p *Pass) {
 		for _, f := range p.Files {
 			for _, imp := range f.Imports {

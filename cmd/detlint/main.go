@@ -19,8 +19,7 @@
 //	             returned slice) without an intervening sort, and no map
 //	             arguments to fmt formatting verbs.
 //	goroutine  — no go statements, channels, select, or `sync` imports
-//	             outside internal/runner and internal/qemu (the worker
-//	             pool and the monitor connection plumbing). sync/atomic
+//	             outside internal/runner (the worker pool). sync/atomic
 //	             is permitted: commutative counters are order-blind.
 //	floatsum   — no float accumulation across map iteration in the
 //	             telemetry/report export packages.
@@ -92,9 +91,8 @@ type scopes struct {
 	// directive rather than a blanket exemption.
 	simFacing []string
 	// concurrencyExempt lists the only packages allowed to spawn
-	// goroutines or use sync/channels: the parallel sweep runner (whose
-	// whole job is deterministic fan-out) and qemu's monitor connection
-	// plumbing.
+	// goroutines or use sync/channels: the parallel sweep runner, whose
+	// whole job is deterministic fan-out.
 	concurrencyExempt []string
 	// floatsumScope lists the export-path packages where float
 	// accumulation order turns into artefact bytes.
@@ -111,7 +109,7 @@ var defaultScopes = &scopes{
 		"internal/controlplane", "internal/loadgen", "internal/scenario",
 		"internal/shard",
 	},
-	concurrencyExempt: []string{"internal/runner", "internal/qemu"},
+	concurrencyExempt: []string{"internal/runner"},
 	floatsumScope:     []string{"internal/telemetry", "internal/report"},
 }
 

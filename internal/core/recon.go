@@ -9,7 +9,6 @@ package core
 
 import (
 	"bufio"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"net"
@@ -124,102 +123,6 @@ func (r Recon) ConfigViaMonitor(port int) (qemu.Config, error) {
 		return qemu.Config{}, err
 	}
 	cfg.NetDevs = parseNetworkDevs(network)
-	return cfg, nil
-}
-
-// ConfigViaQMP reconstructs a partial VM configuration from the JSON
-// machine protocol on the given host port — the recon path a management-
-// stack credential gives the attacker. QMP exposes name, memory, and block
-// devices; network forwards still require `info network` or the command
-// line, so the returned config carries a default NIC.
-func (r Recon) ConfigViaQMP(port int) (qemu.Config, error) {
-	conn, err := r.Host.OpenQMP(port)
-	if err != nil {
-		return qemu.Config{}, fmt.Errorf("%w: %w", ErrReconFailed, err)
-	}
-	defer func() { _ = conn.Close() }()
-
-	dec := json.NewDecoder(conn)
-	var greeting qemu.QMPGreeting
-	if err := dec.Decode(&greeting); err != nil {
-		return qemu.Config{}, fmt.Errorf("%w: greeting: %w", ErrReconFailed, err)
-	}
-	call := func(execute, args string) (json.RawMessage, error) {
-		cmd := qemu.QMPCommand{Execute: execute}
-		if args != "" {
-			cmd.Arguments = json.RawMessage(args)
-		}
-		raw, err := json.Marshal(cmd)
-		if err != nil {
-			return nil, err
-		}
-		if _, err := conn.Write(append(raw, '\n')); err != nil {
-			return nil, fmt.Errorf("%w: send %s: %w", ErrReconFailed, execute, err)
-		}
-		var resp qemu.QMPResponse
-		if err := dec.Decode(&resp); err != nil {
-			return nil, fmt.Errorf("%w: read %s: %w", ErrReconFailed, execute, err)
-		}
-		if resp.Error != nil {
-			return nil, fmt.Errorf("%w: %s: %s", ErrReconFailed, execute, resp.Error.Desc)
-		}
-		return resp.Return, nil
-	}
-
-	if _, err := call("qmp_capabilities", ""); err != nil {
-		return qemu.Config{}, err
-	}
-	cfg := qemu.Config{
-		Machine:   "pc-i440fx-2.9",
-		EnableKVM: true,
-		CPUs:      1,
-		QMPPort:   port,
-		NetDevs:   []qemu.NetDev{{Model: "virtio-net-pci"}},
-	}
-
-	raw, err := call("query-name", "")
-	if err != nil {
-		return qemu.Config{}, err
-	}
-	var name struct {
-		Name string `json:"name"`
-	}
-	if err := json.Unmarshal(raw, &name); err != nil {
-		return qemu.Config{}, fmt.Errorf("%w: %w", ErrReconFailed, err)
-	}
-	cfg.Name = name.Name
-
-	raw, err = call("query-memory-size-summary", "")
-	if err != nil {
-		return qemu.Config{}, err
-	}
-	var memory struct {
-		Base int64 `json:"base-memory"`
-	}
-	if err := json.Unmarshal(raw, &memory); err != nil {
-		return qemu.Config{}, fmt.Errorf("%w: %w", ErrReconFailed, err)
-	}
-	cfg.MemoryMB = memory.Base >> 20
-
-	raw, err = call("query-block", "")
-	if err != nil {
-		return qemu.Config{}, err
-	}
-	var blocks []struct {
-		File   string `json:"file"`
-		Driver string `json:"driver"`
-		SizeMB int64  `json:"size_mb"`
-	}
-	if err := json.Unmarshal(raw, &blocks); err != nil {
-		return qemu.Config{}, fmt.Errorf("%w: %w", ErrReconFailed, err)
-	}
-	for _, b := range blocks {
-		cfg.Drives = append(cfg.Drives, qemu.Drive{
-			File:   b.File,
-			Format: b.Driver,
-			SizeMB: b.SizeMB,
-		})
-	}
 	return cfg, nil
 }
 

@@ -38,13 +38,12 @@ var (
 	ErrMigrationFailed    = errors.New("fleet: migration failed")
 )
 
-// Port layout: each guest gets a fleet-unique service/monitor/QMP port so
+// Port layout: each guest gets a fleet-unique service and monitor port so
 // migrations can land it on any host without colliding with residents,
 // and every cross-host migration gets a fresh incoming port.
 const (
 	serviceBasePort   = 2200
 	monitorBasePort   = 5600
-	qmpBasePort       = 5900
 	migrationBasePort = 41000
 )
 
@@ -350,7 +349,7 @@ func (f *Fleet) FreeMemMB(host string) int64 {
 }
 
 // StartGuest creates and boots a guest on the named host, assigning it a
-// fleet-unique service port (SSH forward), monitor port, and QMP port.
+// fleet-unique service port (SSH forward) and monitor port.
 // Guest names are fleet-wide: a name already registered — or already
 // backing a VM instance on *any* host, including migration clones and
 // interposed stacks that never appear in the registry — is rejected with
@@ -398,7 +397,6 @@ func (f *Fleet) startGuest(host, name string, memMB int64, tmpl *mem.Template) (
 	cfg.MemoryMB = memMB
 	cfg.MemTemplate = tmpl
 	cfg.MonitorPort = monitorBasePort + idx
-	cfg.QMPPort = qmpBasePort + idx
 	servicePort := serviceBasePort + idx
 	cfg.NetDevs[0].HostFwds = []qemu.FwdRule{{HostPort: servicePort, GuestPort: 22}}
 	vm, err := hv.Hypervisor().CreateVM(cfg)

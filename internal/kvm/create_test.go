@@ -103,7 +103,7 @@ func TestFindByEndpoint(t *testing.T) {
 }
 
 // templateConfigs returns n guest configs shaped like the fleet's: a
-// golden-image RAM template, monitor and QMP ports, one service forward.
+// golden-image RAM template, a monitor port, one service forward.
 func templateConfigs(n int) []qemu.Config {
 	tmpl := mem.Freeze("golden", mem.NewSpace("golden", 4<<20))
 	cfgs := make([]qemu.Config, n)
@@ -111,7 +111,6 @@ func templateConfigs(n int) []qemu.Config {
 		cfg := smallCfg("vm" + strconv.Itoa(i))
 		cfg.MemTemplate = tmpl
 		cfg.MonitorPort = 10000 + i
-		cfg.QMPPort = 20000 + i
 		cfg.NetDevs[0].HostFwds = []qemu.FwdRule{{HostPort: 30000 + i, GuestPort: 22}}
 		cfgs[i] = cfg
 	}

@@ -140,7 +140,7 @@ func (h *Host) SetMigrationService(m MigrationService) { h.migration = m }
 
 // SetTelemetry attaches a metrics registry to the host: the KSM daemon
 // reports scan progress, every VM created afterwards carries the
-// registry (its monitor serves query-stats, its vCPU counts exits), and
+// registry (its monitor serves info stats, its vCPU counts exits), and
 // the model's exit-reflection multiplier is published as a gauge. The
 // gauge is world-constant per model, so sharing one registry across
 // hosts or sweep cells stays deterministic.
@@ -159,26 +159,13 @@ func (h *Host) Telemetry() *telemetry.Registry { return h.tel }
 // telnet port, searching all virtualization levels — the attacker's
 // `telnet 127.0.0.1 5555`. The returned conn speaks the HMP protocol.
 func (h *Host) OpenMonitor(port int) (net.Conn, error) {
-	vm := h.hv.findByPort(port, func(cfg qemu.Config) int { return cfg.MonitorPort })
+	vm := h.hv.findByPort(port)
 	if vm == nil {
 		return nil, fmt.Errorf("%w: %d", ErrNoMonitorPort, port)
 	}
 	client, server := net.Pipe()
 	//detlint:allow goroutine — monitor connection plumbing: Serve blocks on the interactive client's pipe; command dispatch itself stays synchronous per line
 	go func() { _ = vm.Monitor().Serve(server) }()
-	return client, nil
-}
-
-// OpenQMP connects to the JSON machine protocol a VM exposes on the given
-// host TCP port. Each call is an independent session.
-func (h *Host) OpenQMP(port int) (net.Conn, error) {
-	vm := h.hv.findByPort(port, func(cfg qemu.Config) int { return cfg.QMPPort })
-	if vm == nil {
-		return nil, fmt.Errorf("%w: %d", ErrNoMonitorPort, port)
-	}
-	client, server := net.Pipe()
-	//detlint:allow goroutine — QMP connection plumbing, same shape as OpenMonitor above
-	go func() { _ = vm.QMP().Serve(server) }()
 	return client, nil
 }
 
@@ -551,17 +538,17 @@ func (hv *Hypervisor) FindByEndpoint(endpoint string) (*qemu.VM, bool) {
 }
 
 // findByPort searches this hypervisor's guests and their nested guests for
-// a VM whose config exposes the given port under the selector.
-func (hv *Hypervisor) findByPort(port int, sel func(qemu.Config) int) *qemu.VM {
+// a VM whose monitor listens on the given host port.
+func (hv *Hypervisor) findByPort(port int) *qemu.VM {
 	if port == 0 {
 		return nil
 	}
 	for name, vm := range hv.vms {
-		if sel(vm.Config()) == port {
+		if vm.Config().MonitorPort == port {
 			return vm
 		}
 		if inner, ok := hv.nested[name]; ok {
-			if found := inner.findByPort(port, sel); found != nil {
+			if found := inner.findByPort(port); found != nil {
 				return found
 			}
 		}

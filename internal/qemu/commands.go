@@ -1,244 +1,99 @@
 package qemu
 
 import (
-	"encoding/json"
-	"errors"
 	"fmt"
 	"strings"
-
-	"cloudskulk/internal/telemetry"
 )
 
-// This file is the single source of truth for monitor command semantics.
-// Both consoles — the human monitor (HMP) and the machine protocol (QMP) —
-// dispatch through the same registry, so `info`/`migrate`/`stop` behaviour
-// cannot drift between protocols: a command's effect lives in one `run`
-// function, and each protocol contributes only a thin argument parser and
-// a result renderer.
-
-// command is one monitor command: shared semantics plus per-protocol
-// adapters.
+// command is one HMP monitor command.
 type command struct {
-	// hmp is the HMP spelling ("migrate", "info status"); "" = QMP-only.
-	hmp string
-	// aliases are extra HMP spellings dispatching to the same command.
+	// name is the HMP spelling ("migrate", "info status").
+	name string
+	// aliases are extra spellings dispatching to the same command.
 	aliases []string
-	// qmp is the QMP execute name; "" = HMP-only.
-	qmp string
-	// help is the HMP help line; "" omits the command from `help`.
+	// help is the command's line in the `help` listing.
 	help string
-
-	// parseHMP maps the HMP argument fields (everything after the verb)
-	// to the handler's argument value. nil = the command ignores
-	// arguments. Errors should wrap ErrUnknownCommand.
-	parseHMP func(fields []string) (any, error)
-	// parseQMP maps the QMP arguments payload likewise. nil = ignore.
-	parseQMP func(raw json.RawMessage) (any, error)
-
-	// run executes the command against the monitor's VM. The *Monitor is
-	// the VM's singleton console state (migration speed cap), shared by
-	// both protocols.
-	run func(m *Monitor, args any) (any, error)
-
-	// renderHMP converts run's result to console text; nil prints nothing.
-	renderHMP func(res any) string
-	// renderQMP converts run's result to the QMP return payload; nil
-	// returns an empty object, QMP's "success, nothing to report".
-	renderQMP func(res any) any
-}
-
-// vmStatus is the shared result of the status command.
-type vmStatus struct {
-	State   State
-	Running bool
-}
-
-// driveInfo is the shared result of the block-device commands.
-type driveInfo struct {
-	Device string
-	File   string
-	Format string
-	SizeMB int64
-	Stats  BlockStats
-}
-
-func collectDrives(vm *VM) []driveInfo {
-	cfg := vm.Config()
-	out := make([]driveInfo, 0, len(cfg.Drives))
-	for i, d := range cfg.Drives {
-		st, _ := vm.BlockStatsFor(i)
-		out = append(out, driveInfo{
-			Device: fmt.Sprintf("drive%d", i),
-			File:   d.File,
-			Format: d.Format,
-			SizeMB: d.SizeMB,
-			Stats:  st,
-		})
-	}
-	return out
-}
-
-// oneField insists on exactly one HMP argument.
-func oneField(name string, usage string) func([]string) (any, error) {
-	return func(fields []string) (any, error) {
-		if len(fields) != 1 {
-			return nil, fmt.Errorf("%w: %s requires %s", ErrUnknownCommand, name, usage)
-		}
-		return fields[0], nil
-	}
+	// run parses the fields after the verb, acts on the monitor's VM and
+	// returns what the console prints. Argument errors wrap
+	// ErrUnknownCommand. The *Monitor is the VM's singleton console
+	// state (migration speed cap).
+	run func(m *Monitor, args []string) (string, error)
 }
 
 // registry lists every monitor command in `help` order.
 var registry = []*command{
 	{
-		hmp: "info status", qmp: "query-status",
+		name: "info status",
 		help: "info status -- show VM run state",
-		run: func(m *Monitor, _ any) (any, error) {
-			return vmStatus{State: m.vm.State(), Running: m.vm.Running()}, nil
-		},
-		renderHMP: func(res any) string {
-			return fmt.Sprintf("VM status: %s\n", res.(vmStatus).State)
-		},
-		renderQMP: func(res any) any {
-			st := res.(vmStatus)
-			return map[string]any{"status": st.State.String(), "running": st.Running}
+		run: func(m *Monitor, _ []string) (string, error) {
+			return fmt.Sprintf("VM status: %s\n", m.vm.State()), nil
 		},
 	},
 	{
-		hmp: "info name", qmp: "query-name",
+		name: "info name",
 		help: "info name -- show VM name",
-		run: func(m *Monitor, _ any) (any, error) {
-			return m.vm.Name(), nil
+		run: func(m *Monitor, _ []string) (string, error) {
+			return m.vm.Name() + "\n", nil
 		},
-		renderHMP: func(res any) string { return res.(string) + "\n" },
-		renderQMP: func(res any) any { return map[string]any{"name": res.(string)} },
 	},
 	{
-		hmp:  "info qtree",
+		name: "info qtree",
 		help: "info qtree -- show device tree",
-		run: func(m *Monitor, _ any) (any, error) {
+		run: func(m *Monitor, _ []string) (string, error) {
 			return renderQtree(m.vm.Config()), nil
 		},
-		renderHMP: func(res any) string { return res.(string) },
 	},
 	{
-		hmp:  "info mtree",
+		name: "info mtree",
 		help: "info mtree -- show memory map",
-		run: func(m *Monitor, _ any) (any, error) {
+		run: func(m *Monitor, _ []string) (string, error) {
 			return renderMtree(m.vm.Config()), nil
 		},
-		renderHMP: func(res any) string { return res.(string) },
 	},
 	{
-		hmp:  "info mem",
+		name: "info mem",
 		help: "info mem -- show memory summary",
-		run: func(m *Monitor, _ any) (any, error) {
+		run: func(m *Monitor, _ []string) (string, error) {
 			return renderMem(m.vm), nil
 		},
-		renderHMP: func(res any) string { return res.(string) },
 	},
 	{
-		hmp: "info blockstats", qmp: "query-blockstats",
+		name: "info blockstats",
 		help: "info blockstats -- show block device statistics",
-		run: func(m *Monitor, _ any) (any, error) {
-			return collectDrives(m.vm), nil
-		},
-		renderHMP: func(res any) string {
+		run: func(m *Monitor, _ []string) (string, error) {
 			var b strings.Builder
-			for _, d := range res.([]driveInfo) {
+			for i := range m.vm.Config().Drives {
+				st, _ := m.vm.BlockStatsFor(i)
 				fmt.Fprintf(&b,
-					"%s: rd_bytes=%d wr_bytes=%d rd_operations=%d wr_operations=%d\n",
-					d.Device, d.Stats.RdBytes, d.Stats.WrBytes, d.Stats.RdOps, d.Stats.WrOps)
+					"drive%d: rd_bytes=%d wr_bytes=%d rd_operations=%d wr_operations=%d\n",
+					i, st.RdBytes, st.WrBytes, st.RdOps, st.WrOps)
 			}
-			return b.String()
-		},
-		renderQMP: func(res any) any {
-			type stats struct {
-				Device string `json:"device"`
-				RdB    uint64 `json:"rd_bytes"`
-				WrB    uint64 `json:"wr_bytes"`
-				RdOps  uint64 `json:"rd_operations"`
-				WrOps  uint64 `json:"wr_operations"`
-			}
-			drives := res.([]driveInfo)
-			out := make([]stats, 0, len(drives))
-			for _, d := range drives {
-				out = append(out, stats{
-					Device: d.Device,
-					RdB:    d.Stats.RdBytes, WrB: d.Stats.WrBytes,
-					RdOps: d.Stats.RdOps, WrOps: d.Stats.WrOps,
-				})
-			}
-			return out
+			return b.String(), nil
 		},
 	},
 	{
-		qmp: "query-block",
-		run: func(m *Monitor, _ any) (any, error) {
-			return collectDrives(m.vm), nil
-		},
-		renderQMP: func(res any) any {
-			type blockInfo struct {
-				Device string `json:"device"`
-				File   string `json:"file"`
-				Format string `json:"driver"`
-				SizeMB int64  `json:"size_mb"`
-			}
-			drives := res.([]driveInfo)
-			out := make([]blockInfo, 0, len(drives))
-			for _, d := range drives {
-				out = append(out, blockInfo{
-					Device: d.Device, File: d.File, Format: d.Format, SizeMB: d.SizeMB,
-				})
-			}
-			return out
-		},
-	},
-	{
-		hmp:  "info network",
+		name: "info network",
 		help: "info network -- show network devices and host forwarding",
-		run: func(m *Monitor, _ any) (any, error) {
+		run: func(m *Monitor, _ []string) (string, error) {
 			return renderNetwork(m.vm.Config()), nil
 		},
-		renderHMP: func(res any) string { return res.(string) },
 	},
 	{
-		hmp: "info migrate", qmp: "query-migrate",
+		name: "info migrate",
 		help: "info migrate -- show migration status",
-		run: func(m *Monitor, _ any) (any, error) {
-			return m.vm.MigrationStatus(), nil
-		},
-		renderHMP: func(res any) string { return renderMigrate(res.(MigrationInfo)) },
-		renderQMP: func(res any) any {
-			mi := res.(MigrationInfo)
-			status := mi.Status
-			if status == "" {
-				status = "none"
-			}
-			return map[string]any{
-				"status": status,
-				"ram": map[string]any{
-					"transferred": int64(mi.TransferredMB * (1 << 20)),
-					"remaining":   int64(mi.RemainingMB * (1 << 20)),
-					"total":       int64(mi.TotalMB * (1 << 20)),
-				},
-				"downtime":   mi.Downtime.Milliseconds(),
-				"total-time": mi.TotalTime.Milliseconds(),
-			}
+		run: func(m *Monitor, _ []string) (string, error) {
+			return renderMigrate(m.vm.MigrationStatus()), nil
 		},
 	},
 	{
-		hmp: "info stats", qmp: "query-stats",
+		name: "info stats",
 		help: "info stats -- show telemetry metrics (counters, gauges, histograms)",
-		run: func(m *Monitor, _ any) (any, error) {
+		run: func(m *Monitor, _ []string) (string, error) {
 			// A VM with no registry attached reports no statistics,
 			// mirroring QEMU's behaviour when no stats provider exists.
-			return m.vm.Telemetry().Snapshot(), nil
-		},
-		renderHMP: func(res any) string {
-			snaps := res.([]telemetry.MetricSnapshot)
+			snaps := m.vm.Telemetry().Snapshot()
 			if len(snaps) == 0 {
-				return "No statistics available.\n"
+				return "No statistics available.\n", nil
 			}
 			var b strings.Builder
 			for _, s := range snaps {
@@ -249,226 +104,145 @@ var registry = []*command{
 					fmt.Fprintf(&b, "%s: %d\n", s.Name, s.Value)
 				}
 			}
-			return b.String()
-		},
-		renderQMP: func(res any) any {
-			snaps := res.([]telemetry.MetricSnapshot)
-			out := make([]any, 0, len(snaps))
-			for _, s := range snaps {
-				entry := map[string]any{"name": s.Name, "type": s.Type}
-				if s.Type == "histogram" {
-					entry["count"] = s.Count
-					entry["sum"] = s.Sum
-					buckets := make([]any, 0, len(s.Buckets))
-					for _, bk := range s.Buckets {
-						le := any(bk.UpperBound)
-						if bk.Inf {
-							le = "+Inf"
-						}
-						buckets = append(buckets, map[string]any{"le": le, "count": bk.Count})
-					}
-					entry["buckets"] = buckets
-				} else {
-					entry["value"] = s.Value
-				}
-				out = append(out, entry)
-			}
-			return out
+			return b.String(), nil
 		},
 	},
 	{
-		qmp: "query-memory-size-summary",
-		run: func(m *Monitor, _ any) (any, error) {
-			return m.vm.Config().MemoryMB << 20, nil
-		},
-		renderQMP: func(res any) any {
-			return map[string]any{"base-memory": res.(int64)}
-		},
-	},
-	{
-		hmp:  "info snapshots",
+		name: "info snapshots",
 		help: "info snapshots -- list checkpoints",
-		run: func(m *Monitor, _ any) (any, error) {
-			return m.vm.Snapshots(), nil
-		},
-		renderHMP: func(res any) string {
-			snaps := res.([]*Snapshot)
+		run: func(m *Monitor, _ []string) (string, error) {
+			snaps := m.vm.Snapshots()
 			if len(snaps) == 0 {
-				return "There is no snapshot available.\n"
+				return "There is no snapshot available.\n", nil
 			}
 			var b strings.Builder
 			b.WriteString("ID  TAG          VM CLOCK\n")
 			for i, s := range snaps {
 				fmt.Fprintf(&b, "%-3d %-12s %s\n", i+1, s.Name, s.TakenAt)
 			}
-			return b.String()
+			return b.String(), nil
 		},
 	},
 	{
-		hmp: "stop", qmp: "stop",
+		name: "stop",
 		help: "stop -- pause the VM",
-		run: func(m *Monitor, _ any) (any, error) {
-			return nil, m.vm.Pause()
+		run: func(m *Monitor, _ []string) (string, error) {
+			return "", m.vm.Pause()
 		},
 	},
 	{
-		hmp: "cont", qmp: "cont",
+		name: "cont",
 		help: "cont -- resume the VM",
-		run: func(m *Monitor, _ any) (any, error) {
-			return nil, m.vm.Resume()
+		run: func(m *Monitor, _ []string) (string, error) {
+			return "", m.vm.Resume()
 		},
 	},
 	{
-		hmp: "migrate", qmp: "migrate",
+		name: "migrate",
 		help: "migrate [-d] uri -- migrate the VM to uri (e.g. tcp:127.0.0.1:4444)",
-		parseHMP: func(fields []string) (any, error) {
+		run: func(m *Monitor, args []string) (string, error) {
 			// Accept and ignore -d (detach); the simulated migration
 			// engine drives virtual time itself.
 			var uri string
-			for _, a := range fields {
-				if strings.HasPrefix(a, "-") {
-					continue
+			for _, a := range args {
+				if !strings.HasPrefix(a, "-") {
+					uri = a
 				}
-				uri = a
 			}
 			if uri == "" {
-				return nil, fmt.Errorf("%w: migrate requires a destination uri", ErrUnknownCommand)
+				return "", fmt.Errorf("%w: migrate requires a destination uri", ErrUnknownCommand)
 			}
-			return uri, nil
-		},
-		parseQMP: func(raw json.RawMessage) (any, error) {
-			var args struct {
-				URI string `json:"uri"`
-			}
-			if err := json.Unmarshal(raw, &args); err != nil || args.URI == "" {
-				return nil, errors.New("migrate requires a uri argument")
-			}
-			return args.URI, nil
-		},
-		run: func(m *Monitor, args any) (any, error) {
 			if m.vm.migrator == nil {
-				return nil, ErrNoMigrator
+				return "", ErrNoMigrator
 			}
-			return nil, m.vm.migrator.Migrate(m.vm, args.(string))
+			return "", m.vm.migrator.Migrate(m.vm, uri)
 		},
 	},
 	{
-		hmp: "migrate_set_speed", qmp: "migrate_set_speed",
+		name: "migrate_set_speed",
 		help: "migrate_set_speed value -- set maximum migration speed (e.g. 1g)",
-		parseHMP: func(fields []string) (any, error) {
-			if len(fields) != 1 {
-				return nil, fmt.Errorf("%w: migrate_set_speed requires a value", ErrUnknownCommand)
+		run: func(m *Monitor, args []string) (string, error) {
+			if len(args) != 1 {
+				return "", fmt.Errorf("%w: migrate_set_speed requires a value", ErrUnknownCommand)
 			}
-			return parseSize(fields[0])
-		},
-		parseQMP: func(raw json.RawMessage) (any, error) {
-			var args struct {
-				Value int64 `json:"value"`
+			n, err := parseSize(args[0])
+			if err != nil {
+				return "", err
 			}
-			if err := json.Unmarshal(raw, &args); err != nil || args.Value <= 0 {
-				return nil, errors.New("migrate_set_speed requires a positive value")
-			}
-			return args.Value, nil
-		},
-		run: func(m *Monitor, args any) (any, error) {
-			m.speedLimit = args.(int64)
-			return nil, nil
+			m.speedLimit = n
+			return "", nil
 		},
 	},
 	{
-		hmp: "migrate_cancel", qmp: "migrate_cancel",
+		name: "migrate_cancel",
 		help: "migrate_cancel -- abort the current migration",
-		run: func(m *Monitor, _ any) (any, error) {
+		run: func(m *Monitor, _ []string) (string, error) {
 			c, ok := m.vm.migrator.(MigrationCanceller)
 			if !ok {
-				return nil, ErrNoMigrator
+				return "", ErrNoMigrator
 			}
-			return nil, c.CancelMigration(m.vm)
+			return "", c.CancelMigration(m.vm)
 		},
 	},
 	{
-		hmp:  "migrate_set_capability",
+		name: "migrate_set_capability",
 		help: "migrate_set_capability name on|off -- toggle xbzrle / auto-converge",
-		parseHMP: func(fields []string) (any, error) {
-			if len(fields) != 2 || (fields[1] != "on" && fields[1] != "off") {
-				return nil, fmt.Errorf("%w: migrate_set_capability <name> on|off", ErrUnknownCommand)
+		run: func(m *Monitor, args []string) (string, error) {
+			if len(args) != 2 || (args[1] != "on" && args[1] != "off") {
+				return "", fmt.Errorf("%w: migrate_set_capability <name> on|off", ErrUnknownCommand)
 			}
-			return fields, nil
-		},
-		run: func(m *Monitor, args any) (any, error) {
 			c, ok := m.vm.migrator.(CapabilitySetter)
 			if !ok {
-				return nil, ErrNoMigrator
+				return "", ErrNoMigrator
 			}
-			fields := args.([]string)
-			return nil, c.SetMigrationCapability(m.vm, fields[0], fields[1] == "on")
+			return "", c.SetMigrationCapability(m.vm, args[0], args[1] == "on")
 		},
 	},
 	{
-		hmp:  "hostfwd_add",
+		name: "hostfwd_add",
 		help: "hostfwd_add tcp::H-:G -- forward host port H to guest port G",
-		parseHMP: func(fields []string) (any, error) {
-			return parseFwdField("hostfwd_add", fields)
-		},
-		run: func(m *Monitor, args any) (any, error) {
-			return nil, m.vm.AddHostFwd(args.(FwdRule))
-		},
+		run:  withFwd("hostfwd_add", (*VM).AddHostFwd),
 	},
 	{
-		hmp:  "hostfwd_remove",
+		name: "hostfwd_remove",
 		help: "hostfwd_remove tcp::H-:G -- remove a host forward",
-		parseHMP: func(fields []string) (any, error) {
-			return parseFwdField("hostfwd_remove", fields)
-		},
-		run: func(m *Monitor, args any) (any, error) {
-			return nil, m.vm.RemoveHostFwd(args.(FwdRule))
-		},
+		run:  withFwd("hostfwd_remove", (*VM).RemoveHostFwd),
 	},
 	{
-		hmp:      "savevm",
-		help:     "savevm name -- checkpoint the VM",
-		parseHMP: oneField("savevm", "a name"),
-		run: func(m *Monitor, args any) (any, error) {
-			return nil, m.vm.SaveSnapshot(args.(string))
-		},
+		name: "savevm",
+		help: "savevm name -- checkpoint the VM",
+		run:  withName("savevm", (*VM).SaveSnapshot),
 	},
 	{
-		hmp:      "loadvm",
-		help:     "loadvm name -- restore a checkpoint",
-		parseHMP: oneField("loadvm", "a name"),
-		run: func(m *Monitor, args any) (any, error) {
-			return nil, m.vm.LoadSnapshot(args.(string))
-		},
+		name: "loadvm",
+		help: "loadvm name -- restore a checkpoint",
+		run:  withName("loadvm", (*VM).LoadSnapshot),
 	},
 	{
-		hmp:      "delvm",
-		help:     "delvm name -- delete a checkpoint",
-		parseHMP: oneField("delvm", "a name"),
-		run: func(m *Monitor, args any) (any, error) {
-			return nil, m.vm.DeleteSnapshot(args.(string))
-		},
+		name: "delvm",
+		help: "delvm name -- delete a checkpoint",
+		run:  withName("delvm", (*VM).DeleteSnapshot),
 	},
 	{
-		hmp:  "system_powerdown",
+		name: "system_powerdown",
 		help: "system_powerdown -- power down the VM",
-		run: func(m *Monitor, _ any) (any, error) {
-			return nil, m.vm.Shutdown()
+		run: func(m *Monitor, _ []string) (string, error) {
+			return "", m.vm.Shutdown()
 		},
 	},
 	{
-		hmp: "quit", aliases: []string{"q"}, qmp: "quit",
+		name: "quit", aliases: []string{"q"},
 		help: "quit -- terminate QEMU",
-		run: func(m *Monitor, _ any) (any, error) {
-			return nil, m.vm.Shutdown()
+		run: func(m *Monitor, _ []string) (string, error) {
+			return "", m.vm.Shutdown()
 		},
 	},
 	{
-		hmp:  "help",
+		name: "help",
 		help: "help -- show this text",
-		run: func(m *Monitor, _ any) (any, error) {
+		run: func(m *Monitor, _ []string) (string, error) {
 			return helpListing, nil
 		},
-		renderHMP: func(res any) string { return res.(string) },
 	},
 }
 
@@ -476,94 +250,43 @@ var registry = []*command{
 // at init (a plain function would form an initialization cycle).
 var helpListing string
 
-// parseFwdField parses the single tcp::H-:G argument of the hostfwd
-// commands.
-func parseFwdField(name string, fields []string) (any, error) {
-	if len(fields) != 1 {
-		return nil, fmt.Errorf("%w: %s requires tcp::HOST-:GUEST", ErrUnknownCommand, name)
+// withName runs op on the single name argument of the snapshot commands.
+func withName(verb string, op func(*VM, string) error) func(*Monitor, []string) (string, error) {
+	return func(m *Monitor, args []string) (string, error) {
+		if len(args) != 1 {
+			return "", fmt.Errorf("%w: %s requires a name", ErrUnknownCommand, verb)
+		}
+		return "", op(m.vm, args[0])
 	}
-	rules, err := parseHostFwds("hostfwd=" + fields[0])
-	if err != nil || len(rules) != 1 {
-		return nil, fmt.Errorf("%w: bad hostfwd spec %q", ErrUnknownCommand, fields[0])
-	}
-	return rules[0], nil
 }
 
-// hmpIndex and qmpIndex are the per-protocol dispatch tables, built from
-// the registry once at init.
-var (
-	hmpIndex = map[string]*command{}
-	qmpIndex = map[string]*command{}
-)
+// withFwd runs op on the single tcp::H-:G argument of the hostfwd
+// commands.
+func withFwd(verb string, op func(*VM, FwdRule) error) func(*Monitor, []string) (string, error) {
+	return func(m *Monitor, args []string) (string, error) {
+		if len(args) != 1 {
+			return "", fmt.Errorf("%w: %s requires tcp::HOST-:GUEST", ErrUnknownCommand, verb)
+		}
+		rules, err := parseHostFwds("hostfwd=" + args[0])
+		if err != nil || len(rules) != 1 {
+			return "", fmt.Errorf("%w: bad hostfwd spec %q", ErrUnknownCommand, args[0])
+		}
+		return "", op(m.vm, rules[0])
+	}
+}
+
+// commands indexes the registry by every spelling, built once at init.
+var commands = map[string]*command{}
 
 func init() {
-	for _, c := range registry {
-		if c.hmp != "" {
-			hmpIndex[c.hmp] = c
-		}
-		for _, a := range c.aliases {
-			hmpIndex[a] = c
-		}
-		if c.qmp != "" {
-			qmpIndex[c.qmp] = c
-		}
-	}
 	var b strings.Builder
 	for _, c := range registry {
-		if c.help != "" {
-			b.WriteString(c.help)
-			b.WriteByte('\n')
+		commands[c.name] = c
+		for _, a := range c.aliases {
+			commands[a] = c
 		}
+		b.WriteString(c.help)
+		b.WriteByte('\n')
 	}
 	helpListing = b.String()
-}
-
-// dispatchHMP runs one parsed HMP command line against the monitor.
-func dispatchHMP(m *Monitor, verb string, fields []string) (string, error) {
-	c, ok := hmpIndex[verb]
-	if !ok {
-		return "", fmt.Errorf("%w: %q", ErrUnknownCommand, verb)
-	}
-	var args any
-	if c.parseHMP != nil {
-		var err error
-		if args, err = c.parseHMP(fields); err != nil {
-			return "", err
-		}
-	}
-	res, err := c.run(m, args)
-	if err != nil {
-		return "", err
-	}
-	if c.renderHMP == nil {
-		return "", nil
-	}
-	return c.renderHMP(res), nil
-}
-
-// dispatchQMP runs one QMP command against the monitor and renders the
-// QMP-shaped response payload. Failures come back as *QMPError.
-func dispatchQMP(m *Monitor, name string, raw json.RawMessage) (any, *QMPError) {
-	c, ok := qmpIndex[name]
-	if !ok {
-		return nil, &QMPError{
-			Class: "CommandNotFound",
-			Desc:  fmt.Sprintf("The command %s has not been found", name),
-		}
-	}
-	var args any
-	if c.parseQMP != nil {
-		var err error
-		if args, err = c.parseQMP(raw); err != nil {
-			return nil, &QMPError{Class: "GenericError", Desc: err.Error()}
-		}
-	}
-	res, err := c.run(m, args)
-	if err != nil {
-		return nil, &QMPError{Class: "GenericError", Desc: err.Error()}
-	}
-	if c.renderQMP == nil {
-		return map[string]any{}, nil
-	}
-	return c.renderQMP(res), nil
 }

@@ -1,98 +1,28 @@
 package qemu
 
 import (
-	"encoding/json"
 	"errors"
 	"strings"
 	"testing"
 )
 
-// TestRegistryShape: every registry entry is reachable from at least one
-// protocol, exposes a handler, and the per-protocol indexes agree with the
-// declared names.
+// TestRegistryShape: every registry entry has a handler and a help line,
+// and the index maps each of its spellings to it and to nothing else.
 func TestRegistryShape(t *testing.T) {
+	spellings := 0
 	for _, c := range registry {
-		if c.hmp == "" && c.qmp == "" {
-			t.Fatalf("registry entry %+v reachable from no protocol", c)
+		if c.run == nil || c.help == "" {
+			t.Fatalf("command %q lacks a handler or a help line", c.name)
 		}
-		if c.run == nil {
-			t.Fatalf("command %q/%q has no handler", c.hmp, c.qmp)
-		}
-		if c.hmp != "" && hmpIndex[c.hmp] != c {
-			t.Fatalf("hmp index missing %q", c.hmp)
-		}
-		if c.qmp != "" && qmpIndex[c.qmp] != c {
-			t.Fatalf("qmp index missing %q", c.qmp)
-		}
-		for _, a := range c.aliases {
-			if hmpIndex[a] != c {
-				t.Fatalf("alias %q of %q not indexed", a, c.hmp)
+		for _, s := range append([]string{c.name}, c.aliases...) {
+			if commands[s] != c {
+				t.Fatalf("spelling %q of %q not indexed", s, c.name)
 			}
+			spellings++
 		}
 	}
-}
-
-// TestProtocolsShareSemantics: state changed over one protocol is
-// observed over the other, because both dispatch into the same registry.
-func TestProtocolsShareSemantics(t *testing.T) {
-	vm := runningVM(t)
-	q := vm.QMP()
-	negotiate(t, q)
-
-	// Pause over QMP, observe over HMP.
-	if resp := qmpExec(t, q, "stop", ""); resp.Error != nil {
-		t.Fatalf("qmp stop: %+v", resp.Error)
-	}
-	out, err := vm.Monitor().Execute("info status")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !strings.Contains(out, "paused") {
-		t.Fatalf("HMP does not see QMP's pause: %q", out)
-	}
-
-	// Resume over HMP, observe over QMP.
-	if _, err := vm.Monitor().Execute("cont"); err != nil {
-		t.Fatal(err)
-	}
-	var status struct {
-		Running bool `json:"running"`
-	}
-	resp := qmpExec(t, q, "query-status", "")
-	if err := json.Unmarshal(resp.Return, &status); err != nil {
-		t.Fatal(err)
-	}
-	if !status.Running {
-		t.Fatal("QMP does not see HMP's cont")
-	}
-
-	// Speed cap set over QMP is the cap HMP reports, and vice versa: the
-	// monitor singleton is the shared command state.
-	if resp := qmpExec(t, q, "migrate_set_speed", `{"value":2097152}`); resp.Error != nil {
-		t.Fatalf("qmp set speed: %+v", resp.Error)
-	}
-	if vm.Monitor().SpeedLimit() != 2<<20 {
-		t.Fatalf("speed = %d", vm.Monitor().SpeedLimit())
-	}
-	if _, err := vm.Monitor().Execute("migrate_set_speed 1g"); err != nil {
-		t.Fatal(err)
-	}
-	if vm.Monitor().SpeedLimit() != 1<<30 {
-		t.Fatalf("speed = %d", vm.Monitor().SpeedLimit())
-	}
-}
-
-// TestQMPMigrateCancel: migrate_cancel is exposed over QMP through the
-// same handler HMP uses.
-func TestQMPMigrateCancel(t *testing.T) {
-	vm := runningVM(t)
-	q := vm.QMP()
-	negotiate(t, q)
-	// No migrator attached: the shared handler's ErrNoMigrator surfaces
-	// as a GenericError payload.
-	resp := qmpExec(t, q, "migrate_cancel", "")
-	if resp.Error == nil || resp.Error.Desc != ErrNoMigrator.Error() {
-		t.Fatalf("resp = %+v", resp)
+	if len(commands) != spellings {
+		t.Fatalf("index holds %d spellings, registry declares %d", len(commands), spellings)
 	}
 }
 
@@ -108,6 +38,11 @@ func TestHMPErrorsWrapSentinels(t *testing.T) {
 		"migrate",
 		"migrate -d",
 		"migrate_set_speed",
+		"migrate_set_speed lots",
+		"migrate_set_speed 0",
+		"migrate_set_speed -5",
+		"migrate_set_speed -1g",
+		"migrate_set_speed 9000000000g",
 		"migrate_set_capability xbzrle maybe",
 		"hostfwd_add",
 		"hostfwd_add nonsense",
@@ -130,48 +65,8 @@ func TestHMPErrorsWrapSentinels(t *testing.T) {
 	}
 }
 
-// TestQMPNegotiationEdgeCases: commands (known and unknown) before
-// qmp_capabilities are rejected with the negotiation error; renegotiation
-// is idempotent; the id is echoed on both success and failure.
-func TestQMPNegotiationEdgeCases(t *testing.T) {
-	vm := runningVM(t)
-	q := vm.QMP()
-	for _, name := range []string{"query-status", "stop", "device_add"} {
-		resp := q.Execute(QMPCommand{Execute: name, ID: float64(9)})
-		if resp.Error == nil || resp.Error.Class != "CommandNotFound" {
-			t.Fatalf("pre-negotiation %q: %+v", name, resp)
-		}
-		if resp.Error.Desc != ErrQMPNegotiation.Error() {
-			t.Fatalf("pre-negotiation %q desc = %q", name, resp.Error.Desc)
-		}
-		if resp.ID != float64(9) {
-			t.Fatalf("pre-negotiation %q id = %v", name, resp.ID)
-		}
-	}
-	negotiate(t, q)
-	// Negotiating twice is fine (real QEMU allows it mid-session too).
-	if resp := qmpExec(t, q, "qmp_capabilities", ""); resp.Error != nil {
-		t.Fatalf("renegotiation: %+v", resp.Error)
-	}
-	// id echo on a failing command.
-	resp := q.Execute(QMPCommand{Execute: "no-such-command", ID: "id-1"})
-	if resp.Error == nil || resp.ID != "id-1" {
-		t.Fatalf("failing command id echo: %+v", resp)
-	}
-	// Malformed arguments payload: a registry-parsed command rejects it
-	// without panicking and echoes the id.
-	resp = q.Execute(QMPCommand{
-		Execute:   "migrate",
-		Arguments: json.RawMessage(`{"uri": 42`),
-		ID:        "id-2",
-	})
-	if resp.Error == nil || resp.Error.Class != "GenericError" || resp.ID != "id-2" {
-		t.Fatalf("malformed arguments: %+v", resp)
-	}
-}
-
 // TestHelpListsEveryDocumentedCommand: `help` is generated from the
-// registry, so each documented command shows up.
+// registry, so each command shows up.
 func TestHelpListsEveryDocumentedCommand(t *testing.T) {
 	vm := runningVM(t)
 	out, err := vm.Monitor().Execute("help")
@@ -179,41 +74,11 @@ func TestHelpListsEveryDocumentedCommand(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, c := range registry {
-		if c.help != "" && !strings.Contains(out, c.help) {
+		if !strings.Contains(out, c.help) {
 			t.Fatalf("help output missing %q", c.help)
 		}
 	}
 	if !strings.Contains(out, "migrate_cancel") || !strings.Contains(out, "info qtree") {
 		t.Fatalf("help = %q", out)
-	}
-}
-
-// TestQMPQueryBlockSharesDriveData: query-block and info blockstats render
-// the same underlying drive collection.
-func TestQMPQueryBlockSharesDriveData(t *testing.T) {
-	vm := runningVM(t)
-	vm.RecordBlockIO(0, 512, 1024, 1, 1)
-	q := vm.QMP()
-	negotiate(t, q)
-
-	var blocks []struct {
-		Device string `json:"device"`
-		File   string `json:"file"`
-	}
-	resp := qmpExec(t, q, "query-block", "")
-	if err := json.Unmarshal(resp.Return, &blocks); err != nil {
-		t.Fatal(err)
-	}
-	out, err := vm.Monitor().Execute("info blockstats")
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, b := range blocks {
-		if !strings.Contains(out, b.Device+":") {
-			t.Fatalf("HMP blockstats missing device %q:\n%s", b.Device, out)
-		}
-	}
-	if !strings.Contains(out, "rd_bytes=512") {
-		t.Fatalf("blockstats = %q", out)
 	}
 }

@@ -54,9 +54,6 @@ type Config struct {
 	// MonitorPort exposes the QEMU monitor on a host telnet port
 	// (0 = monitor on stdio only, unreachable remotely).
 	MonitorPort int
-	// QMPPort exposes the JSON machine protocol on a host TCP port
-	// (0 = disabled). Management stacks use this; so can an attacker.
-	QMPPort int
 	// Incoming, when non-empty, launches the VM paused, listening for
 	// migration data at the given URI (e.g. "tcp:0.0.0.0:4444").
 	Incoming string
@@ -191,11 +188,6 @@ func (c Config) CommandLine() string {
 		b = strconv.AppendInt(b, int64(c.MonitorPort), 10)
 		b = append(b, ",server,nowait"...)
 	}
-	if c.QMPPort != 0 {
-		b = append(b, " -qmp tcp:127.0.0.1:"...)
-		b = strconv.AppendInt(b, int64(c.QMPPort), 10)
-		b = append(b, ",server,nowait"...)
-	}
 	if c.Incoming != "" {
 		b = append(b, " -incoming "...)
 		b = append(b, c.Incoming...)
@@ -290,16 +282,6 @@ func ParseCommandLine(line string) (Config, error) {
 				return Config{}, err
 			}
 			c.MonitorPort = port
-		case "-qmp":
-			i++
-			if i >= len(fields) {
-				return Config{}, fmt.Errorf("%w: -qmp missing value", ErrBadCommandLine)
-			}
-			port, err := parseQMPPort(fields[i])
-			if err != nil {
-				return Config{}, err
-			}
-			c.QMPPort = port
 		case "-incoming":
 			i++
 			if i >= len(fields) {
@@ -382,21 +364,6 @@ func parseMonitorPort(spec string) (int, error) {
 	p, err := strconv.Atoi(portStr)
 	if err != nil {
 		return 0, fmt.Errorf("%w: monitor port %q", ErrBadCommandLine, portStr)
-	}
-	return p, nil
-}
-
-func parseQMPPort(spec string) (int, error) {
-	// tcp:127.0.0.1:PORT,server,nowait
-	rest := strings.TrimPrefix(spec, "tcp:")
-	hostport, _, _ := strings.Cut(rest, ",")
-	idx := strings.LastIndex(hostport, ":")
-	if idx < 0 {
-		return 0, fmt.Errorf("%w: qmp spec %q", ErrBadCommandLine, spec)
-	}
-	p, err := strconv.Atoi(hostport[idx+1:])
-	if err != nil {
-		return 0, fmt.Errorf("%w: qmp port %q", ErrBadCommandLine, hostport[idx+1:])
 	}
 	return p, nil
 }

@@ -77,9 +77,6 @@ func fmtCommandLine(c Config) string {
 	if c.MonitorPort != 0 {
 		fmt.Fprintf(&b, " -monitor telnet:127.0.0.1:%d,server,nowait", c.MonitorPort)
 	}
-	if c.QMPPort != 0 {
-		fmt.Fprintf(&b, " -qmp tcp:127.0.0.1:%d,server,nowait", c.QMPPort)
-	}
 	if c.Incoming != "" {
 		fmt.Fprintf(&b, " -incoming %s", c.Incoming)
 	}
@@ -104,11 +101,10 @@ func TestCommandLineMatchesFmtRendering(t *testing.T) {
 		{"wide values", func() Config { c := withFwds(FwdRule{65535, 1}); c.MemoryMB = 1 << 40; c.CPUs = 128; return c }()},
 		{"ports and incoming", func() Config {
 			c := withFwds(FwdRule{2222, 22})
-			c.MonitorPort, c.QMPPort, c.Incoming = 5555, 4444, "tcp:0.0.0.0:6666"
+			c.MonitorPort, c.Incoming = 5555, "tcp:0.0.0.0:6666"
 			return c
 		}()},
 		{"monitor only", func() Config { c := DefaultConfig("m"); c.MonitorPort = 5555; return c }()},
-		{"qmp only", func() Config { c := DefaultConfig("q"); c.QMPPort = 4444; return c }()},
 		{"drives and nics", func() Config {
 			c := DefaultConfig("tenant.vm")
 			c.Drives = append(c.Drives, Drive{File: "data.raw", Format: "raw", SizeMB: 512}, Drive{File: "swap.qcow2", Format: "qcow2", SizeMB: 1})
@@ -190,7 +186,7 @@ func TestParseCommandLineDefaults(t *testing.T) {
 }
 
 func TestParseCommandLineSkipsUnknownFlags(t *testing.T) {
-	c, err := ParseCommandLine("qemu-system-x86_64 -nographic -name x -vga std -m 512")
+	c, err := ParseCommandLine("qemu-system-x86_64 -nographic -name x -vga std -m 512 -qmp tcp:127.0.0.1:4444,server,nowait")
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"math"
 	"net"
 	"strconv"
 	"strings"
@@ -32,9 +33,7 @@ type CapabilitySetter interface {
 // attacker drives for recon (`info qtree`, `info blockstats`, ...) and for
 // the attack itself (`migrate`). It can be used programmatically through
 // Execute or served over any net.Conn (e.g. a telnet port) via Serve.
-//
-// Command semantics live in the shared registry (commands.go); Monitor is
-// only the HMP front-end: line splitting, dispatch, and text output.
+// The commands themselves live in the table in commands.go.
 type Monitor struct {
 	vm *VM
 	// speedLimit is the migration bandwidth cap set by
@@ -54,9 +53,6 @@ func newMonitor(vm *VM) *Monitor {
 	}
 }
 
-// VM returns the monitored VM.
-func (m *Monitor) VM() *VM { return m.vm }
-
 // SpeedLimit returns the current migration bandwidth cap in bytes/second.
 func (m *Monitor) SpeedLimit() int64 { return m.speedLimit }
 
@@ -74,15 +70,21 @@ func (m *Monitor) Execute(line string) (string, error) {
 		if len(args) == 0 {
 			return "", fmt.Errorf("%w: info requires a subcommand", ErrUnknownCommand)
 		}
-		if _, ok := hmpIndex["info "+args[0]]; !ok {
+		if _, ok := commands["info "+args[0]]; !ok {
 			return "", fmt.Errorf("%w: info %q", ErrUnknownCommand, args[0])
 		}
 		verb, args = "info "+args[0], args[1:]
 	}
-	return dispatchHMP(m, verb, args)
+	c, ok := commands[verb]
+	if !ok {
+		return "", fmt.Errorf("%w: %q", ErrUnknownCommand, verb)
+	}
+	return c.run(m, args)
 }
 
-// parseSize parses QEMU-style sizes: plain bytes or a k/m/g suffix.
+// parseSize parses QEMU-style sizes: plain bytes or a k/m/g suffix. A
+// size must be positive and fit in int64: the migration engine reads a
+// cap of zero or less as "no cap", so a bad value must not land.
 func parseSize(s string) (int64, error) {
 	mult := int64(1)
 	lower := strings.ToLower(s)
@@ -95,8 +97,8 @@ func parseSize(s string) (int64, error) {
 		mult, lower = 1<<10, strings.TrimSuffix(lower, "k")
 	}
 	n, err := strconv.ParseInt(lower, 10, 64)
-	if err != nil {
-		return 0, fmt.Errorf("qemu: bad size %q", s)
+	if err != nil || n <= 0 || n > math.MaxInt64/mult {
+		return 0, fmt.Errorf("%w: bad size %q", ErrUnknownCommand, s)
 	}
 	return n * mult, nil
 }
@@ -120,7 +122,9 @@ func (m *Monitor) Serve(conn net.Conn) error {
 		} else if out != "" {
 			_, _ = w.WriteString(out)
 		}
-		if strings.HasPrefix(line, "quit") || strings.HasPrefix(line, "q ") || line == "q" {
+		// Only `quit` or an alias of it ends the session; a typo such as
+		// `quitx` is an unknown command like any other.
+		if f := strings.Fields(line); len(f) > 0 && commands[f[0]] == commands["quit"] {
 			return w.Flush()
 		}
 		if err := prompt(w); err != nil {

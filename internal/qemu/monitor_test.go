@@ -47,6 +47,10 @@ func TestMonitorInfoStatus(t *testing.T) {
 	if _, err := m.Execute("cont"); err != nil {
 		t.Fatal(err)
 	}
+	out, _ = m.Execute("info status")
+	if !strings.Contains(out, "running") {
+		t.Fatalf("status after cont = %q", out)
+	}
 }
 
 func TestMonitorReconCommands(t *testing.T) {
@@ -127,8 +131,16 @@ func TestMonitorMigrateSetSpeed(t *testing.T) {
 			t.Fatalf("speed after %q = %d, want %d", tt.arg, m.SpeedLimit(), tt.want)
 		}
 	}
-	if _, err := m.Execute("migrate_set_speed lots"); err == nil {
-		t.Fatal("bad size accepted")
+	// A cap of zero or less would silently lift the limit in the
+	// migration engine, and an overflowing one wraps negative: each is
+	// rejected and the previous cap stays.
+	for _, bad := range []string{"lots", "0", "-5", "-1g", "9000000000g"} {
+		if _, err := m.Execute("migrate_set_speed " + bad); err == nil {
+			t.Fatalf("bad size %q accepted", bad)
+		}
+		if m.SpeedLimit() != 2<<30 {
+			t.Fatalf("speed after %q = %d, want the previous 2G cap", bad, m.SpeedLimit())
+		}
 	}
 }
 
@@ -191,9 +203,6 @@ func TestMonitorIsSingleton(t *testing.T) {
 	if vm.Monitor() != vm.Monitor() {
 		t.Fatal("Monitor() returned different instances")
 	}
-	if vm.Monitor().VM() != vm {
-		t.Fatal("monitor VM mismatch")
-	}
 }
 
 // TestMonitorServe drives a full telnet-style session over a net.Pipe, the
@@ -230,6 +239,17 @@ func TestMonitorServe(t *testing.T) {
 	out = readTo("(qemu) ")
 	if !strings.Contains(out, "unknown monitor command") {
 		t.Fatalf("error not reported to session: %q", out)
+	}
+	// A verb that merely starts with "quit" is an unknown command, not
+	// the end of the session.
+	fmt.Fprintf(client, "quitx\n")
+	out = readTo("(qemu) ")
+	if !strings.Contains(out, "unknown monitor command") {
+		t.Fatalf("quitx over pipe = %q", out)
+	}
+	fmt.Fprintf(client, "info name\n")
+	if out = readTo("(qemu) "); !strings.Contains(out, "guest0") {
+		t.Fatalf("info name after quitx = %q", out)
 	}
 	fmt.Fprintf(client, "quit\n")
 	if err := <-done; err != nil {

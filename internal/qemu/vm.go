@@ -263,8 +263,8 @@ func (v *VM) BlockStatsFor(i int) (BlockStats, bool) {
 	return v.blocks[i], true
 }
 
-// SetTelemetry attaches the metrics registry the monitor's query-stats /
-// info stats serve from. The hypervisor wires this at CreateVM time.
+// SetTelemetry attaches the metrics registry the monitor's info stats
+// serves from. The hypervisor wires this at CreateVM time.
 func (v *VM) SetTelemetry(reg *telemetry.Registry) { v.tele = reg }
 
 // Telemetry returns the VM's registry (nil when unset).

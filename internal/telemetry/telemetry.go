@@ -227,7 +227,7 @@ type BucketSnapshot struct {
 }
 
 // MetricSnapshot is one metric's frozen state, the unit all exporters and
-// the monitor's query-stats consume.
+// the monitor's info stats consume.
 type MetricSnapshot struct {
 	Name string `json:"name"`
 	Type string `json:"type"` // "counter", "gauge", "histogram"

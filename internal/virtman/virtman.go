@@ -53,7 +53,6 @@ type DomainDef struct {
 	Disks       []DiskDef  `json:"disks,omitempty"`
 	Interfaces  []IfaceDef `json:"interfaces,omitempty"`
 	MonitorPort int        `json:"monitor_port,omitempty"`
-	QMPPort     int        `json:"qmp_port,omitempty"`
 	Incoming    string     `json:"incoming,omitempty"`
 	Autostart   bool       `json:"autostart,omitempty"`
 }
@@ -88,7 +87,6 @@ func (d DomainDef) ToConfig() qemu.Config {
 		CPUs:        d.VCPUs,
 		EnableKVM:   d.KVM,
 		MonitorPort: d.MonitorPort,
-		QMPPort:     d.QMPPort,
 		Incoming:    d.Incoming,
 	}
 	if cfg.Machine == "" {
@@ -126,7 +124,6 @@ func DefFromConfig(cfg qemu.Config) DomainDef {
 		Machine:     cfg.Machine,
 		KVM:         cfg.EnableKVM,
 		MonitorPort: cfg.MonitorPort,
-		QMPPort:     cfg.QMPPort,
 		Incoming:    cfg.Incoming,
 	}
 	for _, drive := range cfg.Drives {

@@ -149,12 +149,11 @@ func TestValidate(t *testing.T) {
 func TestConfigRoundTrip(t *testing.T) {
 	def := sampleDef("rt")
 	def.MonitorPort = 5555
-	def.QMPPort = 7777
 	def.Disks = []DiskDef{{File: "rt.qcow2", Format: "qcow2", SizeMB: 1024}}
 	cfg := def.ToConfig()
 	back := DefFromConfig(cfg)
 	if back.Name != def.Name || back.MemoryMB != def.MemoryMB ||
-		back.MonitorPort != 5555 || back.QMPPort != 7777 {
+		back.MonitorPort != 5555 {
 		t.Fatalf("round trip = %+v", back)
 	}
 	if len(back.Interfaces) != 1 || len(back.Interfaces[0].Forwards) != 1 ||
