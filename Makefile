@@ -58,6 +58,7 @@ cover:
 	$(GO) tool cover -func=.build/coverage.out | tail -1
 
 # Short fuzz pass over every fuzz target; a crasher fails the build.
+# TestFuzzSmokeListsEveryTarget fails when a Fuzz function is missing here.
 FUZZTIME ?= 5s
 fuzz-smoke:
 	$(GO) test -run='^$$' -fuzz='^FuzzMonitorDispatch$$' -fuzztime=$(FUZZTIME) ./internal/qemu
@@ -69,6 +70,7 @@ fuzz-smoke:
 	$(GO) test -run='^$$' -fuzz='^FuzzDetlintFindingJSON$$' -fuzztime=$(FUZZTIME) ./cmd/detlint
 	$(GO) test -run='^$$' -fuzz='^FuzzScanMatchesReference$$' -fuzztime=$(FUZZTIME) ./internal/ksm
 	$(GO) test -run='^$$' -fuzz='^FuzzSpaceOps$$' -fuzztime=$(FUZZTIME) ./internal/mem
+	$(GO) test -run='^$$' -fuzz='^FuzzRandMatchesMathRand$$' -fuzztime=$(FUZZTIME) ./internal/sim
 
 bench:
 	$(GO) test -bench=. -benchmem .

@@ -20,11 +20,12 @@ var globalrandConstructors = map[string]bool{
 // (rand.Int, rand.Intn, rand.Seed, rand.Shuffle, ...) module-wide. The
 // global source is shared process state: a draw anywhere perturbs every
 // later draw, so two sweeps interleaved differently produce different
-// numbers. Methods on a seeded *rand.Rand threaded from the engine are
-// the only legal randomness.
+// numbers. Methods on a seeded generator threaded from the engine — its
+// *sim.Rand, or a *rand.Rand built with rand.New — are the only legal
+// randomness.
 var globalrandAnalyzer = &Analyzer{
 	Name: "globalrand",
-	Doc:  "forbid package-level math/rand functions; thread seeded *rand.Rand values",
+	Doc:  "forbid package-level math/rand functions; thread seeded generators",
 	Run: func(p *Pass) {
 		for _, f := range p.Files {
 			ast.Inspect(f, func(n ast.Node) bool {
@@ -43,7 +44,7 @@ var globalrandAnalyzer = &Analyzer{
 				}
 				if !globalrandConstructors[sel.Sel.Name] {
 					p.report(sel.Pos(), "globalrand",
-						"rand."+sel.Sel.Name+" draws from the process-global source; use a seeded *rand.Rand from the engine")
+						"rand."+sel.Sel.Name+" draws from the process-global source; use the engine's seeded *sim.Rand")
 				}
 				return true
 			})

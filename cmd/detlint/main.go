@@ -13,7 +13,8 @@
 //	             cross-package call graph reports the full chain);
 //	             virtual time comes from the engine.
 //	globalrand — no package-level math/rand functions anywhere; only
-//	             seeded *rand.Rand values threaded from the engine.
+//	             seeded generators (the engine's *sim.Rand) threaded
+//	             from the engine.
 //	maporder   — no map iteration that feeds an artefact/export sink
 //	             (fmt.Fprint*, strings.Builder/bytes.Buffer writes, or a
 //	             returned slice) without an intervening sort, and no map

@@ -14,8 +14,8 @@ import (
 // wallclock-derived seed makes the same sweep differ run to run.
 //
 // The rule examines the seed argument of every generator constructor
-// (rand.NewSource, rand.NewPCG, rand.NewChaCha8, and the (*rand.Rand).Seed
-// method) and demands visible derivation:
+// (rand.NewSource, rand.NewPCG, rand.NewChaCha8, sim.NewRand, and the Seed
+// method of a *rand.Rand or *sim.Rand) and demands visible derivation:
 //
 //   - a constant seed is reported outright (fixtures and tests are out
 //     of scope by default, so a literal in lint scope is a real hazard);
@@ -26,8 +26,8 @@ import (
 //     identifier or field whose name contains "seed" (the root seed and
 //     everything threaded from it follow the naming convention this rule
 //     now pins), a call to runner.CellSeed, a draw from an existing
-//     *rand.Rand, or the engine's RNG. An expression with no approved
-//     source is reported as underived.
+//     *rand.Rand or *sim.Rand, or the engine's RNG. An expression with no
+//     approved source is reported as underived.
 var seedflowAnalyzer = &Analyzer{
 	Name: "seedflow",
 	Doc:  "require RNG seeds in sim-facing code to derive from the root seed or runner.CellSeed",
@@ -58,19 +58,32 @@ var seedConstructors = map[string]int{
 // seedArgs returns the seed-carrying arguments of call, or nil when call
 // is not a generator-seeding operation.
 func seedArgs(p *Pass, call *ast.CallExpr) []ast.Expr {
-	sel, ok := call.Fun.(*ast.SelectorExpr)
-	if !ok {
-		return nil
-	}
-	if path := p.pkgPathOf(sel.X); path == "math/rand" || path == "math/rand/v2" {
-		if n, ok := seedConstructors[sel.Sel.Name]; ok && len(call.Args) >= n {
-			return call.Args[:n]
+	var name *ast.Ident
+	switch fun := call.Fun.(type) {
+	case *ast.Ident:
+		name = fun
+	case *ast.SelectorExpr:
+		if path := p.pkgPathOf(fun.X); path == "math/rand" || path == "math/rand/v2" {
+			if n, ok := seedConstructors[fun.Sel.Name]; ok && len(call.Args) >= n {
+				return call.Args[:n]
+			}
+			return nil
 		}
+		// Seed(v) on a *rand.Rand or *sim.Rand: re-seeding an existing
+		// generator.
+		if fun.Sel.Name == "Seed" && len(call.Args) == 1 && isSeededRand(p.typeOf(fun.X)) {
+			return call.Args[:1]
+		}
+		name = fun.Sel
+	default:
 		return nil
 	}
-	// (*rand.Rand).Seed(v): re-seeding an existing generator.
-	if sel.Sel.Name == "Seed" && len(call.Args) == 1 && isRandRand(p.typeOf(sel.X)) {
-		return call.Args[:1]
+	// sim.NewRand(seed), the engine's generator, is seeded as
+	// rand.NewSource is.
+	if fn, ok := p.objectOf(name).(*types.Func); ok && len(call.Args) == 1 {
+		if pkg, recv := funcHome(fn); fn.Name() == "NewRand" && recv == "" && pkgSuffix(pkg, "internal/sim") {
+			return call.Args[:1]
+		}
 	}
 	return nil
 }
@@ -108,7 +121,7 @@ func (p *Pass) scanSeedSources(arg ast.Expr) (wallclock string, approved bool) {
 			}
 			// A draw from an existing seeded generator, or the engine's
 			// own RNG, inherits its provenance.
-			if isRandRand(p.typeOf(n.X)) {
+			if isSeededRand(p.typeOf(n.X)) {
 				approved = true
 			}
 			if fn, ok := p.objectOf(n.Sel).(*types.Func); ok && isApprovedSeedFunc(fn) {
@@ -144,8 +157,9 @@ func isApprovedSeedFunc(fn *types.Func) bool {
 	return false
 }
 
-// isRandRand reports whether t is *math/rand.Rand (or rand/v2's types).
-func isRandRand(t types.Type) bool {
+// isSeededRand reports whether t is a seeded generator: *math/rand.Rand,
+// rand/v2's generators, or the engine's *sim.Rand.
+func isSeededRand(t types.Type) bool {
 	if t == nil {
 		return false
 	}
@@ -157,6 +171,9 @@ func isRandRand(t types.Type) bool {
 		return false
 	}
 	pkg := named.Obj().Pkg().Path()
+	if pkgSuffix(pkg, "internal/sim") {
+		return named.Obj().Name() == "Rand"
+	}
 	if pkg != "math/rand" && pkg != "math/rand/v2" {
 		return false
 	}

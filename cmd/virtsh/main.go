@@ -59,7 +59,6 @@ import (
 	"flag"
 	"fmt"
 	"io"
-	"math/rand"
 	"os"
 	"strconv"
 	"strings"
@@ -352,7 +351,7 @@ func shardExecute(seed int64, backend, line string) (out string, handled bool, e
 			return "", true, fmt.Errorf("shard spawn: memMB must be in 1..4096, got %q", f[2])
 		}
 		golden := mem.NewSpace("golden", memMB<<20)
-		golden.FillRandom(rand.New(rand.NewSource(seed)), 0.25)
+		golden.FillRandom(sim.NewRand(seed), 0.25)
 		tmpl := mem.Freeze("golden", golden)
 		fork := mem.SpawnFrom("guest", tmpl)
 		var b strings.Builder

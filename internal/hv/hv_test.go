@@ -2,6 +2,7 @@ package hv_test
 
 import (
 	"errors"
+	"math"
 	"strings"
 	"testing"
 	"time"
@@ -123,6 +124,9 @@ func TestRegisterRejectsBadProfiles(t *testing.T) {
 		}},
 		{"zero boot", func(b *hv.Backend) { b.Name = "t3"; b.Profile.BootTime = 0 }},
 		{"bad zero fraction", func(b *hv.Backend) { b.Name = "t4"; b.Profile.ZeroFraction = 1.5 }},
+		{"NaN zero fraction", func(b *hv.Backend) { b.Name = "t5"; b.Profile.ZeroFraction = math.NaN() }},
+		{"NaN vCPU noise", func(b *hv.Backend) { b.Name = "t6"; b.Profile.VCPUNoise = math.NaN() }},
+		{"negative vCPU noise", func(b *hv.Backend) { b.Name = "t7"; b.Profile.VCPUNoise = -3 }},
 	}
 	for _, tc := range cases {
 		b := ok

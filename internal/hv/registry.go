@@ -22,10 +22,11 @@ func init() {
 }
 
 // Register adds a backend to the registry. The name must be non-empty and
-// not yet taken, and the profile must be usable: positive costs and a
+// not yet taken, and the profile must be usable: positive costs, a
 // COW-break write detectably slower than a regular write (the invariant
 // the paper's detector rests on — a backend violating it would silently
-// blind every KSM-timing experiment).
+// blind every KSM-timing experiment), and a zero fraction and vCPU noise
+// in [0, 1]. Range checks read !(x >= lo && x <= hi), which NaN fails.
 func Register(b Backend) error {
 	if b.Name == "" {
 		return errors.New("hv: register: empty backend name")
@@ -40,8 +41,11 @@ func Register(b Backend) error {
 	if p.KSM.RegularWrite <= 0 || p.KSM.CowBreakWrite < 2*p.KSM.RegularWrite {
 		return fmt.Errorf("hv: register %q: KSM write-timing gap too small to detect", b.Name)
 	}
-	if p.BootTime <= 0 || p.ZeroFraction < 0 || p.ZeroFraction > 1 {
+	if p.BootTime <= 0 || !(p.ZeroFraction >= 0 && p.ZeroFraction <= 1) {
 		return fmt.Errorf("hv: register %q: boot profile out of range", b.Name)
+	}
+	if !(p.VCPUNoise >= 0 && p.VCPUNoise <= 1) {
+		return fmt.Errorf("hv: register %q: vCPU noise %v out of [0, 1]", b.Name, p.VCPUNoise)
 	}
 	registry[b.Name] = b
 	return nil

@@ -9,10 +9,10 @@ package loadgen
 import (
 	"errors"
 	"fmt"
-	"math/rand"
 	"time"
 
 	"cloudskulk/internal/controlplane"
+	"cloudskulk/internal/sim"
 )
 
 // Mix weighs the op types; weights are relative, not percentages. The
@@ -95,7 +95,7 @@ type Stats struct {
 type gen struct {
 	p       *controlplane.Plane
 	o       Options
-	rng     *rand.Rand
+	rng     *sim.Rand
 	stats   Stats
 	tenants []string // tenant names t00000…, rendered once
 	nextVM  []int    // per-tenant deploy counter (names never reused)
@@ -126,7 +126,7 @@ func Run(p *controlplane.Plane, o Options) (Stats, error) {
 	g := &gen{
 		p:      p,
 		o:      o,
-		rng:    rand.New(rand.NewSource(o.Seed)),
+		rng:    sim.NewRand(o.Seed),
 		nextVM: make([]int, o.Tenants),
 	}
 	g.tenants = make([]string, o.Tenants)

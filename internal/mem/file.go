@@ -2,8 +2,7 @@ package mem
 
 import (
 	"fmt"
-	"hash/fnv"
-	"math/rand"
+	"strconv"
 )
 
 // File is an in-memory file image: a named sequence of page contents. The
@@ -18,14 +17,14 @@ type File struct {
 // name and a nonce drawn from rng, so every page is unique with overwhelming
 // probability — the paper's requirement that "no identical pages also exist
 // in the memory".
-func GenerateFile(rng *rand.Rand, name string, n int) *File {
+func GenerateFile(rng Rand, name string, n int) *File {
 	nonce := rng.Uint64()
 	f := &File{
 		Name:  name,
 		Pages: make([]Content, n),
 	}
 	for i := range f.Pages {
-		f.Pages[i] = pageContent(name, nonce, i, 0)
+		f.Pages[i] = pageContent(name, nonce, i)
 	}
 	return f
 }
@@ -103,14 +102,31 @@ func (s *Space) FileResident(f *File, at int) int {
 	return n
 }
 
-func pageContent(name string, nonce uint64, page int, version int) Content {
-	h := fnv.New64a()
-	fmt.Fprintf(h, "%s/%d/%d/%d", name, nonce, page, version)
-	c := Content(h.Sum64())
-	if c == ZeroPage {
-		c = 1
+// pageContent is page `page` of the file with the given name and nonce: the
+// 64-bit FNV-1a hash of "name/nonce/page/0", with 0 mapped to 1. The
+// trailing "/0" is part of the format the goldens pin.
+func pageContent(name string, nonce uint64, page int) Content {
+	const (
+		offset64 = 14695981039346656037
+		prime64  = 1099511628211
+	)
+	h := uint64(offset64)
+	for i := 0; i < len(name); i++ {
+		h = (h ^ uint64(name[i])) * prime64
 	}
-	return c
+	var buf [48]byte // "/" + 20 digits + "/" + sign and 19 digits + "/0"
+	b := append(buf[:0], '/')
+	b = strconv.AppendUint(b, nonce, 10)
+	b = append(b, '/')
+	b = strconv.AppendInt(b, int64(page), 10)
+	b = append(b, "/0"...)
+	for _, c := range b {
+		h = (h ^ uint64(c)) * prime64
+	}
+	if h == uint64(ZeroPage) {
+		return 1
+	}
+	return Content(h)
 }
 
 // MutateContent derives the "one byte changed" version of a page content:

@@ -2,10 +2,37 @@ package mem
 
 import (
 	"errors"
+	"fmt"
+	"hash/fnv"
+	"math"
 	"math/rand"
 	"testing"
 	"testing/quick"
 )
+
+// TestPageContentMatchesFmtForm pins the file page format the goldens were
+// drawn with: pageContent is the FNV-1a hash of fmt's "%s/%d/%d/%d"
+// rendering of name, nonce, page and a zero version, and allocates nothing.
+func TestPageContentMatchesFmtForm(t *testing.T) {
+	for _, name := range []string{"", "file-a.mp3", "control.bin", "a/b c\x00ü"} {
+		for _, nonce := range []uint64{0, 1, 0xdeadbeef, 1 << 63, math.MaxUint64} {
+			for page := 0; page < 715; page++ {
+				h := fnv.New64a()
+				fmt.Fprintf(h, "%s/%d/%d/%d", name, nonce, page, 0)
+				want := Content(h.Sum64())
+				if want == ZeroPage {
+					want = 1
+				}
+				if got := pageContent(name, nonce, page); got != want {
+					t.Fatalf("pageContent(%q, %d, %d) = %#x, fmt form %#x", name, nonce, page, got, want)
+				}
+			}
+		}
+	}
+	if n := testing.AllocsPerRun(100, func() { pageContent("file-a.mp3", math.MaxUint64, 1<<40) }); n != 0 {
+		t.Fatalf("pageContent allocates %v times per page", n)
+	}
+}
 
 func TestGenerateFileUniquePages(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))

@@ -5,6 +5,8 @@ import (
 	"math/rand"
 	"slices"
 	"testing"
+
+	"cloudskulk/internal/sim"
 )
 
 // spacePair runs one operation sequence on a pool of Spaces and, in
@@ -68,8 +70,9 @@ func (sp *spacePair) apply(t *testing.T, op, x, y, z byte) {
 			t.Fatalf("LoadFile at %d: %v; reference %v", p, gerr, werr)
 		}
 	case 2:
+		// The Space takes the bulk fill, the reference the per-page loop.
 		frac := float64(y%4) / 4
-		s.FillRandom(rand.New(rand.NewSource(int64(z))), frac)
+		s.FillRandom(sim.NewRand(int64(z)), frac)
 		r.FillRandom(rand.New(rand.NewSource(int64(z))), frac)
 	case 3:
 		s.Reset()

@@ -25,7 +25,8 @@ import (
 	"errors"
 	"fmt"
 	"math/bits"
-	"math/rand"
+
+	"cloudskulk/internal/sim"
 )
 
 // PageSize is the modelled page size in bytes (x86 small pages).
@@ -506,6 +507,14 @@ func (s *Space) Reset() {
 	s.rewriteAll()
 }
 
+// Rand is the generator FillRandom and GenerateFile draw from. Both
+// *sim.Rand and *rand.Rand satisfy it, and both draw the same pages from
+// the same seed.
+type Rand interface {
+	Float64() float64
+	Uint64() uint64
+}
+
 // FillRandom populates the space with guest-like contents: zeroFraction of
 // the pages stay zero (free memory), the rest get contents drawn from rng
 // that are almost surely unique. As in Reset — this models a boot
@@ -513,8 +522,15 @@ func (s *Space) Reset() {
 // accounting, volatility flags are cleared, and a fork detaches from its
 // template. The dirty log is cleared too, so the fill itself doesn't count
 // as guest activity.
-func (s *Space) FillRandom(rng *rand.Rand, zeroFraction float64) {
+//
+// A *sim.Rand fills in bulk; any other generator takes the per-page loop
+// below, which the bulk fill reproduces draw for draw.
+func (s *Space) FillRandom(rng Rand, zeroFraction float64) {
 	s.rewriteAll()
+	if r, ok := rng.(*sim.Rand); ok {
+		sim.FillPages(r, s.pages, zeroFraction)
+		return
+	}
 	for i := range s.pages {
 		if rng.Float64() < zeroFraction {
 			s.pages[i] = ZeroPage

@@ -1,7 +1,6 @@
 package qemu
 
 import (
-	"math/rand"
 	"strconv"
 	"testing"
 	"time"
@@ -18,7 +17,7 @@ func fuzzVM() (*VM, error) {
 	cfg.MemoryMB = 8
 	cfg.NetDevs[0].HostFwds = []FwdRule{{2222, 22}}
 	vm := NewVM(eng, cfg, cpu.DefaultModel(), cpu.L1, "guest0.nic")
-	if err := vm.Boot(time.Second, rand.New(rand.NewSource(1)), 0.3); err != nil {
+	if err := vm.Boot(time.Second, sim.NewRand(1), 0.3); err != nil {
 		return nil, err
 	}
 	return vm, nil

@@ -4,7 +4,6 @@ import (
 	"bufio"
 	"errors"
 	"fmt"
-	"math/rand"
 	"net"
 	"strings"
 	"testing"
@@ -21,7 +20,7 @@ func runningVM(t *testing.T) *VM {
 	cfg.MemoryMB = 8
 	cfg.NetDevs[0].HostFwds = []FwdRule{{2222, 22}}
 	vm := NewVM(eng, cfg, cpu.DefaultModel(), cpu.L1, "guest0.nic")
-	if err := vm.Boot(time.Second, rand.New(rand.NewSource(1)), 0.3); err != nil {
+	if err := vm.Boot(time.Second, sim.NewRand(1), 0.3); err != nil {
 		t.Fatal(err)
 	}
 	return vm

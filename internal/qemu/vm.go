@@ -2,7 +2,6 @@ package qemu
 
 import (
 	"fmt"
-	"math/rand"
 	"time"
 
 	"cloudskulk/internal/cpu"
@@ -171,7 +170,7 @@ func (v *VM) SetPID(pid int) { v.pid = pid }
 // that instantaneity is load-bearing for the sharded world, where a boot
 // inside an event handler must never advance the clock past the shard's
 // granted synchronization window.
-func (v *VM) Boot(bootTime time.Duration, rng *rand.Rand, zeroFrac float64) error {
+func (v *VM) Boot(bootTime time.Duration, rng *sim.Rand, zeroFrac float64) error {
 	if v.state != StateCreated {
 		return fmt.Errorf("%w: boot from %v", ErrBadState, v.state)
 	}

@@ -2,7 +2,6 @@ package qemu
 
 import (
 	"errors"
-	"math/rand"
 	"testing"
 	"time"
 
@@ -20,7 +19,7 @@ func newVM(t *testing.T, name string) (*sim.Engine, *VM) {
 
 func bootVM(t *testing.T, eng *sim.Engine, vm *VM) {
 	t.Helper()
-	if err := vm.Boot(10*time.Second, rand.New(rand.NewSource(1)), 0.3); err != nil {
+	if err := vm.Boot(10*time.Second, sim.NewRand(1), 0.3); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -69,7 +68,7 @@ func TestVMStateErrors(t *testing.T) {
 		t.Fatalf("resume before boot err = %v", err)
 	}
 	bootVM(t, eng, vm)
-	if err := vm.Boot(time.Second, rand.New(rand.NewSource(1)), 0.3); !errors.Is(err, ErrBadState) {
+	if err := vm.Boot(time.Second, sim.NewRand(1), 0.3); !errors.Is(err, ErrBadState) {
 		t.Fatalf("double boot err = %v", err)
 	}
 	if err := vm.FinishIncoming(); !errors.Is(err, ErrBadState) {

@@ -17,11 +17,12 @@ package scenario
 import (
 	"errors"
 	"fmt"
-	"math/rand"
 	"sort"
 	"strconv"
 	"strings"
 	"time"
+
+	"cloudskulk/internal/sim"
 )
 
 // ErrBadSpec wraps every strategy-spec parse/validation failure.
@@ -260,7 +261,7 @@ var (
 // churns every shared region — the canonical dedup-evading strategy);
 // further entries are random draws. Every returned spec validates.
 func Generate(seed int64, n int) []Spec {
-	rng := rand.New(rand.NewSource(seed))
+	rng := sim.NewRand(seed)
 	out := make([]Spec, 0, n)
 	for i := 0; i < n; i++ {
 		var kind Kind

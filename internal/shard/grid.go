@@ -3,13 +3,13 @@ package shard
 import (
 	"errors"
 	"fmt"
-	"math/rand"
 	"time"
 
 	"cloudskulk/internal/controlplane"
 	"cloudskulk/internal/fleet"
 	"cloudskulk/internal/mem"
 	"cloudskulk/internal/runner"
+	"cloudskulk/internal/sim"
 	"cloudskulk/internal/vnet"
 )
 
@@ -141,7 +141,7 @@ func NewGrid(cfg GridConfig) (*Grid, error) {
 // grid seed, so every call (and every shard) yields byte-identical pages.
 func goldenTemplate(cfg GridConfig, name string) *mem.Template {
 	golden := mem.NewSpace("golden", cfg.GuestMemMB<<20)
-	golden.FillRandom(rand.New(rand.NewSource(cfg.Seed^0x601de)), 0.25)
+	golden.FillRandom(sim.NewRand(cfg.Seed^0x601de), 0.25)
 	return mem.Freeze(name, golden)
 }
 

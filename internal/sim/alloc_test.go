@@ -135,3 +135,19 @@ func TestCancelDuringOwnFiring(t *testing.T) {
 		t.Fatal("self-cancel poisoned the pooled event for its next user")
 	}
 }
+
+// BenchmarkScheduleStep is the event loop's steady state: one Schedule and
+// one Step against a warm pool and a 64-event queue.
+func BenchmarkScheduleStep(b *testing.B) {
+	e := NewEngine(1)
+	fn := func() {}
+	for i := 0; i < 64; i++ {
+		e.Schedule(time.Duration(i)*time.Microsecond, "warm", fn)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		e.Schedule(64*time.Microsecond, "tick", fn)
+		e.Step()
+	}
+}

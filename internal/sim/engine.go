@@ -9,7 +9,6 @@ package sim
 
 import (
 	"fmt"
-	"math/rand"
 	"time"
 )
 
@@ -29,7 +28,7 @@ type Engine struct {
 	queue      []*Event // min-heap ordered by (at, seq)
 	free       []*Event // recycled events awaiting reuse
 	ncancelled int      // cancelled events still sitting in queue
-	rng        *rand.Rand
+	rng        *Rand
 	seq        uint64
 	nsteps     uint64
 	tracer     *Tracer
@@ -40,7 +39,7 @@ type Engine struct {
 // identical event traces.
 func NewEngine(seed int64) *Engine {
 	return &Engine{
-		rng: rand.New(rand.NewSource(seed)),
+		rng: NewRand(seed),
 	}
 }
 
@@ -59,7 +58,7 @@ func (e *Engine) Steps() uint64 {
 
 // RNG returns the engine's seeded random source. All simulated randomness
 // must come from here so experiments replay exactly.
-func (e *Engine) RNG() *rand.Rand {
+func (e *Engine) RNG() *Rand {
 	return e.rng
 }
 

@@ -7,7 +7,7 @@ package workload
 
 import (
 	"errors"
-	"math/rand"
+	"slices"
 	"time"
 
 	"cloudskulk/internal/cpu"
@@ -30,7 +30,7 @@ type Context struct {
 	// VM is nil when running directly on the host (the L0 rows of the
 	// paper's figures).
 	VM  *qemu.VM
-	Rng *rand.Rand
+	Rng *sim.Rand
 }
 
 // HostContext builds a context for running directly on the host (L0), with
@@ -156,10 +156,8 @@ func StartBackground(ctx *Context, p Profile) *Background {
 		// as runs split where the cursor wraps around the working set.
 		// Writes draw no randomness, so the stream is the same as drawing
 		// one page at a time.
-		buf = buf[:0]
-		for i := 0; i < count; i++ {
-			buf = append(buf, mem.Content(ctx.Rng.Uint64()|1))
-		}
+		buf = slices.Grow(buf[:0], count)[:count]
+		sim.FillOdd(ctx.Rng, buf)
 		for run := buf; len(run) > 0; {
 			page := cursor % wsPages
 			k := min(len(run), wsPages-page)
