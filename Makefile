@@ -69,6 +69,7 @@ fuzz-smoke:
 	$(GO) test -run='^$$' -fuzz='^FuzzAllowDirective$$' -fuzztime=$(FUZZTIME) ./cmd/detlint
 	$(GO) test -run='^$$' -fuzz='^FuzzDetlintFindingJSON$$' -fuzztime=$(FUZZTIME) ./cmd/detlint
 	$(GO) test -run='^$$' -fuzz='^FuzzScanMatchesReference$$' -fuzztime=$(FUZZTIME) ./internal/ksm
+	$(GO) test -run='^$$' -fuzz='^FuzzCandTableMatchesMap$$' -fuzztime=$(FUZZTIME) ./internal/ksm
 	$(GO) test -run='^$$' -fuzz='^FuzzSpaceOps$$' -fuzztime=$(FUZZTIME) ./internal/mem
 	$(GO) test -run='^$$' -fuzz='^FuzzRandMatchesMathRand$$' -fuzztime=$(FUZZTIME) ./internal/sim
 

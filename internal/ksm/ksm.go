@@ -80,16 +80,8 @@ const (
 
 type region struct {
 	space *mem.Space
-	next  int // scan cursor within the region
-
-	// sums[i] is page i's content at its previous scan visit — the
-	// model's stand-in for ksmd's per-rmap_item checksum. Allocated
-	// lazily on the first scan visit, so registering a space — which
-	// kvm does for every guest at CreateVM — stays O(1): a fleet of
-	// 100k template-forked guests costs nothing here until ksmd
-	// actually walks their pages.
-	sums  []mem.Content
-	flags []uint8
+	next  int        // scan cursor within the region
+	scan  *scanState // nil until the region's first scan visit
 
 	// settledSpace and settledStable are the space and stable-tree
 	// generations a full lap of no-op visits ended at; settledStable == 0
@@ -99,17 +91,46 @@ type region struct {
 	settledSpace, settledStable uint64
 }
 
+// scanState is a region's scan bookkeeping. It is allocated on the
+// region's first scan visit, so registering a space — which kvm does for
+// every guest at CreateVM — stays one small allocation: a fleet of 100k
+// template-forked guests costs nothing more here until ksmd actually walks
+// their pages.
+type scanState struct {
+	// sums[i] is page i's content at its previous scan visit — the
+	// model's stand-in for ksmd's per-rmap_item checksum.
+	sums  []mem.Content
+	flags []uint8
+	// id is the region's slot in Daemon.byID; unstable-tree entries for
+	// its pages carry id+1.
+	id uint32
+	// cands counts the unstable-tree entries naming the region. It can
+	// exceed the pages marked flagSelfCand: a candidate whose page has
+	// since changed keeps its entry until the content is met again.
+	cands int
+}
+
 // settled reports whether the region's settle marker still holds.
 func (r *region) settled(stableGen uint64) bool {
 	return r.settledStable == stableGen && r.settledSpace == r.space.Generation()
 }
 
-// ensure allocates the per-page scan bookkeeping on first use.
-func (r *region) ensure() {
-	if r.sums == nil {
-		r.sums = make([]mem.Content, r.space.NumPages())
-		r.flags = make([]uint8, r.space.NumPages())
+// ensure allocates r's scan bookkeeping and id on first use.
+func (d *Daemon) ensure(r *region) {
+	if r.scan != nil {
+		return
 	}
+	n := r.space.NumPages()
+	st := &scanState{sums: make([]mem.Content, n), flags: make([]uint8, n)}
+	if k := len(d.freeIDs); k > 0 {
+		st.id = d.freeIDs[k-1]
+		d.freeIDs = d.freeIDs[:k-1]
+		d.byID[st.id] = r
+	} else {
+		st.id = uint32(len(d.byID))
+		d.byID = append(d.byID, r)
+	}
+	r.scan = st
 }
 
 // Daemon is the samepage-merging scanner.
@@ -124,16 +145,20 @@ type Daemon struct {
 
 	// stable maps page content to its shared group — the stable tree.
 	stable map[mem.Content]*mem.SharedGroup
-	// candidate holds the first-seen location of an unmerged content —
-	// the unstable tree. A second page with the same content triggers a
-	// merge.
-	candidate map[mem.Content]candidateRef
+	// cand holds the first-seen location of an unmerged content — the
+	// unstable tree. A second page with the same content triggers a merge.
+	cand candTable
+	// byID maps a region id to its region, nil for a free id; freeIDs
+	// holds the free ids for reuse. A region takes an id on its first scan
+	// visit and frees it at Unregister, after its entries leave cand.
+	byID    []*region
+	freeIDs []uint32
 	// stableGen counts insertions into the stable tree, starting at 1.
 	stableGen uint64
 	// lap watches the lap in progress, keyed by its region. A region is
 	// scanned front to back before the cursor moves on, so one watch is
-	// enough; a lap cut short by an Unregister shifting the cursor ends
-	// under another region's watch, and endLap then settles nothing.
+	// enough; a lap cut short by unregistering its region is never ended,
+	// and the next region's first page replaces the watch.
 	lap lapWatch
 
 	merges        uint64
@@ -145,11 +170,6 @@ type Daemon struct {
 	telGap     *telemetry.Histogram
 	lastWake   time.Duration
 	hasWake    bool
-}
-
-type candidateRef struct {
-	space *mem.Space
-	page  int
 }
 
 // lapWatch is the bookkeeping for one region's lap: the generations at its
@@ -174,7 +194,6 @@ func New(eng *sim.Engine, cfg Config, costs CostModel) *Daemon {
 		cfg:       cfg,
 		costs:     costs,
 		stable:    make(map[mem.Content]*mem.SharedGroup),
-		candidate: make(map[mem.Content]candidateRef),
 		stableGen: 1,
 	}
 }
@@ -214,22 +233,52 @@ func (d *Daemon) Register(s *mem.Space) {
 // Unregister removes a space from the scan set (the space's pages keep any
 // sharing they already have until written) and forgets any unstable-tree
 // candidates pointing into it — an unregistered region's pages are going
-// away (process exit, VM kill) and must not seed future merges.
+// away (process exit, VM kill) and must not seed future merges. Like
+// ksmd's scan cursor, which names the current mm_slot, the cursor stays on
+// the region being scanned when another region leaves the list.
 func (d *Daemon) Unregister(s *mem.Space) {
-	for c, ref := range d.candidate {
-		if ref.space == s {
-			delete(d.candidate, c)
-		}
-	}
 	for i, r := range d.regions {
-		if r.space == s {
-			d.regions = append(d.regions[:i], d.regions[i+1:]...)
-			if d.cursor >= len(d.regions) {
-				d.cursor = 0
-			}
-			return
+		if r.space != s {
+			continue
+		}
+		if r.scan != nil {
+			d.dropCandidates(r.scan)
+		}
+		d.regions = append(d.regions[:i], d.regions[i+1:]...)
+		if i < d.cursor {
+			d.cursor--
+		}
+		if d.cursor >= len(d.regions) {
+			d.cursor = 0
+		}
+		return
+	}
+}
+
+// dropCandidates deletes every unstable-tree entry naming st's region and
+// frees its id. A page marked flagSelfCand is the entry for its recorded
+// sum, so those entries are deleted by key; only entries left behind by
+// pages that changed since (st.cands still above zero) cost one sweep of
+// the table.
+func (d *Daemon) dropCandidates(st *scanState) {
+	rid := st.id + 1
+	for p, f := range st.flags {
+		if st.cands == 0 {
+			break
+		}
+		if f&flagSelfCand == 0 {
+			continue
+		}
+		if i, ok := d.cand.find(st.sums[p]); ok && d.cand.slots[i].rid == rid && int(d.cand.slots[i].page) == p {
+			d.cand.del(i)
+			st.cands--
 		}
 	}
+	if st.cands > 0 {
+		st.cands -= d.cand.sweep(rid)
+	}
+	d.byID[st.id] = nil
+	d.freeIDs = append(d.freeIDs, st.id)
 }
 
 // NumRegions returns how many spaces are registered.
@@ -312,6 +361,7 @@ func (d *Daemon) ScanN(n int) int {
 			d.lap = lapWatch{r: r, spaceGen: r.space.Generation(), stableGen: d.stableGen, clean: true}
 		}
 		if !r.settled(d.stableGen) {
+			d.ensure(r)
 			clean := true
 			for page := r.next; page < end; page++ {
 				m, noop := d.examine(r, page)
@@ -356,8 +406,8 @@ func (d *Daemon) FullPass() int {
 	return d.ScanN(total)
 }
 
-// regionOf finds the region backing a space. Only cold paths (rare merge
-// bookkeeping) use it; the scan loop itself never searches.
+// regionOf finds the region backing a space. Only cold paths use it; the
+// scan loop itself never searches.
 func (d *Daemon) regionOf(s *mem.Space) *region {
 	for _, r := range d.regions {
 		if r.space == s {
@@ -371,11 +421,9 @@ func (d *Daemon) regionOf(s *mem.Space) *region {
 // unstable tree's entry for its content (merged, replaced, or entry
 // deleted). The page's region is unsettled: this is the one change to a
 // region's scan state made from outside its own visits.
-func (d *Daemon) clearSelfCand(s *mem.Space, page int) {
-	if r := d.regionOf(s); r != nil && page < len(r.flags) {
-		r.flags[page] &^= flagSelfCand
-		r.settledStable = 0
-	}
+func clearSelfCand(r *region, page int) {
+	r.scan.flags[page] &^= flagSelfCand
+	r.settledStable = 0
 }
 
 // examine applies the merge rules to one page. It reports whether a merge
@@ -394,8 +442,7 @@ func (d *Daemon) clearSelfCand(s *mem.Space, page int) {
 // page, and to a page that is its own unchanged candidate with flagChanged
 // already clear. Every other path below mutates the daemon or the region.
 func (d *Daemon) examine(r *region, page int) (merged, noop bool) {
-	r.ensure()
-	s := r.space
+	s, st := r.space, r.scan
 	content, shared, volatile := s.PageInfo(page)
 	if volatile || shared {
 		return false, true
@@ -408,8 +455,8 @@ func (d *Daemon) examine(r *region, page int) (merged, noop bool) {
 	// the page passed the stable lookup when it became the candidate, and
 	// a stable entry is only created by merging the candidate. So the
 	// stable lookup is skipped too, with the same outcome.
-	if f := r.flags[page]; f&flagSelfCand != 0 && r.sums[page] == content {
-		r.flags[page] = f &^ flagChanged
+	if f := st.flags[page]; f&flagSelfCand != 0 && st.sums[page] == content {
+		st.flags[page] = f &^ flagChanged
 		return false, f&flagChanged == 0
 	}
 
@@ -423,7 +470,7 @@ func (d *Daemon) examine(r *region, page int) (merged, noop bool) {
 			if err := s.AttachShared(page, g); err != nil {
 				return false, false
 			}
-			r.flags[page] &^= flagSelfCand
+			st.flags[page] &^= flagSelfCand
 			d.merges++
 			d.telMerges.Inc()
 			return true, false
@@ -433,73 +480,87 @@ func (d *Daemon) examine(r *region, page int) (merged, noop bool) {
 	// Checksum gate (ksmd's oldchecksum heuristic): pages churning across
 	// consecutive visits stay out of the unstable tree.
 	switch {
-	case r.flags[page]&flagHasSum == 0:
+	case st.flags[page]&flagHasSum == 0:
 		// First visit: record and proceed, so freshly registered regions
 		// (the detector's probe spaces) behave exactly as before.
-		r.sums[page] = content
-		r.flags[page] |= flagHasSum
-	case r.sums[page] != content:
-		r.sums[page] = content
-		r.flags[page] &^= flagSelfCand
-		if r.flags[page]&flagChanged != 0 {
+		st.sums[page] = content
+		st.flags[page] |= flagHasSum
+	case st.sums[page] != content:
+		st.sums[page] = content
+		st.flags[page] &^= flagSelfCand
+		if st.flags[page]&flagChanged != 0 {
 			// Changed last visit too: sustained churn — skip.
 			d.checksumSkips++
 			return false, false
 		}
-		r.flags[page] |= flagChanged
+		st.flags[page] |= flagChanged
 	default:
-		r.flags[page] &^= flagChanged
+		st.flags[page] &^= flagChanged
 	}
 
 	// Unstable tree: look for a waiting partner.
-	if cand, ok := d.candidate[content]; ok {
-		if cand.space == s && cand.page == page {
-			r.flags[page] |= flagSelfCand
-			return false, false
-		}
-		// The partner must still hold the same content (it may have
-		// been written since we recorded it). If it does not, this page
-		// takes over the entry, and the partner loses its mark: left set,
-		// a later write back to this content would have both pages skip
-		// as "their own candidate" and never merge.
-		if pc, err := cand.space.Read(cand.page); err != nil || pc != content {
-			d.clearSelfCand(cand.space, cand.page)
-			d.candidate[content] = candidateRef{space: s, page: page}
-			r.flags[page] |= flagSelfCand
-			return false, false
-		}
-		if _, partnerShared := cand.space.Shared(cand.page); partnerShared {
-			// Partner got merged through another route; retry via
-			// stable tree next scan.
-			delete(d.candidate, content)
-			d.clearSelfCand(cand.space, cand.page)
-			return false, false
-		}
-		g := &mem.SharedGroup{Content: content}
-		if err := cand.space.AttachShared(cand.page, g); err != nil {
-			return false, false
-		}
-		if err := s.AttachShared(page, g); err != nil {
-			return false, false
-		}
-		d.stable[content] = g
-		d.stableGen++
-		delete(d.candidate, content)
-		d.clearSelfCand(cand.space, cand.page)
-		r.flags[page] &^= flagSelfCand
-		d.merges++
-		d.telMerges.Inc()
-		return true, false
+	rid := st.id + 1
+	i, found := d.cand.find(content)
+	if !found {
+		d.cand.insert(i, candSlot{key: content, rid: rid, page: uint32(page)})
+		st.cands++
+		st.flags[page] |= flagSelfCand
+		return false, false
 	}
-
-	d.candidate[content] = candidateRef{space: s, page: page}
-	r.flags[page] |= flagSelfCand
-	return false, false
+	e := &d.cand.slots[i]
+	if e.rid == rid && int(e.page) == page {
+		st.flags[page] |= flagSelfCand
+		return false, false
+	}
+	pr, pp := d.byID[e.rid-1], int(e.page)
+	// The partner must still hold the same content (it may have been
+	// written since we recorded it). If it does not, this page takes over
+	// the entry, and the partner loses its mark: left set, a later write
+	// back to this content would have both pages skip as "their own
+	// candidate" and never merge.
+	if pc, err := pr.space.Read(pp); err != nil || pc != content {
+		clearSelfCand(pr, pp)
+		pr.scan.cands--
+		e.rid, e.page = rid, uint32(page)
+		st.cands++
+		st.flags[page] |= flagSelfCand
+		return false, false
+	}
+	if _, partnerShared := pr.space.Shared(pp); partnerShared {
+		// Partner got merged through another route; retry via
+		// stable tree next scan.
+		d.cand.del(i)
+		pr.scan.cands--
+		clearSelfCand(pr, pp)
+		return false, false
+	}
+	g := &mem.SharedGroup{Content: content}
+	if err := pr.space.AttachShared(pp, g); err != nil {
+		return false, false
+	}
+	if err := s.AttachShared(page, g); err != nil {
+		return false, false
+	}
+	d.stable[content] = g
+	d.stableGen++
+	d.cand.del(i)
+	pr.scan.cands--
+	clearSelfCand(pr, pp)
+	st.flags[page] &^= flagSelfCand
+	d.merges++
+	d.telMerges.Inc()
+	return true, false
 }
 
 // CheckInvariants rebuilds what the scan's bookkeeping claims from the
 // pages themselves and returns the first disagreement, or nil:
 //
+//   - the unstable tree is well formed (candTable.check): its count, every
+//     entry reachable from its home slot, unique keys, load at most 3/4;
+//   - region ids: each scanned registered region holds its own slot of
+//     byID, every other slot is free and listed once in freeIDs;
+//   - every unstable-tree entry names a registered region and one of its
+//     pages, and each region counts exactly the entries naming it;
 //   - a page marked as its own candidate is the unstable tree's entry for
 //     the content recorded at its last visit;
 //   - every page of a settled region is a no-op to visit: volatile, shared,
@@ -507,10 +568,36 @@ func (d *Daemon) examine(r *region, page int) (merged, noop bool) {
 //   - a shared group has at least as many refs as registered pages attached
 //     to it (unregistered spaces may hold the rest).
 //
-// It walks every registered page, so it belongs in tests, not in a scan.
+// It walks every registered page and every slot, so it belongs in tests,
+// not in a scan.
 func (d *Daemon) CheckInvariants() error {
+	if err := d.cand.check(); err != nil {
+		return err
+	}
+	if err := d.checkIDs(); err != nil {
+		return err
+	}
+	cands := make([]int, len(d.byID))
+	for _, e := range d.cand.slots {
+		if e.rid == 0 {
+			continue
+		}
+		if int(e.rid) > len(d.byID) || d.byID[e.rid-1] == nil {
+			return fmt.Errorf("ksm: unstable-tree entry for %#x names region id %d, which no registered region holds",
+				uint64(e.key), e.rid-1)
+		}
+		if r := d.byID[e.rid-1]; int(e.page) >= r.space.NumPages() {
+			return fmt.Errorf("ksm: unstable-tree entry for %#x names %s page %d, past its end",
+				uint64(e.key), r.space.Name(), e.page)
+		}
+		cands[e.rid-1]++
+	}
 	attached := make(map[*mem.SharedGroup]int)
 	for _, r := range d.regions {
+		if r.scan != nil && r.scan.cands != cands[r.scan.id] {
+			return fmt.Errorf("ksm: %s counts %d unstable-tree entries, the tree holds %d",
+				r.space.Name(), r.scan.cands, cands[r.scan.id])
+		}
 		for p := 0; p < r.space.NumPages(); p++ {
 			if g, ok := r.space.Shared(p); ok {
 				attached[g]++
@@ -520,18 +607,18 @@ func (d *Daemon) CheckInvariants() error {
 	for _, r := range d.regions {
 		s := r.space
 		settled := r.settled(d.stableGen)
-		if settled && r.flags == nil {
+		if settled && r.scan == nil {
 			return fmt.Errorf("ksm: %s settled before any visit", s.Name())
 		}
 		for p := 0; p < s.NumPages(); p++ {
 			content, shared, volatile := s.PageInfo(p)
 			var f uint8
 			var sum mem.Content
-			if r.flags != nil {
-				f, sum = r.flags[p], r.sums[p]
+			if r.scan != nil {
+				f, sum = r.scan.flags[p], r.scan.sums[p]
 			}
 			if f&flagSelfCand != 0 {
-				if ref := d.candidate[sum]; ref.space != s || ref.page != p {
+				if cr, cp, ok := d.candidateOf(sum); !ok || cr != r || cp != p {
 					return fmt.Errorf("ksm: %s page %d is marked as the candidate for %#x, which is not its entry",
 						s.Name(), p, uint64(sum))
 				}
@@ -548,6 +635,45 @@ func (d *Daemon) CheckInvariants() error {
 		}
 	}
 	return nil
+}
+
+// checkIDs returns the first inconsistency between the registered regions,
+// byID and freeIDs, or nil.
+func (d *Daemon) checkIDs() error {
+	held := make([]bool, len(d.byID))
+	for _, r := range d.regions {
+		if r.scan == nil {
+			continue
+		}
+		id := r.scan.id
+		if int(id) >= len(d.byID) || d.byID[id] != r {
+			return fmt.Errorf("ksm: %s has region id %d, which byID does not map to it", r.space.Name(), id)
+		}
+		held[id] = true
+	}
+	for _, id := range d.freeIDs {
+		if int(id) >= len(d.byID) || held[id] || d.byID[id] != nil {
+			return fmt.Errorf("ksm: free region id %d is in use or listed twice", id)
+		}
+		held[id] = true
+	}
+	for id, h := range held {
+		if !h {
+			return fmt.Errorf("ksm: region id %d is neither held by a registered region nor free", id)
+		}
+	}
+	return nil
+}
+
+// candidateOf returns the region and page of the unstable tree's entry for
+// c, if there is one.
+func (d *Daemon) candidateOf(c mem.Content) (*region, int, bool) {
+	i, ok := d.cand.find(c)
+	if !ok {
+		return nil, 0, false
+	}
+	e := d.cand.slots[i]
+	return d.byID[e.rid-1], int(e.page), true
 }
 
 // Merges returns the lifetime count of successful merges (attaches).
@@ -569,11 +695,11 @@ func (d *Daemon) ChecksumSkips() uint64 { return d.checksumSkips }
 // Returns 0 for an unregistered space.
 func (d *Daemon) GatedPages(s *mem.Space) int {
 	r := d.regionOf(s)
-	if r == nil {
+	if r == nil || r.scan == nil {
 		return 0
 	}
 	n := 0
-	for _, f := range r.flags {
+	for _, f := range r.scan.flags {
 		if f&flagChanged != 0 {
 			n++
 		}

@@ -221,6 +221,30 @@ func TestRegisterIdempotentAndUnregister(t *testing.T) {
 	d.Unregister(a) // no-op
 }
 
+// TestUnregisterBehindCursorKeepsLap: like ksmd's cursor, which names the
+// current mm_slot, the scan cursor stays on the region being scanned when a
+// region it has already passed is unregistered, so that region's lap goes
+// on where it stopped.
+func TestUnregisterBehindCursorKeepsLap(t *testing.T) {
+	_, d := newDaemon(t)
+	var sp [3]*mem.Space
+	for i := range sp {
+		sp[i] = mem.NewSpace(string(rune('a'+i)), 4*mem.PageSize)
+		for p := 0; p < 4; p++ {
+			mustWrite(t, sp[i], p, mem.Content(0x100*(i+1)+p))
+		}
+		d.Register(sp[i])
+	}
+	d.ScanN(6) // a[0..3], b[0..1]
+	d.Unregister(sp[0])
+	d.ScanN(2)
+	b, c := d.regionOf(sp[1]), d.regionOf(sp[2])
+	if b.next != 4 || b.scan.flags[3]&flagHasSum == 0 || c.scan != nil {
+		t.Fatalf("the wake after Unregister(a) did not finish b's lap: b.next=%d, c visited=%v", b.next, c.scan != nil)
+	}
+	mustCheck(t, d)
+}
+
 func TestDaemonTickerScans(t *testing.T) {
 	eng, d := newDaemon(t)
 	a := mem.NewSpace("a", mem.PageSize*2)

@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"cloudskulk/internal/mem"
+	"cloudskulk/internal/sim"
 )
 
 // TestFirstVisitNotGated: freshly registered regions (the detection
@@ -227,13 +228,97 @@ func TestChurnStreakGatedUntilStill(t *testing.T) {
 		t.Fatalf("ChecksumSkips = %d, want 4", d.ChecksumSkips())
 	}
 	for i := 1; i < 5; i++ {
-		if _, ok := d.candidate[mem.Content(0x100+i)]; ok {
+		if _, ok := d.cand.find(mem.Content(0x100 + i)); ok {
 			t.Fatalf("churned content %#x entered the unstable tree", 0x100+i)
 		}
 	}
 	// One quiet pass resets the streak and admits the settled content.
 	d.FullPass()
-	if _, ok := d.candidate[mem.Content(0x104)]; !ok {
+	if _, ok := d.cand.find(0x104); !ok {
 		t.Fatal("settled page was not re-admitted to the unstable tree")
+	}
+}
+
+// idleDaemonAllocs is what New, 100 Registers and 100 Unregisters cost with
+// the unstable tree in a Go map (the daemon, its two maps, the regions and
+// the regions slice's growth): the most an idle daemon may allocate.
+const idleDaemonAllocs = 110
+
+// TestIdleDaemonAllocatesNoTable: a daemon whose spaces come and go without
+// a scan (megastorm's 1,024 hosts never start ksmd; cloudload's fleets
+// churn guests) allocates no unstable-tree slots and no region ids, and no
+// more objects than the map-based daemon did.
+func TestIdleDaemonAllocatesNoTable(t *testing.T) {
+	spaces := make([]*mem.Space, 100)
+	for i := range spaces {
+		spaces[i] = mem.NewSpace("g", mem.PageSize)
+	}
+	var d *Daemon
+	allocs := testing.AllocsPerRun(20, func() {
+		d = New(nil, DefaultConfig(), DefaultCostModel())
+		for _, s := range spaces {
+			d.Register(s)
+		}
+		for _, s := range spaces {
+			d.Unregister(s)
+		}
+	})
+	if d.cand.slots != nil || d.byID != nil || d.freeIDs != nil {
+		t.Fatalf("idle daemon allocated %d slots, %d ids, %d free ids", len(d.cand.slots), len(d.byID), len(d.freeIDs))
+	}
+	if allocs > idleDaemonAllocs {
+		t.Fatalf("New + 100 Register + 100 Unregister = %v allocations, want at most %d", allocs, idleDaemonAllocs)
+	}
+}
+
+// bootedGuest returns a 1 GiB space filled as a guest boot fills it, a
+// quarter of its pages zero: about 196k unique pages, each of which a first
+// scan lap makes an unstable-tree candidate.
+func bootedGuest() *mem.Space {
+	s := mem.NewSpace("guest", (1<<18)*mem.PageSize)
+	s.FillRandom(sim.NewRand(1), 0.25)
+	return s
+}
+
+// BenchmarkScanNFirstLap times a fresh daemon's first full pass over a
+// booted 1 GiB guest: every visit is a first visit, and the unstable tree
+// grows from empty to one entry per unique page.
+func BenchmarkScanNFirstLap(b *testing.B) {
+	s := bootedGuest()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		b.StopTimer()
+		s.FillRandom(sim.NewRand(1), 0.25) // undo the last lap's merges
+		b.StartTimer()
+		d := New(nil, DefaultConfig(), DefaultCostModel())
+		d.Register(s)
+		d.FullPass()
+	}
+}
+
+// BenchmarkUnregisterProbe times the detector's release of its probe: a
+// 100-page space whose pages are all candidates leaves the scan set beside
+// a settled booted 1 GiB guest holding about 196k candidates.
+func BenchmarkUnregisterProbe(b *testing.B) {
+	const probePages = 100
+	d := New(nil, DefaultConfig(), DefaultCostModel())
+	d.Register(bootedGuest())
+	d.FullPass()
+	d.FullPass()
+	probe := mem.NewSpace("probe", probePages*mem.PageSize)
+	for p := 0; p < probePages; p++ {
+		if _, err := probe.Write(p, mem.Content(1<<62+p)); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		b.StopTimer()
+		d.Register(probe)
+		d.FullPass() // the guest is settled: only the probe is examined
+		b.StartTimer()
+		d.Unregister(probe)
 	}
 }

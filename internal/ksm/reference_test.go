@@ -9,10 +9,12 @@ import (
 )
 
 // refDaemon is the scanner as it was before settled regions: every page
-// visited, the stable tree looked up before the self-candidate check. The
-// one change from that version is the stale self-candidate fix (a replaced
-// candidate loses its mark). FuzzScanMatchesReference holds the production
-// Daemon to it.
+// visited, the stable tree looked up before the self-candidate check, the
+// unstable tree a Go map. It differs from that version in two deliberate
+// changes: the stale self-candidate fix (a replaced candidate loses its
+// mark), and the cursor fix (unregistering a region before the cursor
+// leaves the cursor on the region being scanned).
+// FuzzScanMatchesReference holds the production Daemon to it.
 type refDaemon struct {
 	regions   []*refRegion
 	cursor    int
@@ -20,6 +22,11 @@ type refDaemon struct {
 	candidate map[mem.Content]candidateRef
 
 	merges, pagesScan, checksumSkips uint64
+}
+
+type candidateRef struct {
+	space *mem.Space
+	page  int
 }
 
 type refRegion struct {
@@ -54,6 +61,9 @@ func (d *refDaemon) Unregister(s *mem.Space) {
 	for i, r := range d.regions {
 		if r.space == s {
 			d.regions = append(d.regions[:i], d.regions[i+1:]...)
+			if i < d.cursor {
+				d.cursor-- // the cursor fix
+			}
 			if d.cursor >= len(d.regions) {
 				d.cursor = 0
 			}
@@ -214,7 +224,7 @@ func fuzzOp(t *testing.T, w *fuzzWorld, scan interface {
 	s := w.spaces[int(op[1])%len(w.spaces)]
 	page := int(op[2]) % s.NumPages()
 	c := mem.Content(op[3] % 5)
-	switch op[0] % 9 {
+	switch op[0] % 10 {
 	case 0:
 		if _, err := s.Write(page, c); err != nil {
 			t.Fatal(err)
@@ -243,6 +253,11 @@ func fuzzOp(t *testing.T, w *fuzzWorld, scan interface {
 		scan.ScanN(1 + int(op[2])%5)
 	case 8:
 		scan.ScanN(int(op[2]))
+	case 9:
+		// Leave and come back: the region loses its entries and its id, and
+		// its next first visit takes a freed id.
+		scan.Unregister(s)
+		scan.Register(s)
 	}
 }
 
@@ -264,6 +279,15 @@ func FuzzScanMatchesReference(f *testing.F) {
 	// Volatility, a forked space, and an Unregister in the middle of a lap.
 	f.Add([]byte{5, 3, 0, 0, 5, 2, 0, 0, 5, 1, 0, 0, 8, 0, 30, 0, 2, 3, 4, 1, 7, 0, 2, 0,
 		6, 2, 0, 0, 8, 0, 30, 0, 2, 3, 4, 0, 1, 3, 5, 0x21, 8, 0, 60, 0, 8, 0, 60, 0})
+	// The cursor fix: a (1 page), b (3 pages) and c (8 pages) registered in
+	// that order; a wake of 3 stops inside b, then a, which is behind the
+	// cursor, leaves. The next wake must finish b's lap, not start c's.
+	f.Add([]byte{0, 1, 0, 1, 0, 1, 1, 2, 0, 1, 2, 3, 5, 0, 0, 0, 5, 1, 0, 0, 5, 2, 0, 0,
+		7, 0, 2, 0, 6, 0, 0, 0, 7, 0, 1, 0, 8, 0, 20, 0})
+	// Unregister and re-register with candidates and a stale entry in
+	// place: the freed id is reused, and the stale entry must be swept.
+	f.Add([]byte{0, 0, 0, 3, 0, 1, 0, 4, 0, 1, 1, 2, 5, 0, 0, 0, 5, 1, 0, 0, 8, 0, 12, 0,
+		0, 1, 1, 1, 8, 0, 12, 0, 9, 1, 0, 0, 8, 0, 12, 0, 9, 0, 0, 0, 8, 0, 12, 0, 8, 0, 12, 0})
 	tmpl := func() *mem.Template {
 		src := mem.NewSpace("golden", 8*mem.PageSize)
 		for p := 0; p < 8; p++ {
@@ -345,14 +369,18 @@ func compareScanners(gw *fuzzWorld, d *Daemon, ww *fuzzWorld, ref *refDaemon) er
 		return fmt.Errorf("live groups/stable entries = %d/%d, want %d/%d",
 			d.SharedGroups(), len(d.stable), refLiveGroups(ref), len(ref.stable))
 	}
-	if len(d.candidate) != len(ref.candidate) {
-		return fmt.Errorf("%d candidates, want %d", len(d.candidate), len(ref.candidate))
+	if d.cand.n != len(ref.candidate) {
+		return fmt.Errorf("%d candidates, want %d", d.cand.n, len(ref.candidate))
 	}
-	for c, gr := range d.candidate {
-		wr, ok := ref.candidate[c]
-		if !ok || index(gw, gr.space) != index(ww, wr.space) || gr.page != wr.page {
-			return fmt.Errorf("candidate for %#x = space %d page %d, reference has %v space %d page %d",
-				uint64(c), index(gw, gr.space), gr.page, ok, index(ww, wr.space), wr.page)
+	for c, wr := range ref.candidate {
+		gr, gp, ok := d.candidateOf(c)
+		if !ok || index(gw, gr.space) != index(ww, wr.space) || gp != wr.page {
+			var gs *mem.Space
+			if ok {
+				gs = gr.space
+			}
+			return fmt.Errorf("candidate for %#x = %v space %d page %d, want space %d page %d",
+				uint64(c), ok, index(gw, gs), gp, index(ww, wr.space), wr.page)
 		}
 	}
 	if len(d.regions) != len(ref.regions) || d.cursor != ref.cursor {
@@ -360,14 +388,19 @@ func compareScanners(gw *fuzzWorld, d *Daemon, ww *fuzzWorld, ref *refDaemon) er
 	}
 	for i, r := range d.regions {
 		rr := ref.regions[i]
-		if index(gw, r.space) != index(ww, rr.space) || r.next != rr.next || len(r.flags) != len(rr.flags) {
+		var flags []uint8
+		var sums []mem.Content
+		if r.scan != nil {
+			flags, sums = r.scan.flags, r.scan.sums
+		}
+		if index(gw, r.space) != index(ww, rr.space) || r.next != rr.next || len(flags) != len(rr.flags) {
 			return fmt.Errorf("region %d = space %d next %d, want space %d next %d",
 				i, index(gw, r.space), r.next, index(ww, rr.space), rr.next)
 		}
-		for p := range r.flags {
-			if r.flags[p] != rr.flags[p] || r.sums[p] != rr.sums[p] {
+		for p := range flags {
+			if flags[p] != rr.flags[p] || sums[p] != rr.sums[p] {
 				return fmt.Errorf("%s[%d] flags/sum = %03b/%#x, want %03b/%#x",
-					r.space.Name(), p, r.flags[p], uint64(r.sums[p]), rr.flags[p], uint64(rr.sums[p]))
+					r.space.Name(), p, flags[p], uint64(sums[p]), rr.flags[p], uint64(rr.sums[p]))
 			}
 		}
 	}

@@ -170,7 +170,7 @@ func TestCheckInvariantsCatchesCorruption(t *testing.T) {
 
 	d, s := build()
 	r := d.regionOf(s)
-	r.flags[2] |= flagSelfCand // page 2 is merged; it is nobody's candidate
+	r.scan.flags[2] |= flagSelfCand // page 2 is merged; it is nobody's candidate
 	if d.CheckInvariants() == nil {
 		t.Error("stray candidate mark not reported")
 	}
@@ -190,5 +190,36 @@ func TestCheckInvariantsCatchesCorruption(t *testing.T) {
 	g.Refs--
 	if d.CheckInvariants() == nil {
 		t.Error("group with fewer refs than attached pages not reported")
+	}
+
+	d, s = build()
+	d.regionOf(s).scan.cands++
+	if d.CheckInvariants() == nil {
+		t.Error("region count off by one not reported")
+	}
+
+	d, s = build()
+	mustWrite(t, s, 0, 0x99)
+	d.FullPass() // page 0 becomes the candidate for 0x99
+	i, ok := d.cand.find(0x99)
+	if !ok {
+		t.Fatal("setup: no candidate for 0x99")
+	}
+	d.cand.slots[i].rid = 7
+	if d.CheckInvariants() == nil {
+		t.Error("entry naming an unknown region not reported")
+	}
+
+	d, s = build()
+	d.byID = append(d.byID, d.regionOf(s))
+	if d.CheckInvariants() == nil {
+		t.Error("region id table naming a region twice not reported")
+	}
+
+	d, s = build()
+	d.Unregister(s)
+	d.freeIDs = append(d.freeIDs, d.freeIDs[0])
+	if d.CheckInvariants() == nil {
+		t.Error("id listed free twice not reported")
 	}
 }
