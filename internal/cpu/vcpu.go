@@ -19,18 +19,19 @@ type VCPU struct {
 	// modelling run-to-run measurement variance. Zero means exact costs.
 	Noise float64
 
-	executed map[Class]uint64
+	executed [ClassIO + 1]uint64
 	busy     time.Duration
 
-	tel *vcpuTelemetry
+	tel *Telemetry
 }
 
-// vcpuTelemetry holds counter handles pre-resolved per class at
-// SetTelemetry time, so Exec pays only a nil check plus atomic adds —
-// no map lookups or string formatting on the hot path. exitFactor and
-// faultFactor pre-bake Model.ExitsAt for this vCPU's level: real exits
-// per profile exit and per nested fault respectively.
-type vcpuTelemetry struct {
+// Telemetry holds a vCPU's counter handles pre-resolved per class, so
+// Exec pays only a nil check plus atomic adds — no map lookups or string
+// formatting on the hot path. exitFactor and faultFactor pre-bake
+// Model.ExitsAt for the level: real exits per profile exit and per nested
+// fault respectively. The handles depend only on the registry, the model
+// and the level, so every vCPU sharing those can share one Telemetry.
+type Telemetry struct {
 	ops         [ClassIO + 1]*telemetry.Counter // cpu_ops_total{class,level}
 	exits       [ClassIO + 1]*telemetry.Counter // cpu_exits_total{class,level}
 	exitFactor  uint64
@@ -45,8 +46,18 @@ func (v *VCPU) SetTelemetry(reg *telemetry.Registry) {
 		v.tel = nil
 		return
 	}
-	t := &vcpuTelemetry{}
-	switch v.level {
+	v.tel = NewTelemetry(reg, v.model, v.level)
+}
+
+// UseTelemetry attaches handles resolved by NewTelemetry for this vCPU's
+// model and level (nil detaches): SetTelemetry without the lookups.
+func (v *VCPU) UseTelemetry(t *Telemetry) { v.tel = t }
+
+// NewTelemetry resolves the per-class counters of vCPUs running at level
+// under model on reg.
+func NewTelemetry(reg *telemetry.Registry, model Model, level Level) *Telemetry {
+	t := &Telemetry{}
+	switch level {
 	case L0:
 		// Bare metal: no exits.
 	case L1:
@@ -54,26 +65,25 @@ func (v *VCPU) SetTelemetry(reg *telemetry.Registry) {
 	default:
 		// L2 and deeper: mirror Model.ExitsAt — every level past L2 wraps
 		// the multiplication again and each nested fault multiplies too.
-		per := 1 + v.model.ExitMultiplier
+		per := 1 + model.ExitMultiplier
 		faults := 1
-		for l := L2; l < v.level; l++ {
-			per = 1 + v.model.ExitMultiplier*per
-			faults *= v.model.ExitMultiplier
+		for l := L2; l < level; l++ {
+			per = 1 + model.ExitMultiplier*per
+			faults *= model.ExitMultiplier
 		}
 		t.exitFactor = uint64(per)
 		t.faultFactor = uint64(faults)
 	}
-	names := &seriesNames[v.level]
+	names := &seriesNames[level]
 	for c := ClassALU; c <= ClassIO; c++ {
 		t.ops[c] = reg.Counter(names.ops[c])
 		t.exits[c] = reg.Counter(names.exits[c])
 	}
-	v.tel = t
+	return t
 }
 
 // seriesNames holds, per level a guest can run at (nesting stops at L3),
-// the per-class counter names SetTelemetry resolves. They are rendered
-// once here because SetTelemetry runs for every VM a host creates.
+// the per-class counter names NewTelemetry resolves, rendered once.
 var seriesNames = func() (s [L3 + 1]struct{ ops, exits [ClassIO + 1]string }) {
 	for l := range s {
 		lvl := Level(l).String()
@@ -88,10 +98,9 @@ var seriesNames = func() (s [L3 + 1]struct{ ops, exits [ClassIO + 1]string }) {
 // NewVCPU returns a vCPU running at the given level under the given model.
 func NewVCPU(eng *sim.Engine, model Model, level Level) *VCPU {
 	return &VCPU{
-		eng:      eng,
-		model:    model,
-		level:    level,
-		executed: make(map[Class]uint64, 3),
+		eng:   eng,
+		model: model,
+		level: level,
 	}
 }
 
@@ -122,7 +131,9 @@ func (v *VCPU) Exec(op Op, n int) time.Duration {
 		elapsed = v.eng.GaussDuration(exact, v.Noise)
 	}
 	v.eng.Advance(elapsed)
-	v.executed[op.Class] += uint64(n)
+	if op.Class >= 0 && int(op.Class) < len(v.executed) {
+		v.executed[op.Class] += uint64(n)
+	}
 	v.busy += elapsed
 	if t := v.tel; t != nil && op.Class >= 0 && int(op.Class) < len(t.ops) {
 		t.ops[op.Class].Add(uint64(n))
@@ -144,8 +155,14 @@ func (v *VCPU) MeasureMean(op Op, reps int) Cost {
 	return DurationCost(elapsed) / Cost(reps)
 }
 
-// Executed returns how many operations of the class have run.
-func (v *VCPU) Executed(c Class) uint64 { return v.executed[c] }
+// Executed returns how many operations of the class have run. Exec does
+// not count a class below zero or past ClassIO, so those read 0.
+func (v *VCPU) Executed(c Class) uint64 {
+	if c < 0 || int(c) >= len(v.executed) {
+		return 0
+	}
+	return v.executed[c]
+}
 
 // Busy returns total virtual time this vCPU has consumed.
 func (v *VCPU) Busy() time.Duration { return v.busy }

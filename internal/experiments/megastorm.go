@@ -261,13 +261,8 @@ func MegaStorm(o Options, cfg MegaStormConfig) (*MegaStormResult, error) {
 	// its name records where it was born, its fleet records where it is.
 	for i := 0; i < g.NumCells(); i++ {
 		migrant := megastormTenant + "." + shard.GuestVMName(i, 0)
-		if !flaggedSet[migrant] {
-			continue
-		}
-		for _, gname := range g.Cell((i + 1) % g.NumCells()).Fleet.GuestNames() {
-			if gname == migrant {
-				res.MigrantFlags++
-			}
+		if flaggedSet[migrant] && g.Cell((i+1)%g.NumCells()).Fleet.HasGuest(migrant) {
+			res.MigrantFlags++
 		}
 	}
 	return res, nil

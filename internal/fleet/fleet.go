@@ -162,20 +162,30 @@ type guest struct {
 	servicePort int
 }
 
+// host is one machine of the fleet: its hypervisor stack, its spec, and
+// the logical footprint of the guests placed on it — a running counter
+// maintained at placement, stop and migration, so FreeMemMB is one lookup.
+type host struct {
+	*kvm.Host
+	spec   HostSpec
+	usedMB int64
+}
+
 // Fleet is a set of simulated hosts sharing one engine, one network
 // fabric, and one migration engine.
 type Fleet struct {
 	eng   *sim.Engine
 	net   *vnet.Network
 	mig   *migrate.Engine
-	hosts map[string]*kvm.Host
-	specs map[string]HostSpec
-	order []string // host names, sorted
+	hosts map[string]*host
+	order []*host // sorted by name
+	// names counts every host's L0 instance names — registered guests,
+	// migration clones and interposed stacks alike.
+	names *kvm.Names
 
 	guests  map[string]*guest
-	usedMB  map[string]int64 // per-host placed-guest memory (FreeMemMB in O(1))
-	nextIdx int              // fleet-wide guest counter (port layout)
-	gen     int              // migration generation counter (instance names, ports)
+	nextIdx int // fleet-wide guest counter (port layout)
+	gen     int // migration generation counter (instance names, ports)
 
 	retry RetryPolicy
 
@@ -229,10 +239,9 @@ func New(seed int64, opts ...Option) (*Fleet, error) {
 		eng:    eng,
 		net:    network,
 		mig:    mig,
-		hosts:  make(map[string]*kvm.Host, len(c.hosts)),
-		specs:  make(map[string]HostSpec, len(c.hosts)),
+		hosts:  make(map[string]*host, len(c.hosts)),
+		names:  kvm.NewNames(),
 		guests: make(map[string]*guest),
-		usedMB: make(map[string]int64, len(c.hosts)),
 		retry:  RetryPolicy{Attempts: c.retries, Backoff: c.backoff},
 		tele:   tele,
 		spans:  spans,
@@ -250,17 +259,18 @@ func New(seed int64, opts ...Option) (*Fleet, error) {
 		}
 		h.SetMigrationService(mig)
 		h.SetTelemetry(tele)
-		f.hosts[spec.Name] = h
-		f.specs[spec.Name] = spec
-		f.order = append(f.order, spec.Name)
+		h.ShareNames(f.names)
+		rec := &host{Host: h, spec: spec}
+		f.hosts[spec.Name] = rec
+		f.order = append(f.order, rec)
 	}
-	sort.Strings(f.order)
+	sort.Slice(f.order, func(i, j int) bool { return f.order[i].spec.Name < f.order[j].spec.Name })
 	// Full mesh of explicit host-pair links. Guest NICs attach to their
 	// host (kvm.CreateVM), so these links govern all cross-host traffic
 	// while intra-host paths keep the fabric's default loopback link.
 	for i, a := range f.order {
 		for _, b := range f.order[i+1:] {
-			network.SetLink(a, b, c.hostLink)
+			network.SetLink(a.spec.Name, b.spec.Name, c.hostLink)
 		}
 	}
 	return f, nil
@@ -294,26 +304,42 @@ func (f *Fleet) Host(name string) (*kvm.Host, error) {
 	if !ok {
 		return nil, fmt.Errorf("%w: %q", ErrUnknownHost, name)
 	}
-	return h, nil
+	return h.Host, nil
 }
 
 // HostNames returns all host names, sorted.
 func (f *Fleet) HostNames() []string {
-	return append([]string(nil), f.order...)
+	out := make([]string, len(f.order))
+	for i, h := range f.order {
+		out[i] = h.spec.Name
+	}
+	return out
 }
 
 // Trusted reports whether the named host carries the trusted tag.
-func (f *Fleet) Trusted(name string) bool { return f.specs[name].Trusted }
+func (f *Fleet) Trusted(name string) bool {
+	h, ok := f.hosts[name]
+	return ok && h.spec.Trusted
+}
 
 // TrustedHosts returns the trusted host names, sorted.
 func (f *Fleet) TrustedHosts() []string {
 	var out []string
-	for _, name := range f.order {
-		if f.specs[name].Trusted {
-			out = append(out, name)
+	for _, h := range f.order {
+		if h.spec.Trusted {
+			out = append(out, h.spec.Name)
 		}
 	}
 	return out
+}
+
+// NumGuests returns how many guests are registered.
+func (f *Fleet) NumGuests() int { return len(f.guests) }
+
+// HasGuest reports whether a guest is registered under name.
+func (f *Fleet) HasGuest(name string) bool {
+	_, ok := f.guests[name]
+	return ok
 }
 
 // GuestNames returns all registered guest names, sorted.
@@ -339,14 +365,21 @@ func (f *Fleet) GuestsOn(host string) []string {
 }
 
 // FreeMemMB returns a host's guest-memory budget minus the logical
-// footprint of the guests placed on it. The footprint is a running
-// per-host counter maintained at placement, stop, and migration — not a
-// scan of the registry — because the placement scheduler calls this per
-// candidate host per decision, which at megastorm scale (100k deploys)
-// made provisioning quadratic in the guest count.
+// footprint of the guests placed on it (0 for an unknown host). The
+// footprint is a running per-host counter, not a scan of the registry,
+// because the placement scheduler reads it per candidate host per
+// decision, which at megastorm scale (100k deploys) made provisioning
+// quadratic in the guest count.
 func (f *Fleet) FreeMemMB(host string) int64 {
-	return f.specs[host].MemMB - f.usedMB[host]
+	h, ok := f.hosts[host]
+	if !ok {
+		return 0
+	}
+	return h.free()
 }
+
+// free returns the host's guest-memory budget left.
+func (h *host) free() int64 { return h.spec.MemMB - h.usedMB }
 
 // StartGuest creates and boots a guest on the named host, assigning it a
 // fleet-unique service port (SSH forward) and monitor port.
@@ -372,25 +405,29 @@ func (f *Fleet) StartGuestFrom(host, name string, tmpl *mem.Template) (*qemu.VM,
 	return f.startGuest(host, name, tmpl.SizeBytes()>>20, tmpl)
 }
 
-func (f *Fleet) startGuest(host, name string, memMB int64, tmpl *mem.Template) (*qemu.VM, error) {
-	hv, err := f.Host(host)
-	if err != nil {
-		return nil, err
+func (f *Fleet) startGuest(hostName, name string, memMB int64, tmpl *mem.Template) (*qemu.VM, error) {
+	h, ok := f.hosts[hostName]
+	if !ok {
+		return nil, fmt.Errorf("%w: %q", ErrUnknownHost, hostName)
 	}
 	if g, dup := f.guests[name]; dup {
 		return nil, fmt.Errorf("%w: %q already on host %q", ErrDuplicateGuest, name, g.host)
 	}
-	for _, other := range f.order {
-		if _, exists := f.hosts[other].Hypervisor().VM(name); exists {
-			return nil, fmt.Errorf("%w: %q already backed by an instance on host %q",
-				ErrDuplicateGuest, name, other)
+	// The shared name index answers for every host at once; only a hit
+	// pays for the scan that names the occupying host.
+	if f.names.Has(name) {
+		for _, other := range f.order {
+			if _, exists := other.Hypervisor().VM(name); exists {
+				return nil, fmt.Errorf("%w: %q already backed by an instance on host %q",
+					ErrDuplicateGuest, name, other.spec.Name)
+			}
 		}
 	}
 	if memMB <= 0 {
 		return nil, fmt.Errorf("fleet: guest %q needs memory > 0", name)
 	}
-	if f.FreeMemMB(host) < memMB {
-		return nil, fmt.Errorf("%w: %q on %q", ErrInsufficientMemory, name, host)
+	if h.free() < memMB {
+		return nil, fmt.Errorf("%w: %q on %q", ErrInsufficientMemory, name, hostName)
 	}
 	idx := f.nextIdx
 	cfg := qemu.DefaultConfig(name)
@@ -399,16 +436,16 @@ func (f *Fleet) startGuest(host, name string, memMB int64, tmpl *mem.Template) (
 	cfg.MonitorPort = monitorBasePort + idx
 	servicePort := serviceBasePort + idx
 	cfg.NetDevs[0].HostFwds = []qemu.FwdRule{{HostPort: servicePort, GuestPort: 22}}
-	vm, err := hv.Hypervisor().CreateVM(cfg)
+	vm, err := h.Hypervisor().CreateVM(cfg)
 	if err != nil {
 		return nil, err
 	}
-	if err := hv.Hypervisor().Launch(name); err != nil {
+	if err := h.Hypervisor().Launch(name); err != nil {
 		return nil, err
 	}
 	f.nextIdx++
-	f.guests[name] = &guest{name: name, host: host, memMB: memMB, servicePort: servicePort}
-	f.usedMB[host] += memMB
+	f.guests[name] = &guest{name: name, host: hostName, memMB: memMB, servicePort: servicePort}
+	h.usedMB += memMB
 	f.tele.Counter("fleet_placements_total").Inc()
 	return vm, nil
 }
@@ -426,11 +463,12 @@ func (f *Fleet) StopGuest(name string) error {
 	if err != nil {
 		return err
 	}
-	if err := f.hosts[g.host].Hypervisor().Kill(info.Outer.Name()); err != nil {
+	h := f.hosts[g.host]
+	if err := h.Hypervisor().Kill(info.Outer.Name()); err != nil {
 		return err
 	}
 	delete(f.guests, name)
-	f.usedMB[g.host] -= g.memMB
+	h.usedMB -= g.memMB
 	f.tele.Counter("fleet_stops_total").Inc()
 	return nil
 }
@@ -458,7 +496,10 @@ func (f *Fleet) Lookup(name string) (GuestInfo, error) {
 	if !ok {
 		return GuestInfo{}, fmt.Errorf("%w: %q", ErrUnknownGuest, name)
 	}
-	final, hops, err := f.net.ResolveForward(vnet.Addr{Endpoint: g.host, Port: g.servicePort})
+	// The usual chain is one hop, two through an interposed VM: resolve
+	// into a stack buffer.
+	var buf [4]string
+	final, hops, err := f.net.ResolveForwardAppend(buf[:0], vnet.Addr{Endpoint: g.host, Port: g.servicePort})
 	if err != nil {
 		return GuestInfo{}, err
 	}
@@ -493,12 +534,12 @@ func (f *Fleet) SetHostLink(host string, down bool) error {
 		return fmt.Errorf("%w: %q", ErrUnknownHost, host)
 	}
 	for _, other := range f.order {
-		if other == host {
+		if other.spec.Name == host {
 			continue
 		}
-		spec := f.net.Link(host, other)
+		spec := f.net.Link(host, other.spec.Name)
 		spec.Down = down
-		f.net.SetLink(host, other, spec)
+		f.net.SetLink(host, other.spec.Name, spec)
 	}
 	return nil
 }

@@ -95,7 +95,8 @@ func (f *Fleet) MigrateVM(guestName, dstName string) (rep MoveReport, err error)
 		return rep, err
 	}
 
-	srcHV := f.hosts[g.host].Hypervisor()
+	src := f.hosts[g.host]
+	srcHV := src.Hypervisor()
 	dstHV := dstHost.Hypervisor()
 	start := f.eng.Now()
 
@@ -178,9 +179,9 @@ func (f *Fleet) MigrateVM(guestName, dstName string) (rep MoveReport, err error)
 	if err := srcHV.Kill(info.Outer.Name()); err != nil {
 		return rep, err
 	}
-	f.usedMB[g.host] -= g.memMB
+	src.usedMB -= g.memMB
 	g.host = dstName
-	f.usedMB[g.host] += g.memMB
+	f.hosts[dstName].usedMB += g.memMB
 	rep.Duration = f.eng.Now() - start
 	return rep, nil
 }
@@ -193,7 +194,7 @@ func (f *Fleet) MigrateToTrusted(guestName string) (MoveReport, error) {
 	if !ok {
 		return MoveReport{}, fmt.Errorf("%w: %q", ErrUnknownGuest, guestName)
 	}
-	if f.specs[g.host].Trusted {
+	if f.hosts[g.host].spec.Trusted {
 		return MoveReport{Guest: guestName, From: g.host, To: g.host, Skipped: true}, nil
 	}
 	dst, err := f.PickHost(guestName, Policy{RequireTrusted: true})

@@ -36,19 +36,20 @@ func (f *Fleet) PickHostFor(memMB int64, pol Policy) (string, error) {
 		excl[h] = true
 	}
 	best, bestFree := "", int64(0)
-	for _, host := range f.order {
-		if excl[host] || avoid[host] {
+	for _, h := range f.order {
+		name := h.spec.Name
+		if excl[name] || avoid[name] {
 			continue
 		}
-		if pol.RequireTrusted && !f.specs[host].Trusted {
+		if pol.RequireTrusted && !h.spec.Trusted {
 			continue
 		}
-		free := f.FreeMemMB(host)
+		free := h.free()
 		if free < memMB+pol.MinFreeMB {
 			continue
 		}
 		if best == "" || free > bestFree {
-			best, bestFree = host, free
+			best, bestFree = name, free
 		}
 	}
 	if best == "" {

@@ -5,6 +5,8 @@ import (
 	"fmt"
 	"testing"
 
+	"cloudskulk/internal/core"
+	"cloudskulk/internal/kvm"
 	"cloudskulk/internal/runner"
 )
 
@@ -215,4 +217,54 @@ func contains(s, sub string) bool {
 		}
 	}
 	return false
+}
+
+// TestNameIndexMatchesHosts: every host of a fleet counts its L0 instance
+// names in one shared index, and a recount from every host's hypervisor
+// matches it after deploys, a migration (which leaves a clone instance
+// name behind), a stop, a rootkit install (an interposed L0 VM; the
+// nested victim lives in its namespace and is not counted) and a
+// migration of the infected guest.
+func TestNameIndexMatchesHosts(t *testing.T) {
+	f, err := New(1, WithHosts(3))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var hosts []*kvm.Host
+	for _, h := range f.order {
+		hosts = append(hosts, h.Host)
+	}
+	recount := func(step string) {
+		t.Helper()
+		if err := f.names.Check(hosts); err != nil {
+			t.Fatalf("after %s: %v", step, err)
+		}
+	}
+	for i, g := range []string{"g0", "g1", "g2"} {
+		if _, err := f.StartGuest(fmt.Sprintf("h%02d", i%2), g, 32); err != nil {
+			t.Fatal(err)
+		}
+	}
+	recount("deploys")
+	if _, err := f.MigrateVM("g1", "h02"); err != nil {
+		t.Fatal(err)
+	}
+	recount("a migration")
+	if err := f.StopGuest("g2"); err != nil {
+		t.Fatal(err)
+	}
+	recount("a stop")
+	icfg := core.DefaultInstallConfig()
+	icfg.TargetName, icfg.RITMName = "g0", "g0-x"
+	if _, err := (core.Installer{Host: f.hosts["h00"].Host, Migration: f.Migration()}).Install(icfg); err != nil {
+		t.Fatal(err)
+	}
+	recount("a rootkit install")
+	if _, err := f.StartGuest("h02", "g0-x", 32); !errors.Is(err, ErrDuplicateGuest) {
+		t.Fatalf("guest named like the interposed VM: %v, want ErrDuplicateGuest", err)
+	}
+	if _, err := f.MigrateVM("g0", "h01"); err != nil {
+		t.Fatal(err)
+	}
+	recount("migrating the infected guest")
 }

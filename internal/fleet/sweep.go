@@ -67,7 +67,7 @@ func (f *Fleet) SweepDetect(o SweepOptions) ([]GuestVerdict, error) {
 				ksmd.Start()
 				defer ksmd.Stop()
 			}
-			det := detect.NewDedupDetector(f.hosts[info.Host])
+			det := detect.NewDedupDetector(f.hosts[info.Host].Host)
 			if o.Pages > 0 {
 				det.Pages = o.Pages
 			}

@@ -220,13 +220,19 @@ func (d *Daemon) Config() Config { return d.cfg }
 
 // Register adds a space to the scan set — the moral equivalent of
 // madvise(MADV_MERGEABLE) over a QEMU process's guest RAM. Registering the
-// same space twice is a no-op.
+// same space twice is a no-op; the space records its daemon, so telling
+// the two apart costs no search. A space's pages live in one machine's
+// memory, so it can be registered with one daemon at a time: registering
+// it with a second one panics.
 func (d *Daemon) Register(s *mem.Space) {
-	for _, r := range d.regions {
-		if r.space == s {
-			return
-		}
+	switch s.Scanner() {
+	case d:
+		return
+	case nil:
+	default:
+		panic(fmt.Sprintf("ksm: space %s is already registered with another daemon", s.Name()))
 	}
+	s.SetScanner(d)
 	d.regions = append(d.regions, &region{space: s})
 }
 
@@ -237,6 +243,10 @@ func (d *Daemon) Register(s *mem.Space) {
 // ksmd's scan cursor, which names the current mm_slot, the cursor stays on
 // the region being scanned when another region leaves the list.
 func (d *Daemon) Unregister(s *mem.Space) {
+	if s.Scanner() != d {
+		return
+	}
+	s.SetScanner(nil)
 	for i, r := range d.regions {
 		if r.space != s {
 			continue

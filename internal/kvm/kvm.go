@@ -72,6 +72,64 @@ type Host struct {
 	backend   hv.Backend
 	migration MigrationService
 	tel       *telemetry.Registry
+	names     *Names
+
+	// vcpuTel caches the vCPU counter handles per guest level, resolved on
+	// tel for vcpuModel; SetTelemetry and a change of Model drop them.
+	vcpuTel   [cpu.L3 + 1]*cpu.Telemetry
+	vcpuModel cpu.Model
+}
+
+// Names counts L0 guest names across every host sharing it — one fleet's
+// machines — so a fleet-wide duplicate-name check is one lookup instead of
+// one per host. A host updates it only when an L0 CreateVM or Kill
+// succeeds; nested guests live in their enclosing VM's namespace and are
+// not counted.
+type Names struct{ n map[string]int }
+
+// NewNames returns an empty index.
+func NewNames() *Names { return &Names{n: make(map[string]int)} }
+
+// Has reports whether a host sharing the index runs an L0 guest called
+// name. A nil index has no names.
+func (ix *Names) Has(name string) bool { return ix != nil && ix.n[name] > 0 }
+
+func (ix *Names) add(name string) {
+	if ix != nil {
+		ix.n[name]++
+	}
+}
+
+func (ix *Names) remove(name string) {
+	if ix == nil {
+		return
+	}
+	if ix.n[name] > 1 {
+		ix.n[name]--
+	} else {
+		delete(ix.n, name)
+	}
+}
+
+// Check recounts the L0 guests of hosts, which must be every host sharing
+// the index, and returns an error naming a name whose count disagrees, or
+// nil.
+func (ix *Names) Check(hosts []*Host) error {
+	diff := make(map[string]int, len(ix.n))
+	for name, n := range ix.n {
+		diff[name] = n
+	}
+	for _, h := range hosts {
+		for name := range h.hv.vms {
+			diff[name]--
+		}
+	}
+	for name, d := range diff {
+		if d != 0 {
+			return fmt.Errorf("kvm: name index counts %q %d times too many", name, d)
+		}
+	}
+	return nil
 }
 
 // NewHost builds a physical machine with the given name on the default
@@ -146,6 +204,7 @@ func (h *Host) SetMigrationService(m MigrationService) { h.migration = m }
 // hosts or sweep cells stays deterministic.
 func (h *Host) SetTelemetry(reg *telemetry.Registry) {
 	h.tel = reg
+	h.vcpuTel = [cpu.L3 + 1]*cpu.Telemetry{}
 	h.ksmd.SetTelemetry(reg)
 	if reg != nil {
 		reg.Gauge("kvm_exit_multiplier").Set(int64(h.Model.ExitMultiplier))
@@ -154,6 +213,22 @@ func (h *Host) SetTelemetry(reg *telemetry.Registry) {
 
 // Telemetry returns the host's registry (nil when unset).
 func (h *Host) Telemetry() *telemetry.Registry { return h.tel }
+
+// vcpuTelemetry returns the counter handles every vCPU of a guest at level
+// shares, resolving them on first use for the host's current Model.
+func (h *Host) vcpuTelemetry(level cpu.Level) *cpu.Telemetry {
+	if h.vcpuModel != h.Model {
+		h.vcpuTel, h.vcpuModel = [cpu.L3 + 1]*cpu.Telemetry{}, h.Model
+	}
+	if h.vcpuTel[level] == nil {
+		h.vcpuTel[level] = cpu.NewTelemetry(h.tel, h.Model, level)
+	}
+	return h.vcpuTel[level]
+}
+
+// ShareNames makes the host count its L0 guests in ix, the index its
+// fleet's hosts share. Call it before the host creates any guest.
+func (h *Host) ShareNames(ix *Names) { h.names = ix }
 
 // OpenMonitor connects to the QEMU monitor a VM exposes on the given host
 // telnet port, searching all virtualization levels — the attacker's
@@ -226,6 +301,10 @@ func (hv *Hypervisor) hostEndpoint() string {
 // host's KSM daemon (all guest RAM — nested included — physically lives in
 // some L0 process), and records the command in shell history. The VM is
 // returned in StateCreated; call Launch to boot it.
+//
+// A failed CreateVM leaves no trace: the -incoming URI and the host
+// forwards are checked before anything is touched, and a step that fails
+// after that undoes the steps before it, in reverse order.
 func (hv *Hypervisor) CreateVM(cfg qemu.Config) (*qemu.VM, error) {
 	if _, exists := hv.vms[cfg.Name]; exists {
 		return nil, fmt.Errorf("%w: %q", ErrVMExists, cfg.Name)
@@ -234,6 +313,26 @@ func (hv *Hypervisor) CreateVM(cfg qemu.Config) (*qemu.VM, error) {
 		return nil, fmt.Errorf("kvm: create vm %q: template %q holds %d MB, config wants %d MB",
 			cfg.Name, cfg.MemTemplate.Name(), cfg.MemTemplate.SizeBytes()>>20, cfg.MemoryMB)
 	}
+	// The QEMU process binds its -incoming port on whatever machine it
+	// runs on: the physical host for L1 guests, the enclosing VM for
+	// nested guests ("ROOTKIT PORT BBBB" in the paper).
+	incoming := hv.host.migration != nil && cfg.Incoming != ""
+	var inAddr vnet.Addr
+	if incoming {
+		port, err := qemu.ParseIncomingPort(cfg.Incoming)
+		if err != nil {
+			return nil, err
+		}
+		inAddr = vnet.Addr{Endpoint: hv.hostEndpoint(), Port: port}
+	}
+	for _, nd := range cfg.NetDevs {
+		for _, rule := range nd.HostFwds {
+			if err := hv.fwdFree(rule.HostPort); err != nil {
+				return nil, err
+			}
+		}
+	}
+
 	endpoint := hv.guestEndpoint(cfg.Name)
 	if err := hv.host.net.AddEndpoint(endpoint); err != nil {
 		return nil, fmt.Errorf("kvm: create vm %q: %w", cfg.Name, err)
@@ -246,55 +345,61 @@ func (hv *Hypervisor) CreateVM(cfg qemu.Config) (*qemu.VM, error) {
 	}
 	vm := qemu.NewVM(hv.host.eng, cfg, hv.host.Model, hv.GuestLevel(), endpoint)
 	vm.VCPU().Noise = hv.host.backend.Profile.VCPUNoise
-	if hv.host.tel != nil {
-		vm.SetTelemetry(hv.host.tel)
-		vm.VCPU().SetTelemetry(hv.host.tel)
-		hv.host.tel.Counter("kvm_vms_created_total").Inc()
-	}
-
-	// Configured host forwards.
+	// Configured host forwards. Two rules for one host port collide here.
 	for _, nd := range cfg.NetDevs {
 		for _, rule := range nd.HostFwds {
 			if err := hv.installFwd(vm, rule); err != nil {
-				hv.host.net.RemoveEndpoint(endpoint)
+				hv.undoCreate(vm)
 				return nil, err
 			}
 		}
 	}
+	if incoming {
+		if err := hv.host.migration.RegisterIncoming(vm, inAddr); err != nil {
+			hv.undoCreate(vm)
+			return nil, err
+		}
+		if err := hv.host.net.Listen(inAddr, func(*vnet.Packet) {}); err != nil {
+			hv.host.migration.UnregisterIncoming(inAddr)
+			hv.undoCreate(vm)
+			return nil, fmt.Errorf("kvm: incoming listener: %w", err)
+		}
+	}
 
+	// Nothing below fails.
+	if hv.host.tel != nil {
+		vm.SetTelemetry(hv.host.tel)
+		vm.VCPU().UseTelemetry(hv.host.vcpuTelemetry(hv.GuestLevel()))
+		hv.host.tel.Counter("kvm_vms_created_total").Inc()
+	}
 	// Backing process in the hosting OS, visible to `ps -ef`, and the
 	// same line in shell history.
 	line := cfg.CommandLine()
 	vm.SetPID(hv.os.Spawn("root", line).PID)
 	hv.os.AppendHistory(line)
-
 	// Physical residence: register with the L0 host's KSM scanner.
 	hv.host.ksmd.Register(vm.RAM())
-
 	if hv.host.migration != nil {
 		vm.SetMigrator(hv.host.migration)
 		hv.host.migration.RegisterVM(vm, hv.hostEndpoint())
-		if cfg.Incoming != "" {
-			port, err := qemu.ParseIncomingPort(cfg.Incoming)
-			if err != nil {
-				return nil, err
-			}
-			// The QEMU process binds the port on whatever machine it
-			// runs on: the physical host for L1 guests, the enclosing
-			// VM for nested guests ("ROOTKIT PORT BBBB" in the paper).
-			addr := vnet.Addr{Endpoint: hv.hostEndpoint(), Port: port}
-			if err := hv.host.migration.RegisterIncoming(vm, addr); err != nil {
-				return nil, err
-			}
-			if err := hv.host.net.Listen(addr, func(*vnet.Packet) {}); err != nil {
-				return nil, fmt.Errorf("kvm: incoming listener: %w", err)
-			}
-		}
 	}
 	vm.SetPortForwarder(hv)
 
 	hv.vms[cfg.Name] = vm
+	if hv.insideVM == nil {
+		hv.host.names.add(cfg.Name)
+	}
 	return vm, nil
+}
+
+// undoCreate tears down what a failing CreateVM set up for vm before its
+// failure: the forwards it installed, then its endpoint.
+func (hv *Hypervisor) undoCreate(vm *qemu.VM) {
+	for _, from := range hv.fwds[vm.Name()] {
+		hv.host.net.RemoveForward(from)
+	}
+	delete(hv.fwds, vm.Name())
+	hv.host.net.RemoveEndpoint(vm.Endpoint())
 }
 
 // guestEndpoint names the NIC of this hypervisor's guest called name.
@@ -317,15 +422,25 @@ func (hv *Hypervisor) guestName(endpoint string) (string, bool) {
 
 const nicSuffix = ".nic"
 
-func (hv *Hypervisor) installFwd(vm *qemu.VM, rule qemu.FwdRule) error {
-	from := vnet.Addr{Endpoint: hv.hostEndpoint(), Port: rule.HostPort}
-	to := vnet.Addr{Endpoint: vm.Endpoint(), Port: rule.GuestPort}
+// fwdFree fails if host port hostPort of this hypervisor's host endpoint
+// is already forwarded.
+func (hv *Hypervisor) fwdFree(hostPort int) error {
+	from := vnet.Addr{Endpoint: hv.hostEndpoint(), Port: hostPort}
 	if _, hops, err := hv.host.net.ResolveForward(from); err != nil || len(hops) > 0 {
 		if err == nil {
-			err = fmt.Errorf("kvm: host port %d already forwarded", rule.HostPort)
+			err = fmt.Errorf("kvm: host port %d already forwarded", hostPort)
 		}
 		return err
 	}
+	return nil
+}
+
+func (hv *Hypervisor) installFwd(vm *qemu.VM, rule qemu.FwdRule) error {
+	if err := hv.fwdFree(rule.HostPort); err != nil {
+		return err
+	}
+	from := vnet.Addr{Endpoint: hv.hostEndpoint(), Port: rule.HostPort}
+	to := vnet.Addr{Endpoint: vm.Endpoint(), Port: rule.GuestPort}
 	if err := hv.host.net.AddForward(from, to); err != nil {
 		return err
 	}
@@ -452,6 +567,9 @@ func (hv *Hypervisor) Kill(name string) error {
 		_ = hv.os.Kill(vm.PID())
 	}
 	delete(hv.vms, name)
+	if hv.insideVM == nil {
+		hv.host.names.remove(name)
+	}
 	return nil
 }
 

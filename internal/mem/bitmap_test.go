@@ -14,7 +14,7 @@ func setBits(b *Bitmap) []int {
 
 // dirtyPages lists s's dirty pages in ascending order without clearing
 // them.
-func dirtyPages(s *Space) []int { return setBits(s.dirty) }
+func dirtyPages(s *Space) []int { return setBits(&s.dirty) }
 
 func TestBitmapBasics(t *testing.T) {
 	b := NewBitmap(130) // spans three words

@@ -31,12 +31,7 @@ func TestFreezeCapturesLogicalContents(t *testing.T) {
 		t.Fatalf("template hash %#x != source hash %#x", tmpl.ContentHash(), src.ContentHash())
 	}
 	for p := 0; p < src.NumPages(); p++ {
-		want := src.MustRead(p)
-		got, err := tmpl.Read(p)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if got != want {
+		if got, want := tmpl.pages[p], src.MustRead(p); got != want {
 			t.Fatalf("template page %d = %#x, want %#x", p, got, want)
 		}
 	}
@@ -46,9 +41,6 @@ func TestFreezeCapturesLogicalContents(t *testing.T) {
 	}
 	if !src.Volatile(9) {
 		t.Fatal("source page 9 lost its volatile flag after Freeze")
-	}
-	if _, err := tmpl.Read(tmpl.NumPages()); err == nil {
-		t.Fatal("out-of-range template read did not error")
 	}
 }
 
@@ -93,10 +85,7 @@ func TestCOWForkDivergence(t *testing.T) {
 	base := tmpl.ContentHash()
 
 	const p = 5
-	orig, err := tmpl.Read(p)
-	if err != nil {
-		t.Fatal(err)
-	}
+	orig := tmpl.pages[p]
 	if _, err := a.Write(p, orig^0x1111); err != nil {
 		t.Fatal(err)
 	}
@@ -111,7 +100,7 @@ func TestCOWForkDivergence(t *testing.T) {
 	if EqualContents(a, b) {
 		t.Fatal("diverged forks compare equal")
 	}
-	if got, _ := tmpl.Read(p); got != orig {
+	if got := tmpl.pages[p]; got != orig {
 		t.Fatalf("template page changed under fork write: %#x != %#x", got, orig)
 	}
 	if a.MustRead(p) != orig^0x1111 || b.MustRead(p) != orig^0x2222 {
@@ -128,7 +117,7 @@ func TestCOWForkDivergence(t *testing.T) {
 	}
 	// A neighbouring page in the same chunk reads the copied content, and a
 	// page in another chunk still reads straight from the template.
-	if a.MustRead(p+1) != mustTmpl(t, tmpl, p+1) || a.MustRead(3*chunkSize) != mustTmpl(t, tmpl, 3*chunkSize) {
+	if a.MustRead(p+1) != tmpl.pages[p+1] || a.MustRead(3*chunkSize) != tmpl.pages[3*chunkSize] {
 		t.Fatal("untouched pages diverged from template")
 	}
 	// Writing the original content back restores the exact hash across
@@ -148,15 +137,6 @@ func TestCOWForkDivergence(t *testing.T) {
 	}
 }
 
-func mustTmpl(t *testing.T, tmpl *Template, p int) Content {
-	t.Helper()
-	c, err := tmpl.Read(p)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return c
-}
-
 // TestForkKSMAndVolatility: KSM state acquired after the fork is private
 // to the fork — merging, COW breaks, and volatility flags on one fork leave
 // the template and its siblings untouched.
@@ -166,7 +146,7 @@ func TestForkKSMAndVolatility(t *testing.T) {
 	b := SpawnFrom("guest-b", tmpl)
 
 	const p = 3
-	g := &SharedGroup{Content: mustTmpl(t, tmpl, p)}
+	g := &SharedGroup{Content: tmpl.pages[p]}
 	if err := a.AttachShared(p, g); err != nil {
 		t.Fatal(err)
 	}
@@ -220,7 +200,7 @@ func TestForkResetAndFillRandomDetach(t *testing.T) {
 	if a.Forked() || a.ContentHash() != 0 || a.MustRead(0) != ZeroPage {
 		t.Fatal("Reset did not fully detach and zero the fork")
 	}
-	if got := mustTmpl(t, tmpl, 0); got == 0xbeef {
+	if got := tmpl.pages[0]; got == 0xbeef {
 		t.Fatal("fork write leaked into template")
 	}
 

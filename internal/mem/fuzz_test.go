@@ -26,6 +26,9 @@ type spacePair struct {
 	sent   [2]*Bitmap
 	hooked int
 	log    [2][]string
+	// tmpls holds every template frozen so far, each with a handle over
+	// its pages, for the DeltaFrom check.
+	tmpls []*Template
 }
 
 func newSpacePair() *spacePair {
@@ -134,6 +137,7 @@ func (sp *spacePair) apply(t *testing.T, op, x, y, z byte) {
 		}
 		sp.got[dst] = SpawnFrom("fork", tmpl)
 		sp.want[dst] = refSpawnFrom("fork", rtmpl)
+		sp.tmpls = append(sp.tmpls, tmpl, tmpl.Handle("img-handle"))
 		if dst == sp.hooked {
 			sp.hooked = -1
 		}
@@ -235,6 +239,9 @@ func (sp *spacePair) compare(t *testing.T, x, y byte) {
 		if err := s.CheckInvariants(); err != nil {
 			t.Fatalf("slot %d: %v", i, err)
 		}
+		for ti, tmpl := range sp.tmpls {
+			checkDelta(t, i, ti, s, r, tmpl)
+		}
 	}
 	for gi, g := range sp.groups[0] {
 		if w := sp.groups[1][gi]; g.Refs != w.Refs {
@@ -250,6 +257,33 @@ func (sp *spacePair) compare(t *testing.T, x, y byte) {
 	sp.log[0], sp.log[1] = sp.log[0][:0], sp.log[1][:0]
 }
 
+// checkDelta fails unless s.DeltaFrom(tmpl) lists exactly the pages where
+// the reference r reads differently from tmpl, in ascending order, and
+// errors on a size mismatch instead.
+func checkDelta(t *testing.T, slot, ti int, s *Space, r *refSpace, tmpl *Template) {
+	t.Helper()
+	pages, data, err := s.DeltaFrom(tmpl, nil, nil)
+	if s.NumPages() != tmpl.NumPages() {
+		if err == nil {
+			t.Fatalf("slot %d: DeltaFrom a %d-page template of %d pages did not fail", slot, tmpl.NumPages(), s.NumPages())
+		}
+		return
+	}
+	var wantPages []int
+	var wantData []Content
+	for p := 0; p < r.npages; p++ {
+		c, _ := r.Read(p)
+		if c != tmpl.pages[p] {
+			wantPages = append(wantPages, p)
+			wantData = append(wantData, c)
+		}
+	}
+	if err != nil || !slices.Equal(pages, wantPages) || !slices.Equal(data, wantData) {
+		t.Fatalf("slot %d: DeltaFrom template %d = %v %v, %v; page by page %v %v",
+			slot, ti, pages, data, err, wantPages, wantData)
+	}
+}
+
 // FuzzSpaceOps is the differential check of the page layout: a byte string
 // decodes into Write, LoadFile, FillRandom, Reset, AttachShared to a new or
 // an existing group, MarkVolatile, PullDirty between two slots, ClearDirty,
@@ -258,7 +292,9 @@ func (sp *spacePair) compare(t *testing.T, x, y byte) {
 // previous layout in refSpace, whose PullDirty drains the source's log and
 // then reads and writes one page at a time. After every operation every
 // observable must agree, the write hook must have seen the same calls in
-// the same states, and CheckInvariants must pass.
+// the same states, CheckInvariants must pass, and every slot's DeltaFrom
+// against every template frozen so far (and a handle over it) must match
+// a page-by-page compare.
 func FuzzSpaceOps(f *testing.F) {
 	// Records are (op, page hi, page lo, value); op%14 is the kind and
 	// op/14 the slot.
@@ -302,6 +338,16 @@ func FuzzSpaceOps(f *testing.F) {
 		22, 0, 0, 0, // clear b's dirty log
 		35, 0, 0, 2, // pull c into a: sizes differ
 		40, 0, 120, 20, // WriteRun c[120..140): past the end
+	})
+	f.Add([]byte{
+		0, 0, 5, 3, // write a[5] = 3
+		11, 0, 0, 1, // freeze a, spawn into b
+		14, 0, 9, 4, // write b[9] = 4: materializes b's chunk 0
+		14, 0, 9, 0, // write b[9] back to the image's 0: no delta
+		14, 1, 4, 2, // write b[260] = 2: a second chunk, a real delta
+		14, 1, 4, 0, // and back again
+		14, 0, 255, 2, // write b[255] = 2: the last page of chunk 0
+		14, 2, 87, 3, // write b[599] = 3: the last page of the partial last chunk
 	})
 	f.Fuzz(func(t *testing.T, data []byte) {
 		sp := newSpacePair()

@@ -338,3 +338,41 @@ func BenchmarkPullDirty(b *testing.B) {
 		})
 	}
 }
+
+// BenchmarkDeltaFrom is a cross-shard migration's delta: a fork of a
+// 128 MB golden image that wrote 16 pages in each of two chunks, diffed
+// against a handle over the image ("chunks", the chunk walk) and against
+// a separately frozen copy of it ("pages", the page-by-page compare).
+func BenchmarkDeltaFrom(b *testing.B) {
+	src := NewSpace("golden", 128<<20)
+	src.FillRandom(sim.NewRand(1), 0.25)
+	tmpl := Freeze("golden", src)
+	fork := SpawnFrom("guest", tmpl)
+	for _, base := range []int{0, fork.NumPages() / 2} {
+		for p := base; p < base+16; p++ {
+			if _, err := fork.Write(p, Content(p)<<32|1); err != nil {
+				b.Fatal(err)
+			}
+		}
+	}
+	for _, bc := range []struct {
+		name    string
+		against *Template
+	}{{"chunks", tmpl.Handle("cell")}, {"pages", Freeze("copy", src)}} {
+		b.Run(bc.name, func(b *testing.B) {
+			var pages []int
+			var data []Content
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				var err error
+				pages, data, err = fork.DeltaFrom(bc.against, pages[:0], data[:0])
+				if err != nil {
+					b.Fatal(err)
+				}
+			}
+			if len(pages) != 32 || len(data) != 32 {
+				b.Fatalf("delta has %d pages, want 32", len(pages))
+			}
+		})
+	}
+}

@@ -119,7 +119,7 @@ type Space struct {
 	// volatile flags pages that change too often for KSM to bother
 	// merging (the ksmd heuristic of skipping pages whose checksum churns).
 	volatile Bitmap
-	dirty    *Bitmap
+	dirty    Bitmap
 
 	// gen is the mutation generation: bumped by every change to a page's
 	// content, sharing or volatility (Write, LoadFile, FillRandom, Reset,
@@ -140,6 +140,11 @@ type Space struct {
 	// pages to track changes (the paper's §VI-D countermeasure) hangs
 	// its synchronizer here.
 	onWrite func(page int, c Content)
+
+	// scanner is the KSM daemon the space is registered with, nil if none.
+	// Like Linux's MMF_VM_MERGEABLE it marks the memory itself, so the
+	// daemon checks a registration without searching its scan list.
+	scanner any
 }
 
 // NewSpace returns a space of sizeBytes rounded up to whole pages, with all
@@ -151,7 +156,7 @@ func NewSpace(name string, sizeBytes int64) *Space {
 		npages:   n,
 		pages:    make([]Content, n),
 		volatile: Bitmap{n: n},
-		dirty:    NewBitmap(n),
+		dirty:    Bitmap{n: n},
 	}
 }
 
@@ -411,6 +416,13 @@ func (s *Space) SetWriteHook(fn func(page int, c Content)) {
 // anyone inspecting the (simulated) hypervisor, which is the paper's point
 // that this countermeasure "could be easily detected".
 func (s *Space) HasWriteHook() bool { return s.onWrite != nil }
+
+// Scanner returns the KSM daemon the space is registered with, or nil.
+func (s *Space) Scanner() any { return s.scanner }
+
+// SetScanner records the KSM daemon the space is registered with (nil
+// when it leaves the daemon's scan set). Only the KSM daemon calls this.
+func (s *Space) SetScanner(d any) { s.scanner = d }
 
 // MarkVolatile flags page p as too-frequently-changing for KSM to merge.
 func (s *Space) MarkVolatile(p int, v bool) error {

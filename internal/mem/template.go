@@ -31,6 +31,20 @@ func Freeze(name string, src *Space) *Template {
 	}
 }
 
+// Handle returns another template over t's frozen pages: the same image
+// and content hash under its own name and spawn counter. Handles share the
+// page array read-only, so one golden image can back many owners that each
+// count their own forks without touching a common counter.
+func (t *Template) Handle(name string) *Template {
+	return &Template{name: name, pages: t.pages, hash: t.hash}
+}
+
+// sameImage reports whether t and u read the same frozen page array: one
+// is a Handle of the other, or both are handles of one template.
+func (t *Template) sameImage(u *Template) bool {
+	return len(t.pages) == len(u.pages) && (len(t.pages) == 0 || &t.pages[0] == &u.pages[0])
+}
+
 // Name returns the template's label.
 func (t *Template) Name() string { return t.name }
 
@@ -43,16 +57,6 @@ func (t *Template) SizeBytes() int64 { return int64(len(t.pages)) * PageSize }
 // ContentHash returns the template image's content digest — the hash every
 // space spawned from it starts with.
 func (t *Template) ContentHash() uint64 { return t.hash }
-
-// Read returns the logical content of template page p. Cross-shard
-// migration uses it to express a guest's memory as a delta against the
-// golden image.
-func (t *Template) Read(p int) (Content, error) {
-	if p < 0 || p >= len(t.pages) {
-		return 0, fmt.Errorf("%w: template %s page %d of %d", ErrOutOfRange, t.name, p, len(t.pages))
-	}
-	return t.pages[p], nil
-}
 
 // Spawns returns how many spaces have been forked from this template.
 func (t *Template) Spawns() uint64 { return t.spawns }
@@ -71,7 +75,7 @@ func SpawnFrom(name string, t *Template) *Space {
 		npages:   n,
 		tmpl:     t,
 		volatile: Bitmap{n: n},
-		dirty:    NewBitmap(n),
+		dirty:    Bitmap{n: n},
 	}
 }
 
@@ -99,3 +103,53 @@ func (s *Space) MaterializedChunks() int {
 // actually paid for copy-on-write, which the megastorm experiment surfaces
 // as "materialized MiB per guest".
 func (s *Space) ForkStats() (chunkCopies uint64) { return s.forkCopies }
+
+// DeltaFrom appends to pages and data, in ascending page order, every page
+// whose logical content differs from template t's, and returns both
+// slices — a guest's memory expressed as a delta against a golden image,
+// which cross-shard migration ships instead of the image. t must have as
+// many pages as s.
+//
+// A space that reads through t, or through a handle over the same pages,
+// can differ from it only inside its materialized chunks, so only those are
+// compared: the cost follows what the guest wrote, not its size. Any other
+// space — standalone, detached by Reset or FillRandom, or forked from
+// another image — is compared page by page.
+func (s *Space) DeltaFrom(t *Template, pages []int, data []Content) ([]int, []Content, error) {
+	if s.npages != len(t.pages) {
+		return pages, data, fmt.Errorf("mem: delta of %s against template %s: %d pages, template has %d",
+			s.name, t.name, s.npages, len(t.pages))
+	}
+	if s.tmpl != nil && s.tmpl.sameImage(t) {
+		pages, data = s.chunkDelta(t.pages, pages, data)
+		return pages, data, nil
+	}
+	for p, want := range t.pages {
+		if c := s.word(p); c != want {
+			pages = append(pages, p)
+			data = append(data, c)
+		}
+	}
+	return pages, data, nil
+}
+
+// chunkDelta is DeltaFrom's walk over a fork's materialized chunks, against
+// img, the page array the fork reads through.
+//
+//detlint:hotpath
+func (s *Space) chunkDelta(img []Content, pages []int, data []Content) ([]int, []Content) {
+	for ci, ch := range s.chunks {
+		if ch == nil {
+			continue
+		}
+		base := ci << chunkShift
+		orig := img[base : base+len(ch)]
+		for i, c := range ch {
+			if c != orig[i] {
+				pages = append(pages, base+i)
+				data = append(data, c)
+			}
+		}
+	}
+	return pages, data
+}

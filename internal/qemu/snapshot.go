@@ -58,7 +58,7 @@ func (v *VM) SaveSnapshot(name string) error {
 	}
 	v.snapshots[name] = &Snapshot{
 		Name:    name,
-		TakenAt: v.eng.Now(),
+		TakenAt: v.Engine().Now(),
 		state:   v.state,
 		ram:     v.ram.Snapshot(),
 		gen:     v.ram.Generation(),

@@ -81,19 +81,20 @@ type PortForwarder interface {
 	RemoveHostFwd(vm *VM, rule FwdRule) error
 }
 
-// VM is one QEMU process's guest.
+// VM is one QEMU process's guest. What most guests never use — block I/O
+// counters, the `info migrate` view, the monitor — is allocated on first
+// use, and the engine and level are the vCPU's: a fleet creates one VM per
+// guest, so every field here is paid 100k times at megastorm scale.
 type VM struct {
-	eng      *sim.Engine
 	cfg      Config
 	state    State
 	ram      *mem.Space
 	vcpu     *cpu.VCPU
-	level    cpu.Level
 	endpoint string
 	pid      int
 
-	blocks    []BlockStats
-	migInfo   MigrationInfo
+	blocks    []BlockStats // per drive, nil until the first RecordBlockIO
+	migInfo   *MigrationInfo
 	migrator  Migrator
 	portFwd   PortForwarder
 	monitor   *Monitor
@@ -118,17 +119,13 @@ func NewVM(eng *sim.Engine, cfg Config, model cpu.Model, level cpu.Level, endpoi
 	} else {
 		ram = mem.NewSpace(cfg.Name+".ram", cfg.MemoryMB<<20)
 	}
-	vm := &VM{
-		eng:      eng,
+	return &VM{
 		cfg:      cfg.Clone(),
 		state:    StateCreated,
 		ram:      ram,
 		vcpu:     cpu.NewVCPU(eng, model, level),
-		level:    level,
 		endpoint: endpoint,
-		blocks:   make([]BlockStats, len(cfg.Drives)),
 	}
-	return vm
 }
 
 // Name returns the VM's configured name.
@@ -147,13 +144,13 @@ func (v *VM) RAM() *mem.Space { return v.ram }
 func (v *VM) VCPU() *cpu.VCPU { return v.vcpu }
 
 // Level returns the virtualization level guest code runs at.
-func (v *VM) Level() cpu.Level { return v.level }
+func (v *VM) Level() cpu.Level { return v.vcpu.Level() }
 
 // Endpoint returns the VM's network endpoint name.
 func (v *VM) Endpoint() string { return v.endpoint }
 
 // Engine returns the simulation engine.
-func (v *VM) Engine() *sim.Engine { return v.eng }
+func (v *VM) Engine() *sim.Engine { return v.vcpu.Engine() }
 
 // PID returns the host process id backing this VM (0 until assigned).
 func (v *VM) PID() int { return v.pid }
@@ -181,12 +178,12 @@ func (v *VM) Boot(bootTime time.Duration, rng *sim.Rand, zeroFrac float64) error
 		// boots leave the engine's clock and random stream exactly where
 		// they were. After a Reset the fork is gone and the normal cold
 		// path below runs.
-		v.bootedAt = v.eng.Now()
+		v.bootedAt = v.Engine().Now()
 		v.state = StateRunning
 		return nil
 	}
-	v.eng.Advance(bootTime)
-	v.bootedAt = v.eng.Now()
+	v.Engine().Advance(bootTime)
+	v.bootedAt = v.Engine().Now()
 	if v.cfg.Incoming != "" {
 		v.state = StateIncoming
 		return nil
@@ -202,7 +199,7 @@ func (v *VM) Pause() error {
 		return fmt.Errorf("%w: stop from %v", ErrBadState, v.state)
 	}
 	v.state = StatePaused
-	v.stoppedAt = v.eng.Now()
+	v.stoppedAt = v.Engine().Now()
 	return nil
 }
 
@@ -244,8 +241,11 @@ func (v *VM) Running() bool { return v.state == StateRunning }
 // RecordBlockIO accumulates device I/O counters for `info blockstats`.
 // Unknown drive indices are ignored (defensive: workloads probe drive 0).
 func (v *VM) RecordBlockIO(drive int, rdBytes, wrBytes, rdOps, wrOps uint64) {
-	if drive < 0 || drive >= len(v.blocks) {
+	if drive < 0 || drive >= len(v.cfg.Drives) {
 		return
+	}
+	if v.blocks == nil {
+		v.blocks = make([]BlockStats, len(v.cfg.Drives))
 	}
 	b := &v.blocks[drive]
 	b.RdBytes += rdBytes
@@ -256,8 +256,11 @@ func (v *VM) RecordBlockIO(drive int, rdBytes, wrBytes, rdOps, wrOps uint64) {
 
 // BlockStatsFor returns drive i's counters.
 func (v *VM) BlockStatsFor(i int) (BlockStats, bool) {
-	if i < 0 || i >= len(v.blocks) {
+	if i < 0 || i >= len(v.cfg.Drives) {
 		return BlockStats{}, false
+	}
+	if v.blocks == nil {
+		return BlockStats{}, true
 	}
 	return v.blocks[i], true
 }
@@ -313,10 +316,20 @@ func (v *VM) RemoveHostFwd(rule FwdRule) error {
 }
 
 // SetMigrationInfo updates the `info migrate` view.
-func (v *VM) SetMigrationInfo(info MigrationInfo) { v.migInfo = info }
+func (v *VM) SetMigrationInfo(info MigrationInfo) {
+	if v.migInfo == nil {
+		v.migInfo = new(MigrationInfo)
+	}
+	*v.migInfo = info
+}
 
 // MigrationStatus returns the current `info migrate` view.
-func (v *VM) MigrationStatus() MigrationInfo { return v.migInfo }
+func (v *VM) MigrationStatus() MigrationInfo {
+	if v.migInfo == nil {
+		return MigrationInfo{}
+	}
+	return *v.migInfo
+}
 
 // Monitor returns the VM's QEMU monitor, creating it on first use.
 func (v *VM) Monitor() *Monitor {

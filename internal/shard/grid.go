@@ -55,16 +55,15 @@ type migStream struct {
 }
 
 // Cell is one shard's slice of the cloud: a fleet, its control plane,
-// the shared golden template, and migration scratch state. All of it is
-// driven solely by the cell's shard engine.
+// its handle on the grid's golden image, and migration counters. All of
+// it is driven solely by the cell's shard engine.
 type Cell struct {
 	Shard    *Shard
 	Fleet    *fleet.Fleet
 	Plane    *controlplane.Plane
 	Template *mem.Template
 
-	grid    *Grid
-	snapBuf []mem.Content // reused across outgoing migrations (SnapshotInto)
+	grid *Grid
 
 	deployed   int
 	migOut     int
@@ -94,8 +93,8 @@ type Grid struct {
 	cleanKernelHash uint64
 }
 
-// NewGrid builds the sharded cloud. Every shard gets an identical golden
-// template (frozen from the same template seed), so cross-shard
+// NewGrid builds the sharded cloud. The golden image is built and frozen
+// once; every shard holds its own template handle over it, so cross-shard
 // migrations can ship deltas instead of full images.
 func NewGrid(cfg GridConfig) (*Grid, error) {
 	if cfg.Shards <= 0 || cfg.HostsPerShard <= 0 || cfg.GuestsPerHost <= 0 {
@@ -122,35 +121,36 @@ func NewGrid(cfg GridConfig) (*Grid, error) {
 		return nil, err
 	}
 	g := &Grid{cfg: cfg, world: world, cells: make([]*Cell, cfg.Shards)}
+	golden := goldenTemplate(cfg)
 	guests := cfg.guestsPerShard()
 	for i := 0; i < cfg.Shards; i++ {
-		cell, err := g.buildCell(i, guests)
+		cell, err := g.buildCell(i, guests, golden.Handle(fmt.Sprintf("golden-s%02d", i)))
 		if err != nil {
 			return nil, fmt.Errorf("shard %d: %w", i, err)
 		}
 		g.cells[i] = cell
 	}
-	// The audit baseline comes from a private frozen copy of the golden
-	// image so probing never skews the cells' template spawn counters.
-	probe := mem.SpawnFrom("audit-probe", goldenTemplate(cfg, "golden-audit"))
+	// The audit baseline forks a handle of its own, so probing never
+	// skews the cells' template spawn counters.
+	probe := mem.SpawnFrom("audit-probe", golden.Handle("golden-audit"))
 	g.cleanKernelHash = probe.RangeHash(0, cfg.KernelPages)
 	return g, nil
 }
 
 // goldenTemplate freezes the grid's golden image: a pure function of the
-// grid seed, so every call (and every shard) yields byte-identical pages.
-func goldenTemplate(cfg GridConfig, name string) *mem.Template {
+// grid seed (not the per-shard seed), so every shard reads byte-identical
+// pages — the invariant delta migration relies on.
+func goldenTemplate(cfg GridConfig) *mem.Template {
 	golden := mem.NewSpace("golden", cfg.GuestMemMB<<20)
 	golden.FillRandom(sim.NewRand(cfg.Seed^0x601de), 0.25)
-	return mem.Freeze(name, golden)
+	return mem.Freeze("golden", golden)
 }
 
-// buildCell assembles one shard's fleet + plane + template. Templates use
-// the grid seed directly (not the per-shard seed): every cell freezes the
-// byte-identical golden image, the invariant delta migration relies on.
-func (g *Grid) buildCell(i, guests int) (*Cell, error) {
+// buildCell assembles one shard's fleet + plane around tmpl, the cell's
+// handle on the golden image. Only the cell's own engine forks from it,
+// so its spawn counter needs no synchronization.
+func (g *Grid) buildCell(i, guests int, tmpl *mem.Template) (*Cell, error) {
 	cfg := g.cfg
-	tmpl := goldenTemplate(cfg, fmt.Sprintf("golden-s%02d", i))
 
 	specs := make([]fleet.HostSpec, cfg.HostsPerShard)
 	for j := range specs {
@@ -286,28 +286,20 @@ func (g *Grid) ScheduleMigration(src, dst int, gname string, at time.Duration) {
 	})
 }
 
-// migrateOut snapshots the guest, diffs it against the template, stops it
-// locally, and ships the delta. The snapshot reuses the cell's buffer —
-// steady-state migrations do not grow the heap.
+// migrateOut diffs the guest against the golden image, stops it locally,
+// and ships the delta. A guest forked from the image can differ from it
+// only in the chunks it wrote, so the diff walks just those.
 func (c *Cell) migrateOut(dst int, gname string) {
 	info, err := c.Fleet.Lookup(gname)
 	if err != nil {
 		c.fail(fmt.Errorf("migrate out %s: %w", gname, err))
 		return
 	}
-	ram := info.Outer.RAM()
-	c.snapBuf = ram.SnapshotInto(c.snapBuf)
 	stream := &migStream{name: gname}
-	for p, content := range c.snapBuf {
-		want, err := c.Template.Read(p)
-		if err != nil {
-			c.fail(fmt.Errorf("migrate out %s: %w", gname, err))
-			return
-		}
-		if content != want {
-			stream.pages = append(stream.pages, p)
-			stream.data = append(stream.data, content)
-		}
+	stream.pages, stream.data, err = info.Outer.RAM().DeltaFrom(c.Template, nil, nil)
+	if err != nil {
+		c.fail(fmt.Errorf("migrate out %s: %w", gname, err))
+		return
 	}
 	if err := c.Fleet.StopGuest(gname); err != nil {
 		c.fail(fmt.Errorf("migrate out %s: %w", gname, err))
@@ -359,18 +351,33 @@ func (c *Cell) onDeliver(m Message) {
 // AuditKernels walks every guest of every cell and compares its kernel
 // region hash against the pristine template's. It returns the
 // shard-ID-ordered list of tampered guest names — the CloudSkulk-style
-// integrity sweep the sharding exists to make affordable at scale.
+// integrity sweep the sharding exists to make affordable at scale. Cells
+// are audited in parallel (each reads only its own fleet and the shared
+// read-only golden image) and joined in shard order.
 func (g *Grid) AuditKernels() ([]string, error) {
+	perCell, err := runner.Map(len(g.cells), runner.Options{Workers: g.cfg.Workers},
+		func(i int) ([]string, error) { return g.cells[i].auditKernels(g.cfg.KernelPages, g.cleanKernelHash) })
+	if err != nil {
+		return nil, err
+	}
 	var tampered []string
-	for _, cell := range g.cells {
-		for _, gname := range cell.Fleet.GuestNames() {
-			info, err := cell.Fleet.Lookup(gname)
-			if err != nil {
-				return nil, fmt.Errorf("audit %s: %w", gname, err)
-			}
-			if info.Outer.RAM().RangeHash(0, g.cfg.KernelPages) != g.cleanKernelHash {
-				tampered = append(tampered, gname)
-			}
+	for _, names := range perCell {
+		tampered = append(tampered, names...)
+	}
+	return tampered, nil
+}
+
+// auditKernels returns the cell's guests, in name order, whose first
+// kernelPages pages do not hash to clean.
+func (c *Cell) auditKernels(kernelPages int, clean uint64) ([]string, error) {
+	var tampered []string
+	for _, gname := range c.Fleet.GuestNames() {
+		info, err := c.Fleet.Lookup(gname)
+		if err != nil {
+			return nil, fmt.Errorf("audit %s: %w", gname, err)
+		}
+		if info.Outer.RAM().RangeHash(0, kernelPages) != clean {
+			tampered = append(tampered, gname)
 		}
 	}
 	return tampered, nil
@@ -393,7 +400,7 @@ type GridStats struct {
 func (g *Grid) Stats() GridStats {
 	st := GridStats{Rounds: g.world.Rounds(), Delivered: g.world.Delivered()}
 	for _, cell := range g.cells {
-		st.Guests += len(cell.Fleet.GuestNames())
+		st.Guests += cell.Fleet.NumGuests()
 		st.Deployed += cell.deployed
 		st.ForkSpawns += cell.Template.Spawns()
 		st.MigrationsOut += cell.migOut

@@ -60,6 +60,8 @@ func (t *SpanTracer) Mirror(tr *sim.Tracer) {
 
 // Start opens a span. If another span is open it becomes the parent.
 // Nil-safe: a nil tracer returns a nil span whose methods are no-ops.
+// A span started with attributes keeps room for one more, the outcome
+// most such spans Set when they finish.
 func (t *SpanTracer) Start(name string, attrs ...Attr) *Span {
 	if t == nil {
 		return nil
@@ -67,9 +69,11 @@ func (t *SpanTracer) Start(name string, attrs ...Attr) *Span {
 	s := &Span{
 		Name:   name,
 		Start:  t.eng.Now(),
-		Attrs:  append([]Attr(nil), attrs...),
 		tracer: t,
 		open:   true,
+	}
+	if len(attrs) > 0 {
+		s.Attrs = append(make([]Attr, 0, len(attrs)+1), attrs...)
 	}
 	if n := len(t.stack); n > 0 {
 		parent := t.stack[n-1]

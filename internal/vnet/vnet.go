@@ -96,14 +96,23 @@ type LinkSpec struct {
 // Handler receives delivered packets on a bound port.
 type Handler func(pkt *Packet)
 
+// endpoint is one named network presence. Its listener map and traffic
+// counters are created on first use: most endpoints (every guest NIC a
+// fleet deploys) never bind a port or carry a packet.
 type endpoint struct {
 	name      string
 	listeners map[int]Handler
 	taps      []Tap
+	counters  *Stats
+}
 
-	// counters
-	sentPkts, recvPkts, fwdPkts, dropPkts uint64
-	sentBytes, recvBytes                  uint64
+// stats returns the endpoint's traffic counters, creating them on first
+// use.
+func (ep *endpoint) stats() *Stats {
+	if ep.counters == nil {
+		ep.counters = new(Stats)
+	}
+	return ep.counters
 }
 
 type linkKey struct{ a, b string }
@@ -123,7 +132,11 @@ type Network struct {
 	eng       *sim.Engine
 	endpoints map[string]*endpoint
 	forwards  map[Addr]Addr
-	links     map[linkKey]LinkSpec
+	// fwdPorts lists, per endpoint that sources forward rules, the ports
+	// they forward, so RemoveEndpoint deletes them without walking every
+	// rule on the fabric.
+	fwdPorts map[string][]int
+	links    map[linkKey]LinkSpec
 
 	// attachments maps an endpoint to the endpoint it is physically
 	// carried by (a VM NIC rides its host's uplink; a nested NIC rides
@@ -162,6 +175,7 @@ func New(eng *sim.Engine) *Network {
 		eng:         eng,
 		endpoints:   make(map[string]*endpoint),
 		forwards:    make(map[Addr]Addr),
+		fwdPorts:    make(map[string][]int),
 		links:       make(map[linkKey]LinkSpec),
 		attachments: make(map[string]string),
 		flows:       make(map[string]int),
@@ -210,10 +224,7 @@ func (n *Network) AddEndpoint(name string) error {
 	if _, ok := n.endpoints[name]; ok {
 		return fmt.Errorf("%w: %q", ErrDuplicateEndpoint, name)
 	}
-	n.endpoints[name] = &endpoint{
-		name:      name,
-		listeners: make(map[int]Handler),
-	}
+	n.endpoints[name] = &endpoint{name: name}
 	return nil
 }
 
@@ -221,13 +232,12 @@ func (n *Network) AddEndpoint(name string) error {
 // rules that source from it. Forward rules *targeting* it are left in place
 // and will fail at send time, exactly like a dangling hostfwd.
 func (n *Network) RemoveEndpoint(name string) {
+	for _, port := range n.fwdPorts[name] {
+		delete(n.forwards, Addr{Endpoint: name, Port: port})
+	}
+	delete(n.fwdPorts, name)
 	delete(n.endpoints, name)
 	delete(n.attachments, name)
-	for from := range n.forwards {
-		if from.Endpoint == name {
-			delete(n.forwards, from)
-		}
-	}
 }
 
 // Attach records that child's traffic is physically carried by parent
@@ -278,6 +288,9 @@ func (n *Network) Listen(addr Addr, h Handler) error {
 	if _, taken := ep.listeners[addr.Port]; taken {
 		return fmt.Errorf("%w: %s", ErrPortInUse, addr)
 	}
+	if ep.listeners == nil {
+		ep.listeners = make(map[int]Handler)
+	}
 	ep.listeners[addr.Port] = h
 	return nil
 }
@@ -306,20 +319,44 @@ func (n *Network) AddForward(from, to Addr) error {
 	if _, ok := n.endpoints[from.Endpoint]; !ok {
 		return fmt.Errorf("%w: %q", ErrUnknownEndpoint, from.Endpoint)
 	}
+	if _, exists := n.forwards[from]; !exists {
+		n.fwdPorts[from.Endpoint] = append(n.fwdPorts[from.Endpoint], from.Port)
+	}
 	n.forwards[from] = to
 	return nil
 }
 
 // RemoveForward deletes a forwarding rule.
 func (n *Network) RemoveForward(from Addr) {
+	if _, ok := n.forwards[from]; !ok {
+		return
+	}
 	delete(n.forwards, from)
+	ports := n.fwdPorts[from.Endpoint]
+	for i, port := range ports {
+		if port == from.Port {
+			ports = append(ports[:i], ports[i+1:]...)
+			break
+		}
+	}
+	if len(ports) == 0 {
+		delete(n.fwdPorts, from.Endpoint)
+	} else {
+		n.fwdPorts[from.Endpoint] = ports
+	}
 }
 
 // ResolveForward follows the forwarding chain from addr and returns the
 // final destination plus the intermediate endpoints traversed. It errors on
 // loops.
 func (n *Network) ResolveForward(addr Addr) (Addr, []string, error) {
-	var hops []string
+	return n.ResolveForwardAppend(nil, addr)
+}
+
+// ResolveForwardAppend is ResolveForward appending the hops to hops, so a
+// caller holding a buffer resolves the usual short chain without
+// allocating.
+func (n *Network) ResolveForwardAppend(hops []string, addr Addr) (Addr, []string, error) {
 	cur := addr
 	for i := 0; i < n.maxForwardHops; i++ {
 		next, ok := n.forwards[cur]
@@ -444,8 +481,9 @@ func (n *Network) Send(pkt *Packet) error {
 		return fmt.Errorf("%w: %s", ErrNoListener, dst)
 	}
 
-	src.sentPkts++
-	src.sentBytes += uint64(len(pkt.Payload))
+	st := src.stats()
+	st.SentPackets++
+	st.SentBytes += uint64(len(pkt.Payload))
 	n.sentCounter(n.RootOf(pkt.From.Endpoint)).Add(uint64(len(pkt.Payload)))
 	pkt.Route = append(pkt.Route, pkt.From.Endpoint)
 	// Forwarding is destination NAT: taps along the path (and the final
@@ -459,17 +497,17 @@ func (n *Network) Send(pkt *Packet) error {
 		if !ok {
 			continue
 		}
-		ep.fwdPkts++
+		ep.stats().ForwardedPackets++
 		pkt.Route = append(pkt.Route, hop)
 		if v := runTaps(ep, pkt); v == VerdictDrop {
-			ep.dropPkts++
+			ep.stats().DroppedPackets++
 			n.telDropped.Inc()
 			return fmt.Errorf("%w: at %s", ErrDropped, hop)
 		}
 	}
 	pkt.Route = append(pkt.Route, dst.Endpoint)
 	if v := runTaps(dstEP, pkt); v == VerdictDrop {
-		dstEP.dropPkts++
+		dstEP.stats().DroppedPackets++
 		n.telDropped.Inc()
 		return fmt.Errorf("%w: at %s", ErrDropped, dst.Endpoint)
 	}
@@ -479,8 +517,9 @@ func (n *Network) Send(pkt *Packet) error {
 		return fmt.Errorf("%w: %s<->%s", ErrLinkDown, pkt.From.Endpoint, dst.Endpoint)
 	}
 	n.eng.Schedule(spec.Latency, "vnet.deliver", func() {
-		dstEP.recvPkts++
-		dstEP.recvBytes += uint64(len(pkt.Payload))
+		st := dstEP.stats()
+		st.ReceivedPackets++
+		st.ReceivedBytes += uint64(len(pkt.Payload))
 		handler(pkt)
 	})
 	return nil
@@ -519,12 +558,8 @@ func (n *Network) EndpointStats(name string) (Stats, error) {
 	if !ok {
 		return Stats{}, fmt.Errorf("%w: %q", ErrUnknownEndpoint, name)
 	}
-	return Stats{
-		SentPackets:      ep.sentPkts,
-		ReceivedPackets:  ep.recvPkts,
-		ForwardedPackets: ep.fwdPkts,
-		DroppedPackets:   ep.dropPkts,
-		SentBytes:        ep.sentBytes,
-		ReceivedBytes:    ep.recvBytes,
-	}, nil
+	if ep.counters == nil {
+		return Stats{}, nil
+	}
+	return *ep.counters, nil
 }

@@ -196,6 +196,49 @@ func TestRemoveEndpointCleansRules(t *testing.T) {
 	}
 }
 
+// TestRemoveEndpointDeletesExactlyItsForwards: removing an endpoint
+// deletes the forwards that source from it — including one overwritten
+// in place and not one removed earlier — and keeps every other rule,
+// those that only target it (a dangling hostfwd) among them.
+func TestRemoveEndpointDeletesExactlyItsForwards(t *testing.T) {
+	_, n := newNet(t, "host", "vm", "other")
+	add := func(from, to Addr) {
+		t.Helper()
+		if err := n.AddForward(from, to); err != nil {
+			t.Fatal(err)
+		}
+	}
+	add(Addr{"vm", 1}, Addr{"other", 1})
+	add(Addr{"vm", 2}, Addr{"other", 2})
+	add(Addr{"vm", 2}, Addr{"other", 3}) // overwrite: still one rule
+	add(Addr{"vm", 4}, Addr{"other", 4})
+	n.RemoveForward(Addr{"vm", 4})
+	add(Addr{"host", 2222}, Addr{"vm", 22})   // targets vm only
+	add(Addr{"other", 5}, Addr{"host", 5})    // unrelated
+	add(Addr{"host", 3333}, Addr{"other", 6}) // unrelated
+	n.RemoveEndpoint("vm")
+	want := map[Addr]Addr{
+		{"host", 2222}: {"vm", 22},
+		{"other", 5}:   {"host", 5},
+		{"host", 3333}: {"other", 6},
+	}
+	if len(n.forwards) != len(want) {
+		t.Fatalf("forwards after removal = %v, want %v", n.forwards, want)
+	}
+	for from, to := range want {
+		if n.forwards[from] != to {
+			t.Fatalf("forwards after removal = %v, want %v", n.forwards, want)
+		}
+	}
+	// A recreated endpoint starts with no forwards of its own.
+	if err := n.AddEndpoint("vm"); err != nil {
+		t.Fatal(err)
+	}
+	if got, ok := n.fwdPorts["vm"]; ok {
+		t.Fatalf("recreated endpoint lists forwards %v", got)
+	}
+}
+
 func TestTapObservesAndModifies(t *testing.T) {
 	eng, n := newNet(t, "src", "mid", "dst")
 	var got *Packet
