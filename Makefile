@@ -30,10 +30,11 @@ fmt-check:
 bench-module:
 	cd bench && $(GO) vet ./... && $(GO) test ./...
 
-# Determinism lint: the nine detlint rules (five per-package, plus the
-# call-graph wallclock/horizon passes and seedflow/hotpath/errwrap) over
-# the whole module. Exits non-zero on any unjustified, non-baselined
-# finding; the machine-readable report lands in .build/detlint.json and
+# Determinism lint: the ten detlint rules (five per-package, the
+# call-graph wallclock/horizon/deadcode passes, and seedflow/hotpath/
+# errwrap) over the whole module. Exits non-zero on any unjustified,
+# non-baselined finding, so an internal/ function only tests reach fails
+# it too; the machine-readable report lands in .build/detlint.json and
 # is uploaded as a CI artifact.
 lint:
 	@mkdir -p .build

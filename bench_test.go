@@ -11,6 +11,7 @@ import (
 	"cloudskulk/internal/cpu"
 	"cloudskulk/internal/experiments"
 	"cloudskulk/internal/mem"
+	"cloudskulk/internal/stats"
 )
 
 // Each benchmark regenerates one of the paper's tables or figures at the
@@ -45,7 +46,7 @@ func BenchmarkFigure2KernelCompile(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		l0, l1, l2 = res.Mean(cpu.L0), res.Mean(cpu.L1), res.Mean(cpu.L2)
+		l0, l1, l2 = stats.Mean(res.Seconds[cpu.L0]), stats.Mean(res.Seconds[cpu.L1]), stats.Mean(res.Seconds[cpu.L2])
 	}
 	b.ReportMetric(l0, "L0-ccache-s")
 	b.ReportMetric(l1, "L1-s")
@@ -63,7 +64,7 @@ func BenchmarkFigure3Netperf(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		l0, l1, l2 = res.Mean(cpu.L0), res.Mean(cpu.L1), res.Mean(cpu.L2)
+		l0, l1, l2 = stats.Mean(res.Mbps[cpu.L0]), stats.Mean(res.Mbps[cpu.L1]), stats.Mean(res.Mbps[cpu.L2])
 	}
 	b.ReportMetric(l0, "L0-Mbps")
 	b.ReportMetric(l1, "L1-Mbps")
@@ -289,7 +290,7 @@ func BenchmarkArmsRaceMatrix(b *testing.B) {
 				caught++
 			}
 		}
-		pairs = float64(res.EvasionPairs())
+		pairs = float64(len(res.EvasionPairs()))
 	}
 	b.ReportMetric(100*caught/cells, "caught-pct")
 	b.ReportMetric(pairs, "evasion-pairs-closed")

@@ -62,6 +62,7 @@ var analyzers = []*Analyzer{
 	seedflowAnalyzer,
 	hotpathAnalyzer,
 	errwrapAnalyzer,
+	deadcodeAnalyzer,
 }
 
 func analyzerByName(name string) *Analyzer {

@@ -29,6 +29,9 @@ import (
 //     inside a granted synchronization window; moving the clock from
 //     within one desynchronizes the world (DESIGN.md §16).
 //
+// The deadcode pass (deadcode.go) walks a second edge set built alongside
+// from non-test files: every reference to a function, not only calls.
+//
 // Known limitations, by design: calls through interface methods and
 // func-typed fields/variables dead-end (no body to follow), and a
 // dynamically-guarded path (a branch that returns before the primitive)
@@ -67,6 +70,40 @@ type callGraph struct {
 	// handler-registering call; resolved into handlerRoot flags after
 	// the merge (the referenced function may live in another package).
 	rootRefs []string
+
+	// The deadcode pass's reference graph, built from non-test files
+	// only and kept apart from the call edges wallclock and horizon walk.
+	refNodes map[string]*refNode
+	// refRoots are functions referenced from init bodies and
+	// package-level initializers.
+	refRoots []string
+	// ifaceNames are the method names of every interface the program
+	// can call through.
+	ifaceNames map[string]bool
+}
+
+// refNode is one production function in the deadcode pass's graph. Its
+// refs are every reference to a function — a call, a method value or
+// expression, a function value — where a cgNode's edges are static
+// calls only.
+type refNode struct {
+	id      string
+	display string
+	pos     token.Position // the func keyword
+	refs    []string
+	method  string // method name; "" for a plain function
+	main    bool   // package main's main
+	allowed bool   // carries //detlint:allow deadcode, which makes it a root
+	report  bool   // declared under internal/, where the pass reports
+}
+
+// pkgGraph is one package's share of the module graph.
+type pkgGraph struct {
+	nodes       []*cgNode
+	handlerRefs []string
+	refNodes    []*refNode
+	refRoots    []string
+	ifaceNames  map[string]bool
 }
 
 // moduleCtx is what a module-level pass sees: the merged graph, the
@@ -84,15 +121,27 @@ type moduleCtx struct {
 
 // mergeGraph combines per-package node sets in deterministic package
 // order and resolves handler root references.
-func mergeGraph(perPkg [][]*cgNode, refs [][]string) *callGraph {
-	g := &callGraph{nodes: map[string]*cgNode{}}
-	for _, nodes := range perPkg {
-		for _, n := range nodes {
+func mergeGraph(perPkg []*pkgGraph) *callGraph {
+	g := &callGraph{
+		nodes:      map[string]*cgNode{},
+		refNodes:   map[string]*refNode{},
+		ifaceNames: map[string]bool{},
+	}
+	for _, name := range implicitIfaceMethods {
+		g.ifaceNames[name] = true
+	}
+	for _, pg := range perPkg {
+		for _, n := range pg.nodes {
 			g.nodes[n.id] = n
 		}
-	}
-	for _, rs := range refs {
-		g.rootRefs = append(g.rootRefs, rs...)
+		g.rootRefs = append(g.rootRefs, pg.handlerRefs...)
+		for _, n := range pg.refNodes {
+			g.refNodes[n.id] = n
+		}
+		g.refRoots = append(g.refRoots, pg.refRoots...)
+		for name := range pg.ifaceNames {
+			g.ifaceNames[name] = true
+		}
 	}
 	for _, id := range g.rootRefs {
 		if n := g.nodes[id]; n != nil {
@@ -115,26 +164,38 @@ func (g *callGraph) sortedNodeIDs() []string {
 }
 
 // graphBuilder walks one package's functions, collecting nodes, edges,
-// primitive uses, and handler registrations.
+// primitive uses, and handler registrations, and, from its non-test
+// files, the deadcode pass's reference graph.
 type graphBuilder struct {
-	pass  *Pass
-	rel   string
-	nodes []*cgNode
-	refs  []string
+	pass *Pass
+	rel  string
+	out  pkgGraph
 	// handlerLits marks function literals consumed as handler
 	// registrations, so the generic walk skips them (Inspect visits a
 	// call before its arguments, so the mark lands first).
 	handlerLits map[*ast.FuncLit]bool
+	seenTypes   map[types.Type]bool
 }
 
 // buildGraphNodes constructs the call-graph nodes for one package.
-func buildGraphNodes(fset *token.FileSet, pkg *Package) ([]*cgNode, []string) {
+func buildGraphNodes(fset *token.FileSet, pkg *Package) *pkgGraph {
 	b := &graphBuilder{
-		pass: &Pass{Fset: fset, Files: pkg.Files, Info: pkg.Info},
-		rel:  pkg.Rel,
+		pass:      &Pass{Fset: fset, Files: pkg.Files, Info: pkg.Info},
+		rel:       pkg.Rel,
+		out:       pkgGraph{ifaceNames: map[string]bool{}},
+		seenTypes: map[types.Type]bool{},
 	}
 	for _, f := range pkg.Files {
+		prod := !strings.HasSuffix(fset.Position(f.Package).Filename, "_test.go")
+		var allowed map[int]bool
+		if prod {
+			allowed = deadcodeAllowLines(fset, f)
+			b.collectIfaceNames(f)
+		}
 		for _, decl := range f.Decls {
+			if gd, ok := decl.(*ast.GenDecl); ok && prod && gd.Tok == token.VAR {
+				b.out.refRoots = append(b.out.refRoots, b.pass.funcRefs(gd)...)
+			}
 			fd, ok := decl.(*ast.FuncDecl)
 			if !ok || fd.Body == nil {
 				continue
@@ -144,11 +205,14 @@ func buildGraphNodes(fset *token.FileSet, pkg *Package) ([]*cgNode, []string) {
 				continue
 			}
 			node := &cgNode{id: fn.FullName(), display: displayName(fn), pkgRel: pkg.Rel}
-			b.nodes = append(b.nodes, node)
+			b.out.nodes = append(b.out.nodes, node)
 			b.walkBody(node, fd.Body)
+			if prod {
+				b.addRefNode(f, fd, fn, allowed)
+			}
 		}
 	}
-	return b.nodes, b.refs
+	return &b.out
 }
 
 // walkBody attributes calls and primitive uses in body to node. Nested
@@ -221,15 +285,15 @@ func (b *graphBuilder) registerHandler(parent *cgNode, arg ast.Expr) {
 			pkgRel:      parent.pkgRel,
 			handlerRoot: true,
 		}
-		b.nodes = append(b.nodes, syn)
+		b.out.nodes = append(b.out.nodes, syn)
 		b.walkBody(syn, arg.Body)
 	case *ast.Ident:
 		if fn, ok := b.pass.objectOf(arg).(*types.Func); ok {
-			b.refs = append(b.refs, fn.FullName())
+			b.out.handlerRefs = append(b.out.handlerRefs, fn.FullName())
 		}
 	case *ast.SelectorExpr:
 		if fn, ok := b.pass.objectOf(arg.Sel).(*types.Func); ok {
-			b.refs = append(b.refs, fn.FullName())
+			b.out.handlerRefs = append(b.out.handlerRefs, fn.FullName())
 		}
 	}
 }

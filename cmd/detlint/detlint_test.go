@@ -1,12 +1,14 @@
 package main
 
 import (
+	"encoding/json"
 	"fmt"
 	"go/ast"
 	"go/build"
 	"go/importer"
 	"go/token"
 	"go/types"
+	"os"
 	"path/filepath"
 	"strings"
 	"testing"
@@ -120,9 +122,9 @@ func xmodFindings(t *testing.T, workers int) []Finding {
 }
 
 // TestXmodGraphFindings proves the call graph propagates across package
-// boundaries: the transitive-wallclock chain and both horizon shapes
-// (named-method handler and literal handler) fire exactly where the
-// WANT markers say, and nowhere else.
+// boundaries: the transitive-wallclock chain, both horizon shapes
+// (named-method handler and literal handler) and the deadcode cases fire
+// exactly where the WANT markers say, and nowhere else.
 func TestXmodGraphFindings(t *testing.T) {
 	if testing.Short() {
 		t.Skip("type-checks a second module")
@@ -200,8 +202,8 @@ func TestEveryRuleFiresInFixture(t *testing.T) {
 		}
 	}
 	for _, a := range analyzers {
-		if a.Name == "horizon" && testing.Short() {
-			continue // only demonstrable cross-package; covered by xmod
+		if a.Run == nil && testing.Short() {
+			continue // module passes: only demonstrable cross-package; covered by xmod
 		}
 		if !fired[a.Name] {
 			t.Errorf("rule %s fires nowhere in the fixtures", a.Name)
@@ -214,7 +216,9 @@ func TestEveryRuleFiresInFixture(t *testing.T) {
 
 // TestRealTreeIsClean is the standing gate in test form: the module
 // this linter lives in must lint clean, so `go test ./...` fails on a
-// determinism violation even when make lint is skipped.
+// determinism violation even when make lint is skipped. The baseline may
+// grandfather old findings but never a deadcode one: a test-only name is
+// kept only through a directive that gives its reason.
 func TestRealTreeIsClean(t *testing.T) {
 	if testing.Short() {
 		t.Skip("type-checks the whole module")
@@ -222,6 +226,59 @@ func TestRealTreeIsClean(t *testing.T) {
 	var stdout, stderr strings.Builder
 	if code := runMain([]string{"./..."}, &stdout, &stderr); code != 0 {
 		t.Fatalf("detlint over the real tree exited %d:\n%s%s", code, stdout.String(), stderr.String())
+	}
+	root, _, err := findModule(".")
+	if err != nil {
+		t.Fatal(err)
+	}
+	data, err := os.ReadFile(filepath.Join(root, baselineName))
+	if os.IsNotExist(err) {
+		return
+	}
+	if err != nil {
+		t.Fatal(err)
+	}
+	var bf baselineFile
+	if err := json.Unmarshal(data, &bf); err != nil {
+		t.Fatal(err)
+	}
+	for _, e := range bf.Findings {
+		if e.Rule == "deadcode" {
+			t.Errorf("%s grandfathers deadcode finding %s in %s: delete the name or allow it with a reason",
+				baselineName, e.ID, e.File)
+		}
+	}
+}
+
+// TestDeadcodeIgnoresTests pins that tests are never roots: linting the
+// fixture module with its test files loaded reports the same deadcode
+// findings as without them, though a test calls the dead function.
+func TestDeadcodeIgnoresTests(t *testing.T) {
+	if testing.Short() {
+		t.Skip("type-checks a second module")
+	}
+	dead := func(tests bool) []string {
+		mod, err := loadModule(filepath.Join("testdata", "xmod"), tests)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, e := range mod.Errs {
+			t.Fatal(e)
+		}
+		findings, err := lintModule(mod, defaultScopes, []*Analyzer{deadcodeAnalyzer}, false, 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var out []string
+		for _, f := range findings {
+			out = append(out, fmt.Sprintf("%s:%d %s", f.File, f.Pos.Line, f.Msg))
+		}
+		return out
+	}
+	without, with := dead(false), dead(true)
+	if len(without) == 0 || strings.Join(without, "\n") != strings.Join(with, "\n") {
+		t.Fatalf("deadcode without tests:\n%s\nwith tests:\n%s",
+			strings.Join(without, "\n"), strings.Join(with, "\n"))
 	}
 }
 

@@ -5,7 +5,7 @@
 // break after the fact; detlint rejects the code shapes that cause one
 // before it is ever run.
 //
-// Nine rules (see DESIGN.md §12 and §17 for the failure mode behind
+// Ten rules (see DESIGN.md §12 and §17 for the failure mode behind
 // each):
 //
 //	wallclock  — no time.Now/Since/Sleep/... in sim-facing packages —
@@ -39,6 +39,11 @@
 //	errwrap    — in internal/ packages, error causes survive: %w (not
 //	             %v) in fmt.Errorf, errors.Is (not ==) for comparison,
 //	             and no decisions on err.Error() text.
+//	deadcode   — no function or method in internal/ that no main, init,
+//	             package-level initializer or callable interface
+//	             reaches through the call graph: a name only tests
+//	             call is deleted, or kept with an allow that says why
+//	             (and that makes it a root for the helpers it calls).
 //
 // A violation that is legitimate is annotated, never silently exempt:
 //
@@ -123,9 +128,16 @@ func contains(list []string, s string) bool {
 	return false
 }
 
+// isInternal reports whether the module-relative package path lies under
+// internal/.
+func isInternal(rel string) bool {
+	return rel == "internal" || strings.HasPrefix(rel, "internal/")
+}
+
 // applies reports whether a rule's per-package pass is in force for the
-// package at the given module-relative path. horizon has no per-package
-// pass (it is pure call-graph analysis), so it never appears here.
+// package at the given module-relative path. horizon and deadcode have no
+// per-package pass (they are pure call-graph analysis), so they never
+// appear here.
 func (s *scopes) applies(rule, rel string) bool {
 	switch rule {
 	case "wallclock", "seedflow":
@@ -135,7 +147,7 @@ func (s *scopes) applies(rule, rel string) bool {
 	case "floatsum":
 		return contains(s.floatsumScope, rel)
 	case "errwrap":
-		return rel == "internal" || strings.HasPrefix(rel, "internal/")
+		return isInternal(rel)
 	default: // globalrand, maporder, hotpath: module-wide
 		return true
 	}
@@ -271,33 +283,31 @@ func runMain(args []string, stdout, stderr io.Writer) int {
 func lintModule(mod *Module, sc *scopes, enabled []*Analyzer, checkUnused bool, workers int) ([]Finding, error) {
 	type cell struct {
 		findings []Finding
-		nodes    []*cgNode
-		refs     []string
+		graph    *pkgGraph
 	}
 	cells, err := runner.Map(len(mod.Pkgs), runner.Options{Workers: workers},
 		func(i int) (cell, error) {
 			pkg := mod.Pkgs[i]
-			var c cell
-			c.findings = runIntraRules(mod.Fset, pkg, sc, enabled)
-			c.nodes, c.refs = buildGraphNodes(mod.Fset, pkg)
-			return c, nil
+			return cell{
+				findings: runIntraRules(mod.Fset, pkg, sc, enabled),
+				graph:    buildGraphNodes(mod.Fset, pkg),
+			}, nil
 		})
 	if err != nil {
 		return nil, err
 	}
 
-	perPkg := make([][]*cgNode, len(cells))
-	refs := make([][]string, len(cells))
+	perPkg := make([]*pkgGraph, len(cells))
 	raw := make([][]Finding, len(cells))
 	fileToPkg := map[string]int{}
 	for i, c := range cells {
-		perPkg[i], refs[i], raw[i] = c.nodes, c.refs, c.findings
+		perPkg[i], raw[i] = c.graph, c.findings
 		for _, f := range mod.Pkgs[i].Files {
 			fileToPkg[mod.Fset.Position(f.Package).Filename] = i
 		}
 	}
 
-	graph := mergeGraph(perPkg, refs)
+	graph := mergeGraph(perPkg)
 	relativize := func(pos token.Position) token.Position {
 		if rel, err := filepath.Rel(mod.Root, pos.Filename); err == nil && !strings.HasPrefix(rel, "..") {
 			pos.Filename = filepath.ToSlash(rel)

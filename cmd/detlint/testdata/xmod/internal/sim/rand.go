@@ -28,6 +28,13 @@ func reseed(r *Rand) {
 	r.Seed(7) // WANT seedflow
 }
 
+// Seeds runs every seeding shape above, so a main reaches them.
+func Seeds(seed int64) []*Rand {
+	r := derivedSeeds(seed)
+	reseed(r)
+	return []*Rand{literalSeed(), underivedSeed(seed), r}
+}
+
 // derivedSeeds are legal: a seed-named parameter, and a draw from a
 // seeded Rand.
 func derivedSeeds(seed int64) *Rand {

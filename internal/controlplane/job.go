@@ -109,7 +109,7 @@ func (p *Plane) Submit(req Request) (*Job, error) {
 		}
 		// Reserve at submit: the record exists from here on, so queued
 		// deploys count against quota before they run.
-		t.vms[req.VM] = &vmRecord{name: req.VM, memMB: req.MemMB, state: vmDeploying}
+		t.vms[req.VM] = &vmRecord{memMB: req.MemMB, state: vmDeploying}
 		t.usedMemMB += req.MemMB
 	case OpStop, OpMigrate, OpSnapshot:
 		rec, ok := t.vms[req.VM]
@@ -136,15 +136,6 @@ func (p *Plane) Submit(req Request) (*Job, error) {
 	p.tele.Gauge("cp_queue_depth").Set(int64(len(p.queue)))
 	p.pump()
 	return job, nil
-}
-
-// Job returns a job by ID.
-func (p *Plane) Job(id string) (*Job, error) {
-	j, ok := p.jobs[id]
-	if !ok {
-		return nil, fmt.Errorf("%w: %q", ErrUnknownJob, id)
-	}
-	return j, nil
 }
 
 // Jobs returns every job, in submission (ID) order.

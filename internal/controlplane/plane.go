@@ -67,18 +67,17 @@ func (s vmState) String() string {
 	return "running"
 }
 
-// vmRecord is the plane's view of one tenant VM. Quota is reserved at
-// submit time (the record exists from Submit on), so racing deploys in
-// the queue cannot oversubscribe a tenant.
+// vmRecord is the plane's view of one tenant VM, keyed by its
+// tenant-local name. Quota is reserved at submit time (the record exists
+// from Submit on), so racing deploys in the queue cannot oversubscribe a
+// tenant.
 type vmRecord struct {
-	name  string // tenant-local name
 	memMB int64
 	state vmState
 }
 
-// tenant is one account: quota, VM set, live job count.
+// tenant is one account, keyed by its name: quota, VM set, live job count.
 type tenant struct {
-	name       string
 	quota      Quota
 	vms        map[string]*vmRecord
 	usedMemMB  int64
@@ -197,7 +196,7 @@ func (p *Plane) CreateTenant(name string, q Quota) error {
 	if q == (Quota{}) {
 		q = DefaultQuota
 	}
-	p.tenants[name] = &tenant{name: name, quota: q, vms: make(map[string]*vmRecord)}
+	p.tenants[name] = &tenant{quota: q, vms: make(map[string]*vmRecord)}
 	p.tele.Counter("cp_tenants_total").Inc()
 	return nil
 }

@@ -7,7 +7,6 @@ import (
 
 	"cloudskulk/internal/mem"
 	"cloudskulk/internal/qemu"
-	"cloudskulk/internal/sim"
 	"cloudskulk/internal/vnet"
 )
 
@@ -21,11 +20,6 @@ import (
 // forwarded through it — i.e. all victim traffic.
 func (rk *Rootkit) AttachTap(t vnet.Tap) error {
 	return rk.Host.Network().AddTap(rk.RITM.Endpoint(), t)
-}
-
-// DetachTaps removes all taps from the RITM.
-func (rk *Rootkit) DetachTaps() {
-	rk.Host.Network().ClearTaps(rk.RITM.Endpoint())
 }
 
 // Sniffer is the passive service: it records every packet crossing the
@@ -45,11 +39,6 @@ func NewSniffer() *Sniffer { return &Sniffer{} }
 func (s *Sniffer) Handle(pkt *vnet.Packet) vnet.Verdict {
 	s.packets = append(s.packets, pkt.Clone())
 	return vnet.VerdictPass
-}
-
-// Packets returns everything captured so far.
-func (s *Sniffer) Packets() []*vnet.Packet {
-	return append([]*vnet.Packet(nil), s.packets...)
 }
 
 // PayloadsTo returns captured payloads destined for the given final port —
@@ -101,9 +90,6 @@ func NewActiveFilter(rules ...FilterRule) *ActiveFilter {
 	return &ActiveFilter{rules: append([]FilterRule(nil), rules...)}
 }
 
-// AddRule appends a rule.
-func (f *ActiveFilter) AddRule(r FilterRule) { f.rules = append(f.rules, r) }
-
 // Handle implements vnet.Tap.
 func (f *ActiveFilter) Handle(pkt *vnet.Packet) vnet.Verdict {
 	for _, r := range f.rules {
@@ -144,20 +130,6 @@ func (rk *Rootkit) VictimVMI() VMI {
 	return VMI{vm: rk.Victim}
 }
 
-// ReadPages dumps n pages of the victim's physical memory starting at page
-// `from`.
-func (v VMI) ReadPages(from, n int) ([]mem.Content, error) {
-	out := make([]mem.Content, 0, n)
-	for p := from; p < from+n; p++ {
-		c, err := v.vm.RAM().Read(p)
-		if err != nil {
-			return nil, err
-		}
-		out = append(out, c)
-	}
-	return out, nil
-}
-
 // FindFile scans the victim's memory for a known file image and returns
 // the page offset where it is resident.
 func (v VMI) FindFile(f *mem.File) (int, bool) {
@@ -174,12 +146,6 @@ func (v VMI) FindFile(f *mem.File) (int, bool) {
 		}
 	}
 	return 0, false
-}
-
-// OSFingerprint hashes the victim's kernel-image region, the quantity a
-// VMI fingerprinting tool would compare.
-func (v VMI) OSFingerprint() uint64 {
-	return mem.Fingerprint(v.vm.RAM(), KernelPages)
 }
 
 // InterceptFilePushes returns a hook that mirrors every file pushed to the
@@ -211,57 +177,7 @@ func (rk *Rootkit) MirrorRange(from, n int) error {
 	return nil
 }
 
-// MirrorSync is the paper's §VI-D countermeasure discussion made concrete:
-// the attacker periodically polls a region of the victim's memory and
-// propagates any change into the RITM's impersonating copy, hoping to keep
-// t2 fast even after the guest edits its pages. Its cost is explicit:
-// every poll reads the whole tracked region.
-type MirrorSync struct {
-	ticker       *sim.Ticker
-	pagesScanned uint64
-	pagesCopied  uint64
-	interval     time.Duration
-	regionPages  int
-}
-
-// StartMirrorSync begins polling victim pages [victimAt, victimAt+n),
-// copying changed pages into the RITM at [ritmAt, ritmAt+n), every
-// interval. Stop it when done.
-func (rk *Rootkit) StartMirrorSync(victimAt, n, ritmAt int, interval time.Duration) *MirrorSync {
-	ms := &MirrorSync{interval: interval, regionPages: n}
-	ms.ticker = sim.NewTicker(rk.Host.Engine(), interval, "cloudskulk.mirrorsync", func() {
-		for i := 0; i < n; i++ {
-			vc, err := rk.Victim.RAM().Read(victimAt + i)
-			if err != nil {
-				return
-			}
-			ms.pagesScanned++
-			rc, err := rk.RITM.RAM().Read(ritmAt + i)
-			if err != nil {
-				return
-			}
-			if vc != rc {
-				if _, err := rk.RITM.RAM().Write(ritmAt+i, vc); err != nil {
-					return
-				}
-				ms.pagesCopied++
-			}
-		}
-	})
-	return ms
-}
-
-// Stop halts the synchronizer.
-func (ms *MirrorSync) Stop() { ms.ticker.Stop() }
-
-// Overhead reports the countermeasure's cost: pages scanned and copied so
-// far, and the steady-state scan rate in pages per second.
-func (ms *MirrorSync) Overhead() (scanned, copied uint64, pagesPerSec float64) {
-	return ms.pagesScanned, ms.pagesCopied,
-		float64(ms.regionPages) / ms.interval.Seconds()
-}
-
-// WriteTrackingSync is the strong form of the §VI-D countermeasure: the
+// WriteTrackingSync is the §VI-D countermeasure made concrete: the
 // attacker write-protects a region of the victim's memory from the L1
 // hypervisor and propagates every change into the RITM's impersonating
 // copy the instant it happens. Evasion is perfect for the tracked region —

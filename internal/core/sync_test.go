@@ -2,7 +2,6 @@ package core
 
 import (
 	"testing"
-	"time"
 
 	"cloudskulk/internal/cpu"
 	"cloudskulk/internal/mem"
@@ -46,49 +45,6 @@ func TestMirrorRange(t *testing.T) {
 	if err := rk.MirrorRange(1<<30, 1); err == nil {
 		t.Fatal("out-of-range mirror succeeded")
 	}
-}
-
-func TestPollingMirrorSync(t *testing.T) {
-	tc := newTestCloud(t, 1)
-	rk := install(t, tc, defaultTargeted())
-	// Seed the region in both.
-	f := mem.GenerateFile(tc.eng.RNG(), "tracked.bin", 16)
-	if err := rk.Victim.RAM().LoadFile(f, 5000); err != nil {
-		t.Fatal(err)
-	}
-	if err := rk.MirrorFile(f, 6000); err != nil {
-		t.Fatal(err)
-	}
-	ms := rk.StartMirrorSync(5000, 16, 6000, 100*time.Millisecond)
-	defer ms.Stop()
-
-	// The guest changes a tracked page; within an interval the mirror
-	// follows.
-	if _, err := rk.Victim.RAM().Write(5003, 0xabcd); err != nil {
-		t.Fatal(err)
-	}
-	tc.eng.RunFor(250 * time.Millisecond)
-	if got := rk.RITM.RAM().MustRead(6003); got != 0xabcd {
-		t.Fatalf("mirror page = %#x, want synced 0xabcd", got)
-	}
-	scanned, copied, rate := ms.Overhead()
-	if scanned == 0 || copied == 0 {
-		t.Fatalf("overhead = %d/%d", scanned, copied)
-	}
-	if rate != 160 { // 16 pages / 0.1s
-		t.Fatalf("scan rate = %v pages/s", rate)
-	}
-	ms.Stop()
-	before := scannedOf(ms)
-	tc.eng.RunFor(time.Second)
-	if scannedOf(ms) != before {
-		t.Fatal("sync kept scanning after Stop")
-	}
-}
-
-func scannedOf(ms *MirrorSync) uint64 {
-	s, _, _ := ms.Overhead()
-	return s
 }
 
 func TestWriteTrackingSync(t *testing.T) {

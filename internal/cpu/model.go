@@ -264,6 +264,8 @@ func (m Model) syscallPad(op Op, pad Cost) Cost {
 
 // ExitsAt returns how many real, L0-handled VM exits one execution of op
 // generates at the given level. Useful for ablation benches and traces.
+//
+//detlint:allow deadcode — test oracle: the model and vCPU telemetry tests derive expected exit counts from it
 func (m Model) ExitsAt(op Op, level Level) int {
 	switch level {
 	case L0:

@@ -19,9 +19,6 @@ type VCPU struct {
 	// modelling run-to-run measurement variance. Zero means exact costs.
 	Noise float64
 
-	executed [ClassIO + 1]uint64
-	busy     time.Duration
-
 	tel *Telemetry
 }
 
@@ -107,9 +104,6 @@ func NewVCPU(eng *sim.Engine, model Model, level Level) *VCPU {
 // Level returns the virtualization level the vCPU runs at.
 func (v *VCPU) Level() Level { return v.level }
 
-// Model returns the cost model in use.
-func (v *VCPU) Model() Model { return v.model }
-
 // Engine returns the simulation engine the vCPU runs on.
 func (v *VCPU) Engine() *sim.Engine { return v.eng }
 
@@ -131,10 +125,6 @@ func (v *VCPU) Exec(op Op, n int) time.Duration {
 		elapsed = v.eng.GaussDuration(exact, v.Noise)
 	}
 	v.eng.Advance(elapsed)
-	if op.Class >= 0 && int(op.Class) < len(v.executed) {
-		v.executed[op.Class] += uint64(n)
-	}
-	v.busy += elapsed
 	if t := v.tel; t != nil && op.Class >= 0 && int(op.Class) < len(t.ops) {
 		t.ops[op.Class].Add(uint64(n))
 		e := uint64(op.Profile.Exits)*t.exitFactor + uint64(op.Profile.NestedFaults)*t.faultFactor
@@ -154,15 +144,3 @@ func (v *VCPU) MeasureMean(op Op, reps int) Cost {
 	elapsed := v.Exec(op, reps)
 	return DurationCost(elapsed) / Cost(reps)
 }
-
-// Executed returns how many operations of the class have run. Exec does
-// not count a class below zero or past ClassIO, so those read 0.
-func (v *VCPU) Executed(c Class) uint64 {
-	if c < 0 || int(c) >= len(v.executed) {
-		return 0
-	}
-	return v.executed[c]
-}
-
-// Busy returns total virtual time this vCPU has consumed.
-func (v *VCPU) Busy() time.Duration { return v.busy }

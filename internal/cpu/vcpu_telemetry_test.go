@@ -71,7 +71,7 @@ func benchmarkExec(b *testing.B, reg *telemetry.Registry, attach bool) {
 	for i := 0; i < b.N; i++ {
 		v.Exec(op, 1)
 	}
-	if v.Busy() < time.Duration(b.N) { // keep the work observable
+	if eng.Now() < time.Duration(b.N) { // keep the work observable
 		b.Fatal("no virtual time consumed")
 	}
 }

@@ -1,7 +1,7 @@
 // Package cvedata carries the paper's Table I: the VM-escape CVE
 // inventory (2015-2020) across the five mainstream hypervisors, with the
-// query helpers the threat-model discussion uses (counts per year, per
-// hypervisor, totals).
+// queries Table I renders from: the IDs and count of each cell and each
+// hypervisor's total.
 package cvedata
 
 import "sort"
@@ -26,35 +26,6 @@ func Hypervisors() []Hypervisor {
 // Years lists the rows in the paper's order.
 func Years() []int { return []int{2015, 2016, 2017, 2018, 2019, 2020} }
 
-// Entry is one reported VM-escape vulnerability.
-type Entry struct {
-	ID         string
-	Year       int
-	Hypervisor Hypervisor
-}
-
-// Entries returns the full Table I inventory.
-func Entries() []Entry {
-	out := make([]Entry, 0, 96)
-	for hv, byYear := range _table {
-		for year, ids := range byYear {
-			for _, id := range ids {
-				out = append(out, Entry{ID: id, Year: year, Hypervisor: hv})
-			}
-		}
-	}
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].Year != out[j].Year {
-			return out[i].Year < out[j].Year
-		}
-		if out[i].Hypervisor != out[j].Hypervisor {
-			return out[i].Hypervisor < out[j].Hypervisor
-		}
-		return out[i].ID < out[j].ID
-	})
-	return out
-}
-
 // IDs returns the CVE identifiers for a (year, hypervisor) cell, sorted.
 func IDs(year int, hv Hypervisor) []string {
 	ids := append([]string(nil), _table[hv][year]...)
@@ -70,24 +41,6 @@ func TotalFor(hv Hypervisor) int {
 	n := 0
 	for _, ids := range _table[hv] {
 		n += len(ids)
-	}
-	return n
-}
-
-// Total returns the grand total across all hypervisors.
-func Total() int {
-	n := 0
-	for _, hv := range Hypervisors() {
-		n += TotalFor(hv)
-	}
-	return n
-}
-
-// CountByYear returns the total per year across hypervisors.
-func CountByYear(year int) int {
-	n := 0
-	for _, hv := range Hypervisors() {
-		n += Count(year, hv)
 	}
 	return n
 }

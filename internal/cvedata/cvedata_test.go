@@ -1,6 +1,7 @@
 package cvedata
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 )
@@ -19,8 +20,12 @@ func TestTotalsMatchPaper(t *testing.T) {
 			t.Errorf("TotalFor(%s) = %d, paper says %d", hv, got, n)
 		}
 	}
-	if got := Total(); got != 96 {
-		t.Fatalf("Total = %d, want 96", got)
+	total := 0
+	for _, hv := range Hypervisors() {
+		total += TotalFor(hv)
+	}
+	if total != 96 {
+		t.Fatalf("total = %d, want 96", total)
 	}
 }
 
@@ -45,28 +50,26 @@ func TestCellsMatchPaper(t *testing.T) {
 }
 
 func TestEntriesConsistent(t *testing.T) {
-	entries := Entries()
-	if len(entries) != Total() {
-		t.Fatalf("entries = %d, total = %d", len(entries), Total())
-	}
 	seen := map[string]bool{}
-	for _, e := range entries {
-		if !strings.HasPrefix(e.ID, "CVE-") {
-			t.Fatalf("bad id %q", e.ID)
-		}
-		if seen[e.ID] {
-			t.Fatalf("duplicate id %q", e.ID)
-		}
-		seen[e.ID] = true
-		if e.Year < 2015 || e.Year > 2020 {
-			t.Fatalf("bad year %d", e.Year)
+	for _, y := range Years() {
+		for _, hv := range Hypervisors() {
+			ids := IDs(y, hv)
+			if len(ids) != Count(y, hv) {
+				t.Fatalf("IDs(%d, %s) = %d, Count = %d", y, hv, len(ids), Count(y, hv))
+			}
+			for _, id := range ids {
+				if !strings.HasPrefix(id, fmt.Sprintf("CVE-%d-", y)) {
+					t.Fatalf("id %q filed under %d", id, y)
+				}
+				if seen[id] {
+					t.Fatalf("duplicate id %q", id)
+				}
+				seen[id] = true
+			}
 		}
 	}
-	// Sorted by year.
-	for i := 1; i < len(entries); i++ {
-		if entries[i].Year < entries[i-1].Year {
-			t.Fatal("entries not sorted by year")
-		}
+	if len(seen) != 96 {
+		t.Fatalf("entries = %d, want 96", len(seen))
 	}
 }
 
@@ -88,12 +91,19 @@ func TestIDsSortedAndCopied(t *testing.T) {
 
 func TestCountByYear(t *testing.T) {
 	// Paper: majority reported 2015-2020, with 2020 = 14 total.
-	if got := CountByYear(2020); got != 14 {
+	byYear := func(y int) int {
+		n := 0
+		for _, hv := range Hypervisors() {
+			n += Count(y, hv)
+		}
+		return n
+	}
+	if got := byYear(2020); got != 14 {
 		t.Fatalf("2020 = %d", got)
 	}
 	sum := 0
 	for _, y := range Years() {
-		sum += CountByYear(y)
+		sum += byYear(y)
 	}
 	if sum != 96 {
 		t.Fatalf("sum over years = %d", sum)

@@ -1,7 +1,6 @@
 package detect
 
 import (
-	"fmt"
 	"sort"
 
 	"cloudskulk/internal/kvm"
@@ -82,30 +81,4 @@ func (db *FingerprintDB) FingerprintOf(vm *qemu.VM) uint64 {
 func (db *FingerprintDB) Known(name string) (uint64, bool) {
 	fp, ok := db.known[name]
 	return fp, ok
-}
-
-// Check compares a guest's current fingerprint against its baseline.
-// It returns an error if no baseline exists, and ok=false on mismatch.
-func (db *FingerprintDB) Check(vm *qemu.VM) (bool, error) {
-	want, ok := db.known[vm.Name()]
-	if !ok {
-		return false, fmt.Errorf("detect: no fingerprint baseline for %q", vm.Name())
-	}
-	return mem.Fingerprint(vm.RAM(), db.KernelPages) == want, nil
-}
-
-// CheckAll verifies every L0 guest with a baseline and returns the names
-// that mismatch.
-func (db *FingerprintDB) CheckAll(host *kvm.Host) []string {
-	var bad []string
-	for _, vm := range host.Hypervisor().VMs() {
-		if _, ok := db.known[vm.Name()]; !ok {
-			continue
-		}
-		if match, err := db.Check(vm); err == nil && !match {
-			bad = append(bad, vm.Name())
-		}
-	}
-	sort.Strings(bad)
-	return bad
 }

@@ -116,9 +116,6 @@ func NewGuestAgent(vm *qemu.VM, at int) *GuestAgent {
 	return &GuestAgent{vm: vm, at: at}
 }
 
-// VM returns the guest the agent currently runs in.
-func (a *GuestAgent) VM() *qemu.VM { return a.vm }
-
 // Rebind points the agent at a different VM object. The simulation needs
 // this after a migration-based attack: the user is still "in their VM",
 // but that VM is now the nested one.

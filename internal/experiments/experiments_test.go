@@ -8,6 +8,7 @@ import (
 	"cloudskulk/internal/core"
 	"cloudskulk/internal/cpu"
 	"cloudskulk/internal/detect"
+	"cloudskulk/internal/stats"
 	"cloudskulk/internal/telemetry"
 )
 
@@ -66,7 +67,7 @@ func TestFigure2Shape(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	l0, l1, l2 := res.Mean(cpu.L0), res.Mean(cpu.L1), res.Mean(cpu.L2)
+	l0, l1, l2 := stats.Mean(res.Seconds[cpu.L0]), stats.Mean(res.Seconds[cpu.L1]), stats.Mean(res.Seconds[cpu.L2])
 	// Paper shape: big L0->L1 gap (ccache), L2 = L1 * ~1.257.
 	if r := l1 / l0; r < 2.8 || r > 4.8 {
 		t.Fatalf("L1/L0 = %.2f, want ~3.8", r)
@@ -89,7 +90,7 @@ func TestFigure3Shape(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	l0, l1, l2 := res.Mean(cpu.L0), res.Mean(cpu.L1), res.Mean(cpu.L2)
+	l0, l1, l2 := stats.Mean(res.Mbps[cpu.L0]), stats.Mean(res.Mbps[cpu.L1]), stats.Mean(res.Mbps[cpu.L2])
 	// All within 12% of each other — "nearly the same".
 	for _, pair := range [][2]float64{{l0, l1}, {l1, l2}, {l0, l2}} {
 		d := pair[1]/pair[0] - 1
@@ -98,9 +99,8 @@ func TestFigure3Shape(t *testing.T) {
 		}
 	}
 	// L1's variance exceeds L0's (paper: 10.32% vs 1.11%).
-	if res.RelStddev(cpu.L1) <= res.RelStddev(cpu.L0) {
-		t.Logf("warning: L1 rsd %.3f <= L0 rsd %.3f (small-sample)",
-			res.RelStddev(cpu.L1), res.RelStddev(cpu.L0))
+	if rsd1, rsd0 := stats.RelStddev(res.Mbps[cpu.L1]), stats.RelStddev(res.Mbps[cpu.L0]); rsd1 <= rsd0 {
+		t.Logf("warning: L1 rsd %.3f <= L0 rsd %.3f (small-sample)", rsd1, rsd0)
 	}
 	if !strings.Contains(res.Render(), "Mbit/s") {
 		t.Fatal("render missing unit")

@@ -21,7 +21,7 @@ import (
 // The telemetry-export hashes were re-captured once, when
 // ksm_pages_scanned_total started counting scanned pages (it had stayed 0)
 // and ksm_merges_total started counting stable-tree attaches as well as
-// new pairs, so both match the daemon's PagesScanned/Merges ledger. No
+// new pairs, so both match the daemon's pages-scanned and Merges ledger. No
 // other line of either export changed.
 var goldenArtefactHashes = map[string]string{
 	"detect-infected/seed=1":  "5edd9fd4428670bd1d605f715ac001f69ab4ba806a5fe786e452a604af1e77df",

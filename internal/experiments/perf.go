@@ -82,9 +82,6 @@ func Figure2KernelCompile(o Options) (Figure2Result, error) {
 	return res, nil
 }
 
-// Mean returns a level's mean compile time in seconds.
-func (r Figure2Result) Mean(l cpu.Level) float64 { return stats.Mean(r.Seconds[l]) }
-
 // Render draws the figure as a log-scale bar chart with the paper-style
 // percentage labels.
 func (r Figure2Result) Render() string {
@@ -135,12 +132,6 @@ func Figure3Netperf(o Options) (Figure3Result, error) {
 	}
 	return res, nil
 }
-
-// Mean returns a level's mean throughput in Mbit/s.
-func (r Figure3Result) Mean(l cpu.Level) float64 { return stats.Mean(r.Mbps[l]) }
-
-// RelStddev returns a level's relative standard deviation.
-func (r Figure3Result) RelStddev(l cpu.Level) float64 { return stats.RelStddev(r.Mbps[l]) }
 
 // Render draws the figure.
 func (r Figure3Result) Render() string {

@@ -116,6 +116,8 @@ func MultiTenantSurvey(o Options, tenants int, infected int) (SurveyResult, erro
 }
 
 // Correct reports whether the survey flagged exactly the infected tenants.
+//
+//detlint:allow deadcode — test oracle: the survey tests and benchmark score a sweep with it
 func (r SurveyResult) Correct() bool {
 	for _, tn := range r.Tenants {
 		flagged := tn.Verdict == detect.VerdictNested

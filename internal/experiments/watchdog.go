@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"errors"
 	"fmt"
 	"time"
 
@@ -69,6 +70,11 @@ func TimeToDetect(o Options, scanPeriod time.Duration) (TimeToDetectResult, erro
 	deadline := c.Eng.Now() + 20*scanPeriod + time.Hour
 	for len(w.Alerts()) == 0 && c.Eng.Now() < deadline {
 		c.Eng.RunFor(scanPeriod)
+	}
+	// A failed scan would skew the time to detect (or hide why no alert
+	// came), so any failure fails the artefact.
+	if errs := w.Errors(); len(errs) > 0 {
+		return res, fmt.Errorf("watchdog: %d scan(s) failed: %w", len(errs), errors.Join(errs...))
 	}
 	alerts := w.Alerts()
 	if len(alerts) == 0 {

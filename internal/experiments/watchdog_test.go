@@ -1,9 +1,12 @@
 package experiments
 
 import (
+	"errors"
 	"strings"
 	"testing"
 	"time"
+
+	"cloudskulk/internal/mem"
 )
 
 func TestTimeToDetect(t *testing.T) {
@@ -26,5 +29,17 @@ func TestTimeToDetect(t *testing.T) {
 	}
 	if !strings.Contains(res.Render(), "time to detect") {
 		t.Fatal("render")
+	}
+}
+
+// A guest smaller than the agent's probe offset fails every scan; the
+// artefact must fail with those failures as its cause rather than time a
+// detection that skipped them.
+func TestTimeToDetectReportsScanErrors(t *testing.T) {
+	o := TestOptions()
+	o.GuestMemMB = agentPageOffset * mem.PageSize >> 20 / 2
+	_, err := TimeToDetect(o, 5*time.Minute)
+	if !errors.Is(err, mem.ErrOutOfRange) {
+		t.Fatalf("err = %v, want a scan failure wrapping mem.ErrOutOfRange", err)
 	}
 }

@@ -151,12 +151,12 @@ func WithTelemetry(reg *telemetry.Registry) Option {
 	return func(c *config) { c.tele, c.teleSet = reg, true }
 }
 
-// guest is one registry entry. The qemu.VM instances backing a guest
-// change across migrations (and infections), so the record stores only
-// stable facts; Lookup resolves the current instances through the
-// host-side forward chain, exactly like an operator would.
+// guest is one registry entry, keyed by the guest's name. The qemu.VM
+// instances backing a guest change across migrations (and infections), so
+// the record stores only stable facts; Lookup resolves the current
+// instances through the host-side forward chain, exactly like an operator
+// would.
 type guest struct {
-	name        string
 	host        string
 	memMB       int64
 	servicePort int
@@ -278,9 +278,6 @@ func New(seed int64, opts ...Option) (*Fleet, error) {
 
 // Engine returns the shared simulation engine.
 func (f *Fleet) Engine() *sim.Engine { return f.eng }
-
-// Network returns the shared fabric.
-func (f *Fleet) Network() *vnet.Network { return f.net }
 
 // Migration returns the shared live-migration engine.
 func (f *Fleet) Migration() *migrate.Engine { return f.mig }
@@ -444,7 +441,7 @@ func (f *Fleet) startGuest(hostName, name string, memMB int64, tmpl *mem.Templat
 		return nil, err
 	}
 	f.nextIdx++
-	f.guests[name] = &guest{name: name, host: hostName, memMB: memMB, servicePort: servicePort}
+	f.guests[name] = &guest{host: hostName, memMB: memMB, servicePort: servicePort}
 	h.usedMB += memMB
 	f.tele.Counter("fleet_placements_total").Inc()
 	return vm, nil

@@ -11,9 +11,6 @@ type Policy struct {
 	// AvoidGuests lists guests the moved guest must not share a host
 	// with (anti-affinity).
 	AvoidGuests []string
-	// MinFreeMB requires the destination to keep at least this much
-	// budget free after placing the guest.
-	MinFreeMB int64
 	// ExcludeHosts removes named hosts from the candidate set outright
 	// (a migration's source host, a host in maintenance).
 	ExcludeHosts []string
@@ -45,7 +42,7 @@ func (f *Fleet) PickHostFor(memMB int64, pol Policy) (string, error) {
 			continue
 		}
 		free := h.free()
-		if free < memMB+pol.MinFreeMB {
+		if free < memMB {
 			continue
 		}
 		if best == "" || free > bestFree {

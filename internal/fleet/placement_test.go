@@ -49,10 +49,6 @@ func TestPickHostAllHostsFull(t *testing.T) {
 	if err != nil || host != "h00" {
 		t.Fatalf("PickHostFor(16) = %q, %v; want h00", host, err)
 	}
-	// MinFreeMB headroom pushes the same request back over the edge.
-	if _, err := f.PickHostFor(16, Policy{MinFreeMB: 32}); !errors.Is(err, ErrNoPlacement) {
-		t.Fatalf("PickHostFor with MinFreeMB = %v, want ErrNoPlacement", err)
-	}
 }
 
 // TestPickHostAntiAffinityUnsatisfiable: anti-affinity that excludes

@@ -26,8 +26,6 @@ type SweepOptions struct {
 	Pages int
 	// Wait is the KSM merge window per probe (detector default when 0).
 	Wait time.Duration
-	// OnProgress receives live sweep progress as guests complete.
-	OnProgress func(runner.Progress)
 	// OnAgent, when set, observes each guest's freshly built agent
 	// before the detector runs — the hook an experiment uses to wire an
 	// installed rootkit's file-push interception to the right guest.
@@ -50,7 +48,7 @@ type GuestVerdict struct {
 // serialize to stay deterministic.
 func (f *Fleet) SweepDetect(o SweepOptions) ([]GuestVerdict, error) {
 	names := f.GuestNames()
-	return runner.Map(len(names), runner.Options{Workers: 1, OnProgress: o.OnProgress},
+	return runner.Map(len(names), runner.Options{Workers: 1},
 		func(i int) (GuestVerdict, error) {
 			name := names[i]
 			info, err := f.Lookup(name)

@@ -35,26 +35,21 @@ type Process struct {
 
 // System is one host machine's OS view.
 type System struct {
-	eng      *sim.Engine
-	hostname string
-	nextPID  int
-	procs    map[int]*Process
-	history  []string
+	eng     *sim.Engine
+	nextPID int
+	procs   map[int]*Process
+	history []string
 }
 
 // New returns a host OS with an empty process table. PIDs start above the
 // init range to look plausible in traces.
-func New(eng *sim.Engine, hostname string) *System {
+func New(eng *sim.Engine) *System {
 	return &System{
-		eng:      eng,
-		hostname: hostname,
-		nextPID:  1000,
-		procs:    make(map[int]*Process),
+		eng:     eng,
+		nextPID: 1000,
+		procs:   make(map[int]*Process),
 	}
 }
-
-// Hostname returns the host's name.
-func (s *System) Hostname() string { return s.hostname }
 
 // Spawn creates a process with a fresh PID and returns it.
 func (s *System) Spawn(owner, command string) *Process {
@@ -83,9 +78,6 @@ func (s *System) Process(pid int) (*Process, bool) {
 	p, ok := s.procs[pid]
 	return p, ok
 }
-
-// NumProcesses returns the process-table size.
-func (s *System) NumProcesses() int { return len(s.procs) }
 
 // PS returns the process table sorted by PID — the `ps -ef` view.
 func (s *System) PS() []*Process {
@@ -134,11 +126,6 @@ func (s *System) AppendHistory(cmd string) {
 	s.history = append(s.history, cmd)
 }
 
-// History returns a copy of the shell history, oldest first.
-func (s *System) History() []string {
-	return append([]string(nil), s.history...)
-}
-
 // HistoryMatching returns history lines containing substr, oldest first —
 // the attacker's `history | grep qemu` recon step.
 func (s *System) HistoryMatching(substr string) []string {
@@ -149,12 +136,6 @@ func (s *System) HistoryMatching(substr string) []string {
 		}
 	}
 	return out
-}
-
-// ClearHistory truncates the history (defensive hygiene; also what a
-// careful attacker does after installing).
-func (s *System) ClearHistory() {
-	s.history = nil
 }
 
 // RemoveHistoryMatching deletes history lines containing substr and

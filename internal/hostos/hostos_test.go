@@ -10,7 +10,7 @@ import (
 
 func newSys(t *testing.T) *System {
 	t.Helper()
-	return New(sim.NewEngine(1), "cloud-host-1")
+	return New(sim.NewEngine(1))
 }
 
 func TestSpawnAssignsFreshPIDs(t *testing.T) {
@@ -23,11 +23,8 @@ func TestSpawnAssignsFreshPIDs(t *testing.T) {
 	if a.PID <= 1000 {
 		t.Fatalf("pid = %d, want > 1000", a.PID)
 	}
-	if s.NumProcesses() != 2 {
-		t.Fatalf("nprocs = %d", s.NumProcesses())
-	}
-	if s.Hostname() != "cloud-host-1" {
-		t.Fatalf("hostname = %q", s.Hostname())
+	if n := len(s.PS()); n != 2 {
+		t.Fatalf("nprocs = %d", n)
 	}
 }
 
@@ -121,22 +118,18 @@ func TestHistory(t *testing.T) {
 	s := newSys(t)
 	s.AppendHistory("qemu-system-x86_64 -m 1024 -hda guest0.img -netdev user,hostfwd=tcp::2222-:22")
 	s.AppendHistory("ls -la")
-	h := s.History()
+	h := s.HistoryMatching("")
 	if len(h) != 2 {
 		t.Fatalf("history len = %d", len(h))
 	}
 	// Mutating the copy must not change the original.
 	h[0] = "tampered"
-	if s.History()[0] == "tampered" {
-		t.Fatal("History returned a live reference")
+	if s.history[0] == "tampered" {
+		t.Fatal("HistoryMatching returned a live reference")
 	}
 	m := s.HistoryMatching("qemu")
 	if len(m) != 1 {
 		t.Fatalf("matching = %v", m)
-	}
-	s.ClearHistory()
-	if len(s.History()) != 0 {
-		t.Fatal("ClearHistory failed")
 	}
 }
 
@@ -149,7 +142,7 @@ func TestRemoveHistoryMatching(t *testing.T) {
 	if got := s.RemoveHistoryMatching("guestX"); got != 2 {
 		t.Fatalf("removed = %d", got)
 	}
-	h := s.History()
+	h := s.history
 	if len(h) != 2 || h[0] != "qemu-system -name guest0" || h[1] != "ls" {
 		t.Fatalf("history = %v", h)
 	}
@@ -162,7 +155,7 @@ func TestRemoveHistoryMatching(t *testing.T) {
 // and nothing that names the VM a QEMU process backs.
 func TestPSShowsOnlyPIDOwnerCommand(t *testing.T) {
 	eng := sim.NewEngine(1)
-	s := New(eng, "host")
+	s := New(eng)
 	eng.Advance(3 * time.Second)
 	p := s.Spawn("root", "qemu-system-x86_64 -name guest0")
 	ps := s.PS()

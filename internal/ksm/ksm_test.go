@@ -27,8 +27,8 @@ func mustWrite(t *testing.T, s *mem.Space, p int, c mem.Content) {
 func TestConfigDefaultsApplied(t *testing.T) {
 	eng := sim.NewEngine(1)
 	d := New(eng, Config{}, DefaultCostModel())
-	if d.Config().PagesPerScan <= 0 || d.Config().ScanInterval <= 0 {
-		t.Fatalf("defaults not applied: %+v", d.Config())
+	if d.cfg.PagesPerScan <= 0 || d.cfg.ScanInterval <= 0 {
+		t.Fatalf("defaults not applied: %+v", d.cfg)
 	}
 }
 
@@ -80,8 +80,8 @@ func TestThirdPageJoinsStableGroup(t *testing.T) {
 	if g.Refs != 3 {
 		t.Fatalf("refs = %d, want 3", g.Refs)
 	}
-	if d.SharedGroups() != 1 {
-		t.Fatalf("groups = %d", d.SharedGroups())
+	if liveGroups(d) != 1 {
+		t.Fatalf("groups = %d", liveGroups(d))
 	}
 }
 
@@ -102,8 +102,8 @@ func TestTelemetryMatchesLedger(t *testing.T) {
 	if g, _ := a.Shared(2); g == nil || g.Refs != 3 || d.Merges() != 2 {
 		t.Fatalf("want one pair merge and one stable attach, got merges=%d group=%+v", d.Merges(), g)
 	}
-	if got := reg.Counter("ksm_pages_scanned_total").Value(); got != d.PagesScanned() || got != 9 {
-		t.Fatalf("ksm_pages_scanned_total = %d, PagesScanned = %d, want 9", got, d.PagesScanned())
+	if got := reg.Counter("ksm_pages_scanned_total").Value(); got != d.pagesScan || got != 9 {
+		t.Fatalf("ksm_pages_scanned_total = %d, ledger = %d, want 9", got, d.pagesScan)
 	}
 	if got := reg.Counter("ksm_merges_total").Value(); got != d.Merges() {
 		t.Fatalf("ksm_merges_total = %d, Merges = %d", got, d.Merges())
@@ -266,7 +266,7 @@ func TestDaemonTickerScans(t *testing.T) {
 	if _, shared := a.Shared(1); !shared {
 		t.Fatal("daemon never merged")
 	}
-	if d.PagesScanned() == 0 {
+	if d.pagesScan == 0 {
 		t.Fatal("no pages scanned")
 	}
 }
@@ -284,8 +284,8 @@ func TestDeadGroupEvictedFromStableTree(t *testing.T) {
 	// Kill the group entirely.
 	mustWrite(t, a, 0, 0xA)
 	mustWrite(t, b, 0, 0xB)
-	if d.SharedGroups() != 0 {
-		t.Fatalf("live groups = %d", d.SharedGroups())
+	if liveGroups(d) != 0 {
+		t.Fatalf("live groups = %d", liveGroups(d))
 	}
 	// New pair with the old content must still merge (stale stable entry
 	// must not poison it).
@@ -356,4 +356,15 @@ func TestMergeSoundnessProperty(t *testing.T) {
 	if err := quick.Check(f, &quick.Config{MaxCount: 40}); err != nil {
 		t.Fatal(err)
 	}
+}
+
+// liveGroups counts the stable tree's live (ref > 0) groups.
+func liveGroups(d *Daemon) int {
+	n := 0
+	for _, g := range d.stable {
+		if g.Refs > 0 {
+			n++
+		}
+	}
+	return n
 }

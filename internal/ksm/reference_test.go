@@ -322,7 +322,7 @@ func FuzzScanMatchesReference(f *testing.F) {
 // compareScanners returns the first difference between the two worlds and
 // their scanners, or nil.
 func compareScanners(gw *fuzzWorld, d *Daemon, ww *fuzzWorld, ref *refDaemon) error {
-	got := [3]uint64{d.Merges(), d.PagesScanned(), d.ChecksumSkips()}
+	got := [3]uint64{d.Merges(), d.pagesScan, d.ChecksumSkips()}
 	want := [3]uint64{ref.merges, ref.pagesScan, ref.checksumSkips}
 	if got != want {
 		return fmt.Errorf("merges/scanned/skips = %v, want %v", got, want)
@@ -365,9 +365,9 @@ func compareScanners(gw *fuzzWorld, d *Daemon, ww *fuzzWorld, ref *refDaemon) er
 			}
 		}
 	}
-	if d.SharedGroups() != refLiveGroups(ref) || len(d.stable) != len(ref.stable) {
+	if liveGroups(d) != refLiveGroups(ref) || len(d.stable) != len(ref.stable) {
 		return fmt.Errorf("live groups/stable entries = %d/%d, want %d/%d",
-			d.SharedGroups(), len(d.stable), refLiveGroups(ref), len(ref.stable))
+			liveGroups(d), len(d.stable), refLiveGroups(ref), len(ref.stable))
 	}
 	if d.cand.n != len(ref.candidate) {
 		return fmt.Errorf("%d candidates, want %d", d.cand.n, len(ref.candidate))

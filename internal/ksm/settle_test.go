@@ -62,14 +62,14 @@ func TestFillRandomReleasesMergedRefs(t *testing.T) {
 	d.Register(s)
 	d.FullPass()
 	g, shared := s.Shared(1)
-	if !shared || g.Refs != 2 || d.SharedGroups() != 1 {
-		t.Fatalf("setup: shared=%v groups=%d", shared, d.SharedGroups())
+	if !shared || g.Refs != 2 || liveGroups(d) != 1 {
+		t.Fatalf("setup: shared=%v groups=%d", shared, liveGroups(d))
 	}
 	s.FillRandom(rand.New(rand.NewSource(1)), 0)
 	if g.Refs != 0 {
 		t.Fatalf("group refs after FillRandom = %d, want 0", g.Refs)
 	}
-	if n := d.SharedGroups(); n != 0 {
+	if n := liveGroups(d); n != 0 {
 		t.Fatalf("live groups after FillRandom = %d, want 0", n)
 	}
 	mustCheck(t, d)
@@ -100,13 +100,13 @@ func TestSettledRegionSkipsExactly(t *testing.T) {
 	}
 	mustCheck(t, d)
 
-	before := d.PagesScanned()
+	before := d.pagesScan
 	d.ScanN(5) // a[0..4], skipped
-	if got := d.PagesScanned() - before; got != 5 {
+	if got := d.pagesScan - before; got != 5 {
 		t.Fatalf("skipped wake counted %d pages, want 5", got)
 	}
-	if got := reg.Counter("ksm_pages_scanned_total").Value(); got != d.PagesScanned() {
-		t.Fatalf("ksm_pages_scanned_total = %d, PagesScanned = %d", got, d.PagesScanned())
+	if got := reg.Counter("ksm_pages_scanned_total").Value(); got != d.pagesScan {
+		t.Fatalf("ksm_pages_scanned_total = %d, ledger = %d", got, d.pagesScan)
 	}
 
 	// b[3] takes a[6]'s content: b must be examined again, and b[3] merges

@@ -114,6 +114,8 @@ func (ix *Names) remove(name string) {
 // Check recounts the L0 guests of hosts, which must be every host sharing
 // the index, and returns an error naming a name whose count disagrees, or
 // nil.
+//
+//detlint:allow deadcode — invariant checker: the kvm create tests and fleet's placement test run it; ROADMAP item 5's fleet checker will
 func (ix *Names) Check(hosts []*Host) error {
 	diff := make(map[string]int, len(ix.n))
 	for name, n := range ix.n {
@@ -136,6 +138,8 @@ func (ix *Names) Check(hosts []*Host) error {
 // backend (the paper's kvm-i7-4790 calibration), registering its network
 // endpoint. The KSM daemon is created but not started; call
 // Host.KSM().Start() to enable deduplication scanning.
+//
+//detlint:allow deadcode — test fixture: the package tests build their one-host clouds with it; mains pick a backend
 func NewHost(eng *sim.Engine, network *vnet.Network, name string) (*Host, error) {
 	return NewHostWithBackend(eng, network, name, hv.Baseline())
 }
@@ -153,7 +157,7 @@ func NewHostWithBackend(eng *sim.Engine, network *vnet.Network, name string, bac
 		name:         name,
 		eng:          eng,
 		net:          network,
-		os:           hostos.New(eng, name),
+		os:           hostos.New(eng),
 		ksmd:         ksm.New(eng, ksm.DefaultConfig(), prof.KSM),
 		BootTime:     prof.BootTime,
 		ZeroFraction: prof.ZeroFraction,
@@ -211,9 +215,6 @@ func (h *Host) SetTelemetry(reg *telemetry.Registry) {
 	}
 }
 
-// Telemetry returns the host's registry (nil when unset).
-func (h *Host) Telemetry() *telemetry.Registry { return h.tel }
-
 // vcpuTelemetry returns the counter handles every vCPU of a guest at level
 // shares, resolving them on first use for the host's current Model.
 func (h *Host) vcpuTelemetry(level cpu.Level) *cpu.Telemetry {
@@ -269,22 +270,8 @@ type Hypervisor struct {
 
 var _ qemu.PortForwarder = (*Hypervisor)(nil)
 
-// RunLevel returns the level this hypervisor's own code runs at (L0 on
-// bare metal, L1 inside a guest).
-func (hv *Hypervisor) RunLevel() cpu.Level { return hv.runLevel }
-
 // GuestLevel returns the level guests of this hypervisor execute at.
 func (hv *Hypervisor) GuestLevel() cpu.Level { return hv.runLevel + 1 }
-
-// OS returns the operating system this hypervisor runs in (the host OS at
-// L0, the guest OS of the enclosing VM when nested).
-func (hv *Hypervisor) OS() *hostos.System { return hv.os }
-
-// Host returns the physical machine this hypervisor ultimately runs on.
-func (hv *Hypervisor) Host() *Host { return hv.host }
-
-// InsideVM returns the VM this hypervisor runs inside, or nil at L0.
-func (hv *Hypervisor) InsideVM() *qemu.VM { return hv.insideVM }
 
 // hostEndpoint is the network endpoint host forwards bind to: the physical
 // host at L0, the enclosing VM's NIC when nested.
@@ -619,7 +606,7 @@ func (hv *Hypervisor) EnableNesting(name string) (*Hypervisor, error) {
 		host:     hv.host,
 		insideVM: vm,
 		scope:    name + "/",
-		os:       hostos.New(hv.host.eng, name),
+		os:       hostos.New(hv.host.eng),
 		runLevel: hv.GuestLevel(),
 		vms:      make(map[string]*qemu.VM),
 		nested:   make(map[string]*Hypervisor),

@@ -179,10 +179,10 @@ func TestEnableNesting(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if inner.RunLevel() != cpu.L1 || inner.GuestLevel() != cpu.L2 {
-		t.Fatalf("levels = %v/%v", inner.RunLevel(), inner.GuestLevel())
+	if inner.runLevel != cpu.L1 || inner.GuestLevel() != cpu.L2 {
+		t.Fatalf("levels = %v/%v", inner.runLevel, inner.GuestLevel())
 	}
-	if inner.InsideVM() == nil || inner.InsideVM().Name() != "guestX" {
+	if inner.insideVM == nil || inner.insideVM.Name() != "guestX" {
 		t.Fatal("insideVM wrong")
 	}
 	// Idempotent.
@@ -216,7 +216,7 @@ func TestEnableNesting(t *testing.T) {
 	if len(h.OS().FindByCommand("nested0")) != 0 {
 		t.Fatal("nested process visible on host OS")
 	}
-	if len(inner.OS().FindByCommand("nested0")) != 1 {
+	if len(inner.os.FindByCommand("nested0")) != 1 {
 		t.Fatal("nested process missing from guest OS")
 	}
 }

@@ -32,9 +32,6 @@ func (b *Bitmap) ensure() {
 	}
 }
 
-// Len returns the number of bits the bitmap tracks.
-func (b *Bitmap) Len() int { return b.n }
-
 // Count returns the number of set bits.
 func (b *Bitmap) Count() int { return b.set }
 
@@ -104,43 +101,6 @@ func (b *Bitmap) SetAll() {
 	b.set = b.n
 }
 
-// NextSetFrom returns the index of the first set bit at or after i, or -1
-// if none remain. It skips all-zero words, so sparse scans cost O(words)
-// rather than O(bits).
-//
-//detlint:hotpath
-func (b *Bitmap) NextSetFrom(i int) int {
-	if i < 0 {
-		i = 0
-	}
-	if i >= b.n || b.words == nil {
-		return -1
-	}
-	wi := i / 64
-	if w := b.words[wi] >> (uint(i) % 64); w != 0 {
-		return i + bits.TrailingZeros64(w)
-	}
-	for wi++; wi < len(b.words); wi++ {
-		if w := b.words[wi]; w != 0 {
-			return wi*64 + bits.TrailingZeros64(w)
-		}
-	}
-	return -1
-}
-
-// ForEach invokes fn for every set bit, in ascending order.
-//
-//detlint:hotpath
-func (b *Bitmap) ForEach(fn func(i int)) {
-	for wi, w := range b.words {
-		for w != 0 {
-			bit := bits.TrailingZeros64(w)
-			fn(wi*64 + bit)
-			w &^= 1 << uint(bit)
-		}
-	}
-}
-
 // orWord ORs w into word wi, keeping the set-bit count, and returns the
 // word's previous value. Callers must have bounds-checked wi and keep w's
 // bits below Len.
@@ -164,14 +124,4 @@ func (b *Bitmap) setRange(lo, hi int) {
 		b.orWord(lo/64, ^uint64(0)>>(64-uint(end-lo))<<(uint(lo)%64))
 		lo = end
 	}
-}
-
-// Clone returns a deep copy of the bitmap.
-func (b *Bitmap) Clone() *Bitmap {
-	c := &Bitmap{
-		words: append([]uint64(nil), b.words...),
-		n:     b.n,
-		set:   b.set,
-	}
-	return c
 }

@@ -19,6 +19,8 @@ import (
 //     bits they hold, and hold none past the last page.
 //
 // It walks every page, so it belongs in tests, not on a hot path.
+//
+//detlint:allow deadcode — invariant checker: FuzzSpaceOps and the mem and migrate tests run it
 func (s *Space) CheckInvariants() error {
 	if s.tmpl == nil {
 		if len(s.pages) != s.npages || s.chunks != nil {

@@ -23,9 +23,9 @@ func templateFixture(t *testing.T) (*Space, *Template) {
 
 func TestFreezeCapturesLogicalContents(t *testing.T) {
 	src, tmpl := templateFixture(t)
-	if tmpl.NumPages() != src.NumPages() || tmpl.SizeBytes() != src.SizeBytes() {
+	if tmpl.NumPages() != src.NumPages() || tmpl.SizeBytes() != int64(src.NumPages())*PageSize {
 		t.Fatalf("template geometry %d/%d != source %d/%d",
-			tmpl.NumPages(), tmpl.SizeBytes(), src.NumPages(), src.SizeBytes())
+			tmpl.NumPages(), tmpl.SizeBytes(), src.NumPages(), int64(src.NumPages())*PageSize)
 	}
 	if tmpl.ContentHash() != src.ContentHash() {
 		t.Fatalf("template hash %#x != source hash %#x", tmpl.ContentHash(), src.ContentHash())
@@ -39,7 +39,7 @@ func TestFreezeCapturesLogicalContents(t *testing.T) {
 	if _, shared := src.Shared(7); !shared {
 		t.Fatal("source page 7 lost its shared group after Freeze")
 	}
-	if !src.Volatile(9) {
+	if !isVolatile(src, 9) {
 		t.Fatal("source page 9 lost its volatile flag after Freeze")
 	}
 }
@@ -51,7 +51,7 @@ func TestSpawnFromSharesUntilFirstWrite(t *testing.T) {
 	if tmpl.Spawns() != 2 {
 		t.Fatalf("template spawns = %d, want 2", tmpl.Spawns())
 	}
-	if !a.Forked() || a.Template() != tmpl {
+	if !a.Forked() || a.tmpl != tmpl {
 		t.Fatal("spawned space does not report its template")
 	}
 	if a.ContentHash() != tmpl.ContentHash() {
@@ -69,7 +69,7 @@ func TestSpawnFromSharesUntilFirstWrite(t *testing.T) {
 	if _, shared := a.Shared(7); shared {
 		t.Fatal("spawned space inherited a KSM shared group")
 	}
-	if a.Volatile(9) {
+	if isVolatile(a, 9) {
 		t.Fatal("spawned space inherited a volatile flag")
 	}
 }
@@ -176,7 +176,7 @@ func TestForkKSMAndVolatility(t *testing.T) {
 	if err := a.MarkVolatile(p, true); err != nil {
 		t.Fatal(err)
 	}
-	if b.Volatile(p) {
+	if isVolatile(b, p) {
 		t.Fatal("sibling fork sees a's volatile flag")
 	}
 	// Marking a template-backed page with its existing (false) volatility
@@ -227,7 +227,7 @@ func TestFillRandomClearsVolatility(t *testing.T) {
 		}
 		s.FillRandom(rand.New(rand.NewSource(5)), 0.3)
 		for p := 0; p < s.NumPages(); p++ {
-			if _, _, vol := s.PageInfo(p); vol || s.Volatile(p) {
+			if _, _, vol := s.PageInfo(p); vol {
 				t.Fatalf("%s: page %d still volatile after FillRandom", s.Name(), p)
 			}
 		}
@@ -260,35 +260,5 @@ func TestSpawnFromAllocCeiling(t *testing.T) {
 	}
 	if small != large {
 		t.Fatalf("SpawnFrom alloc count grows with template size: %v -> %v", small, large)
-	}
-}
-
-// TestSnapshotIntoReuse: the reusable-buffer snapshot path matches
-// Snapshot exactly and allocates nothing once the buffer is warm, on both
-// standalone and forked spaces.
-func TestSnapshotIntoReuse(t *testing.T) {
-	src, tmpl := templateFixture(t)
-	fork := SpawnFrom("guest", tmpl)
-	if _, err := fork.Write(chunkSize+1, 0x777); err != nil {
-		t.Fatal(err)
-	}
-	for _, s := range []*Space{src, fork} {
-		want := s.Snapshot()
-		got := s.SnapshotInto(make([]Content, 0))
-		if len(got) != len(want) {
-			t.Fatalf("%s: SnapshotInto len %d, want %d", s.Name(), len(got), len(want))
-		}
-		for i := range want {
-			if got[i] != want[i] {
-				t.Fatalf("%s: SnapshotInto[%d] = %#x, want %#x", s.Name(), i, got[i], want[i])
-			}
-		}
-		buf := make([]Content, s.NumPages())
-		allocs := testing.AllocsPerRun(100, func() {
-			buf = s.SnapshotInto(buf)
-		})
-		if allocs != 0 {
-			t.Fatalf("%s: warm SnapshotInto allocates %v objects/op, want 0", s.Name(), allocs)
-		}
 	}
 }

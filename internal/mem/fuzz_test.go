@@ -123,10 +123,10 @@ func (sp *spacePair) apply(t *testing.T, op, x, y, z byte) {
 		s.MarkAllDirty()
 		r.dirty.SetAll()
 	case 10:
-		got, want := s.SnapshotInto(nil), r.SnapshotInto(nil)
+		got, want := s.Snapshot(), r.Snapshot()
 		for i := range want {
 			if got[i] != want[i] {
-				t.Fatalf("SnapshotInto[%d] = %#x; reference %#x", i, got[i], want[i])
+				t.Fatalf("Snapshot[%d] = %#x; reference %#x", i, got[i], want[i])
 			}
 		}
 	case 11:
@@ -214,7 +214,7 @@ func (sp *spacePair) compare(t *testing.T, x, y byte) {
 			gg, _ := s.Shared(p)
 			wg, _ := r.Shared(p)
 			if gc != wc || gerr != nil || werr != nil || gi != wi || gs != ws || gv != wv ||
-				(gg == nil) != (wg == nil) || (gg != nil && sp.ids[gg] != sp.ids[wg]) || s.Volatile(p) != r.Volatile(p) {
+				(gg == nil) != (wg == nil) || (gg != nil && sp.ids[gg] != sp.ids[wg]) || isVolatile(s, p) != r.Volatile(p) {
 				t.Fatalf("slot %d page %d: content %#x shared %t (group %d) volatile %t; reference %#x %t (group %d) %t",
 					i, p, gc, gs, sp.ids[gg], gv, wc, ws, sp.ids[wg], wv)
 			}
@@ -287,7 +287,7 @@ func checkDelta(t *testing.T, slot, ti int, s *Space, r *refSpace, tmpl *Templat
 // FuzzSpaceOps is the differential check of the page layout: a byte string
 // decodes into Write, LoadFile, FillRandom, Reset, AttachShared to a new or
 // an existing group, MarkVolatile, PullDirty between two slots, ClearDirty,
-// MarkAllDirty, SnapshotInto, Freeze then SpawnFrom, WriteRun, and moving
+// MarkAllDirty, Snapshot, Freeze then SpawnFrom, WriteRun, and moving
 // a write hook, four bytes per operation, run on Spaces and on the
 // previous layout in refSpace, whose PullDirty drains the source's log and
 // then reads and writes one page at a time. After every operation every

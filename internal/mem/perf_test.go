@@ -18,28 +18,8 @@ func refHash(s *Space) uint64 {
 	return h
 }
 
-// TestNextSetFrom walks a sparse bitmap across word boundaries.
-func TestNextSetFrom(t *testing.T) {
-	b := NewBitmap(300)
-	for _, i := range []int{0, 63, 64, 200} {
-		b.Set(i)
-	}
-	cases := []struct{ from, want int }{
-		{-5, 0}, {0, 0}, {1, 63}, {63, 63}, {64, 64}, {65, 200},
-		{200, 200}, {201, -1}, {300, -1}, {1000, -1},
-	}
-	for _, c := range cases {
-		if got := b.NextSetFrom(c.from); got != c.want {
-			t.Errorf("NextSetFrom(%d) = %d, want %d", c.from, got, c.want)
-		}
-	}
-	if got := NewBitmap(128).NextSetFrom(0); got != -1 {
-		t.Errorf("empty NextSetFrom(0) = %d, want -1", got)
-	}
-}
-
 // TestSetAllTailWord: the word-fill SetAll must not set ghost bits past
-// Len — ForEach afterwards visits exactly Len indices.
+// the last index — exactly n bits are set afterwards.
 func TestSetAllTailWord(t *testing.T) {
 	for _, n := range []int{0, 1, 63, 64, 65, 130} {
 		b := NewBitmap(n)
@@ -49,7 +29,7 @@ func TestSetAllTailWord(t *testing.T) {
 		}
 		got := setBits(b)
 		if len(got) != n {
-			t.Fatalf("n=%d: ForEach visited %d bits", n, len(got))
+			t.Fatalf("n=%d: %d bits set", n, len(got))
 		}
 		for i, v := range got {
 			if v != i {
@@ -172,9 +152,9 @@ func TestPageInfoMatchesAccessors(t *testing.T) {
 			t.Fatalf("page %d: PageInfo content %#x != Read %#x", p, c, s.MustRead(p))
 		}
 		_, wantShared := s.Shared(p)
-		if shared != wantShared || vol != s.Volatile(p) {
+		if shared != wantShared || vol != s.volatile.Test(p) {
 			t.Fatalf("page %d: PageInfo flags (%v,%v), want (%v,%v)",
-				p, shared, vol, wantShared, s.Volatile(p))
+				p, shared, vol, wantShared, s.volatile.Test(p))
 		}
 	}
 	if c, shared, vol := s.PageInfo(99); c != ZeroPage || shared || vol {

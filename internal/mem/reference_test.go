@@ -147,11 +147,10 @@ func (s *refSpace) WriteRun(start int, cs []Content) error {
 // counting zero pages and the non-zero pages the sent bitmap already had.
 func (s *refSpace) PullDirty(src *refSpace, sent *Bitmap) (Pulled, error) {
 	var n Pulled
-	if src.npages != s.npages || (sent != nil && sent.Len() != s.npages) {
+	if src.npages != s.npages || (sent != nil && sent.n != s.npages) {
 		return n, fmt.Errorf("mem: pull %s into %s: size mismatch", src.name, s.name)
 	}
-	var pages []int
-	src.dirty.ForEach(func(p int) { pages = append(pages, p) })
+	pages := setBits(src.dirty)
 	src.dirty.ClearAll()
 	for _, p := range pages {
 		c, err := src.Read(p)
@@ -287,11 +286,8 @@ func (s *refSpace) FillRandom(rng *rand.Rand, zeroFraction float64) {
 	s.dirty.ClearAll()
 }
 
-func (s *refSpace) SnapshotInto(dst []Content) []Content {
-	if cap(dst) < s.npages {
-		dst = make([]Content, s.npages)
-	}
-	dst = dst[:s.npages]
+func (s *refSpace) Snapshot() []Content {
+	dst := make([]Content, s.npages)
 	for p := range dst {
 		dst[p], _ = s.Read(p)
 	}

@@ -242,9 +242,6 @@ func (s *Space) Name() string { return s.name }
 // NumPages returns the number of pages in the space.
 func (s *Space) NumPages() int { return s.npages }
 
-// SizeBytes returns the space's size in bytes.
-func (s *Space) SizeBytes() int64 { return int64(s.npages) * PageSize }
-
 // Read returns the content of page p.
 func (s *Space) Read(p int) (Content, error) {
 	if p < 0 || p >= s.npages {
@@ -446,14 +443,6 @@ func (s *Space) MarkVolatile(p int, v bool) error {
 	return nil
 }
 
-// Volatile reports whether page p is flagged volatile.
-func (s *Space) Volatile(p int) bool {
-	if p < 0 || p >= s.npages {
-		return false
-	}
-	return s.volatile.Test(p)
-}
-
 // Shared reports whether page p is currently KSM-merged, and with which
 // group.
 func (s *Space) Shared(p int) (*SharedGroup, bool) {
@@ -504,6 +493,8 @@ func (s *Space) ClearDirty() { s.dirty.ClearAll() }
 func (s *Space) MarkAllDirty() { s.dirty.SetAll() }
 
 // Stats reports lifetime write counters.
+//
+//detlint:allow deadcode — test oracle: the COW and snapshot tests count the writes and COW breaks an operation costs
 func (s *Space) Stats() (writes, cowBreaks uint64) {
 	return s.writes, s.cowBreaks
 }
@@ -553,22 +544,10 @@ func (s *Space) FillRandom(rng Rand, zeroFraction float64) {
 	}
 }
 
-// Snapshot copies out the logical contents of every page. Migration uses it
-// to verify the memory-equality invariant. Loops that snapshot repeatedly
-// should hold a buffer and call SnapshotInto.
+// Snapshot copies out the logical contents of every page: savevm's RAM
+// image, a template's pages, and the tests' memory-equality checks.
 func (s *Space) Snapshot() []Content {
-	return s.SnapshotInto(nil)
-}
-
-// SnapshotInto is Snapshot with a caller-owned buffer: dst is resized (and
-// reallocated only if its capacity is short) to hold one Content per page,
-// filled with the logical contents, and returned. A loop that reuses the
-// returned buffer snapshots without allocating.
-func (s *Space) SnapshotInto(dst []Content) []Content {
-	if cap(dst) < s.npages {
-		dst = make([]Content, s.npages)
-	}
-	dst = dst[:s.npages]
+	dst := make([]Content, s.npages)
 	if s.pages != nil {
 		copy(dst, s.pages)
 		return dst
@@ -665,6 +644,8 @@ func (s *Space) PageInfo(p int) (c Content, shared, volatile bool) {
 
 // EqualContents reports whether two spaces hold identical logical contents,
 // comparing page by page.
+//
+//detlint:allow deadcode — test oracle: the mem and migrate tests compare a copy with its source through it
 func EqualContents(a, b *Space) bool {
 	if a.npages != b.npages {
 		return false

@@ -14,9 +14,6 @@ func TestNewSpaceRoundsUp(t *testing.T) {
 	if s.NumPages() != 4 {
 		t.Fatalf("pages = %d, want 4", s.NumPages())
 	}
-	if s.SizeBytes() != PageSize*4 {
-		t.Fatalf("size = %d", s.SizeBytes())
-	}
 	if s.Name() != "g" {
 		t.Fatalf("name = %q", s.Name())
 	}
@@ -212,16 +209,16 @@ func TestAttachSharedMigratesBetweenGroups(t *testing.T) {
 
 func TestVolatileFlag(t *testing.T) {
 	s := NewSpace("a", PageSize*2)
-	if s.Volatile(0) {
+	if isVolatile(s, 0) {
 		t.Fatal("fresh page volatile")
 	}
 	if err := s.MarkVolatile(0, true); err != nil {
 		t.Fatal(err)
 	}
-	if !s.Volatile(0) {
+	if !isVolatile(s, 0) {
 		t.Fatal("MarkVolatile didn't stick")
 	}
-	if s.Volatile(99) {
+	if isVolatile(s, 99) {
 		t.Fatal("out-of-range Volatile = true")
 	}
 }
@@ -493,4 +490,10 @@ func TestWriteRun(t *testing.T) {
 			t.Errorf("%s: a rejected run wrote", route)
 		}
 	}
+}
+
+// isVolatile reads page p's volatility flag through PageInfo.
+func isVolatile(s *Space, p int) bool {
+	_, _, v := s.PageInfo(p)
+	return v
 }

@@ -83,10 +83,6 @@ func SpawnFrom(name string, t *Template) *Space {
 // spawned with SpawnFrom and has not been reset or wholly rewritten since).
 func (s *Space) Forked() bool { return s.tmpl != nil }
 
-// Template returns the golden image a forked space reads through, or nil
-// for a standalone space.
-func (s *Space) Template() *Template { return s.tmpl }
-
 // MaterializedChunks returns how many chunks a forked space has privatized
 // from its template. Standalone spaces report 0.
 func (s *Space) MaterializedChunks() int {

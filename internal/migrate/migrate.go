@@ -139,7 +139,8 @@ type Engine struct {
 	incoming  map[vnet.Addr]*qemu.VM
 	active    map[*qemu.VM]bool
 	cancelled map[*qemu.VM]bool
-	results   []Result
+	last      Result
+	completed bool // last holds a result
 
 	telStarted   *telemetry.Counter
 	telCompleted *telemetry.Counter
@@ -238,17 +239,9 @@ func (e *Engine) UnregisterIncoming(addr vnet.Addr) {
 	delete(e.incoming, addr)
 }
 
-// Results returns all completed migration results, oldest first.
-func (e *Engine) Results() []Result {
-	return append([]Result(nil), e.results...)
-}
-
 // LastResult returns the most recent result, if any.
 func (e *Engine) LastResult() (Result, bool) {
-	if len(e.results) == 0 {
-		return Result{}, false
-	}
-	return e.results[len(e.results)-1], true
+	return e.last, e.completed
 }
 
 // Migrate implements qemu.Migrator: the monitor's `migrate tcp:host:port`.
@@ -339,7 +332,7 @@ func (e *Engine) MigrateTo(vm *qemu.VM, target vnet.Addr) error {
 	}
 	res.Source = vm.Name()
 	res.Destination = dst.Name()
-	e.results = append(e.results, res)
+	e.last, e.completed = res, true
 	span.Set("outcome", "completed")
 	span.End()
 	e.telCompleted.Inc()

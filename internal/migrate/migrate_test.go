@@ -437,7 +437,7 @@ func TestRegisterIncomingConflict(t *testing.T) {
 	}
 }
 
-func TestResultsAccumulate(t *testing.T) {
+func TestLastResult(t *testing.T) {
 	tb := newTestbed(t, 1)
 	if _, ok := tb.me.LastResult(); ok {
 		t.Fatal("phantom result")
@@ -447,8 +447,8 @@ func TestResultsAccumulate(t *testing.T) {
 	if err := tb.migrate(t, src, "tcp:127.0.0.1:4444"); err != nil {
 		t.Fatal(err)
 	}
-	if got := tb.me.Results(); len(got) != 1 {
-		t.Fatalf("results = %d", len(got))
+	if res, ok := tb.me.LastResult(); !ok || res.Source != "src" || res.Destination != "dst" {
+		t.Fatalf("last result = %+v, %v", res, ok)
 	}
 }
 

@@ -99,8 +99,6 @@ type VM struct {
 	portFwd   PortForwarder
 	monitor   *Monitor
 	snapshots map[string]*Snapshot
-	bootedAt  time.Duration
-	stoppedAt time.Duration
 	tele      *telemetry.Registry
 }
 
@@ -178,12 +176,10 @@ func (v *VM) Boot(bootTime time.Duration, rng *sim.Rand, zeroFrac float64) error
 		// boots leave the engine's clock and random stream exactly where
 		// they were. After a Reset the fork is gone and the normal cold
 		// path below runs.
-		v.bootedAt = v.Engine().Now()
 		v.state = StateRunning
 		return nil
 	}
 	v.Engine().Advance(bootTime)
-	v.bootedAt = v.Engine().Now()
 	if v.cfg.Incoming != "" {
 		v.state = StateIncoming
 		return nil
@@ -199,7 +195,6 @@ func (v *VM) Pause() error {
 		return fmt.Errorf("%w: stop from %v", ErrBadState, v.state)
 	}
 	v.state = StatePaused
-	v.stoppedAt = v.Engine().Now()
 	return nil
 }
 

@@ -6,6 +6,7 @@ import (
 	"time"
 
 	"cloudskulk/internal/cpu"
+	"cloudskulk/internal/mem"
 	"cloudskulk/internal/sim"
 )
 
@@ -161,8 +162,8 @@ func TestAccessors(t *testing.T) {
 	if vm.Config().MemoryMB == 9999 {
 		t.Fatal("Config returned live reference")
 	}
-	if vm.RAM().SizeBytes() != 8<<20 {
-		t.Fatalf("ram size = %d", vm.RAM().SizeBytes())
+	if n := vm.RAM().NumPages(); n*mem.PageSize != 8<<20 {
+		t.Fatalf("ram pages = %d", n)
 	}
 }
 

@@ -165,9 +165,6 @@ func Pct(v float64) string {
 // F2 formats a float with two decimals (the paper's table style).
 func F2(v float64) string { return fmt.Sprintf("%.2f", v) }
 
-// F3 formats a float with three decimals.
-func F3(v float64) string { return fmt.Sprintf("%.3f", v) }
-
 // Comma formats an integer with thousands separators, the Table IV style.
 func Comma(n int64) string {
 	s := fmt.Sprintf("%d", n)

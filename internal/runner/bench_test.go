@@ -27,9 +27,9 @@ func BenchmarkMapWorkers(b *testing.B) {
 	for _, workers := range counts {
 		b.Run(fmt.Sprintf("workers=%d", workers), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				_, err := MapSeeded(1, cells, Options{Workers: workers},
-					func(i int, seed int64) (uint64, error) {
-						return cpuCell(seed), nil
+				_, err := Map(cells, Options{Workers: workers},
+					func(i int) (uint64, error) {
+						return cpuCell(CellSeed(1, i)), nil
 					})
 				if err != nil {
 					b.Fatal(err)

@@ -186,11 +186,3 @@ func Map[T any](n int, opt Options, cell func(i int) (T, error)) ([]T, error) {
 
 	return results, errors.Join(cellErrs...)
 }
-
-// MapSeeded is Map with the package's seed-derivation rule applied: cell i
-// receives CellSeed(root, i) to build its own engine from.
-func MapSeeded[T any](root int64, n int, opt Options, cell func(i int, seed int64) (T, error)) ([]T, error) {
-	return Map(n, opt, func(i int) (T, error) {
-		return cell(i, CellSeed(root, i))
-	})
-}

@@ -30,8 +30,8 @@ func TestMapOrdering(t *testing.T) {
 // output for 1 and 8 workers.
 func TestMapDeterminism(t *testing.T) {
 	sweep := func(workers int) []uint64 {
-		res, err := MapSeeded(42, 64, Options{Workers: workers}, func(i int, seed int64) (uint64, error) {
-			rng := rand.New(rand.NewSource(seed))
+		res, err := Map(64, Options{Workers: workers}, func(i int) (uint64, error) {
+			rng := rand.New(rand.NewSource(CellSeed(42, i)))
 			var acc uint64
 			for j := 0; j < 1000; j++ {
 				acc ^= rng.Uint64()

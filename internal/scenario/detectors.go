@@ -44,12 +44,12 @@ func RosterNames() []string {
 }
 
 // newDetector builds a fresh roster member for one cell.
-func newDetector(name string, cfg MatrixConfig) (Detector, error) {
+func newDetector(name string) (Detector, error) {
 	switch name {
 	case DetDedupTiming:
-		return &dedupDetector{pages: cfg.DetectPages, wait: cfg.KSMWait}, nil
+		return &dedupDetector{}, nil
 	case DetInvariantChecksum:
-		return &invariantDetector{every: cfg.AuditEvery, max: cfg.MaxAudits}, nil
+		return &invariantDetector{}, nil
 	case DetExitSkew:
 		return &skewDetector{}, nil
 	default:
@@ -60,10 +60,7 @@ func newDetector(name string, cfg MatrixConfig) (Detector, error) {
 // dedupDetector adapts the paper's KSM write-timing protocol (PR2): load a
 // probe file via the vendor agent, mutate the guest's copy, and time L0
 // writes to decide whether a hidden second copy kept the merge alive.
-type dedupDetector struct {
-	pages int
-	wait  time.Duration
-}
+type dedupDetector struct{}
 
 func (d *dedupDetector) Name() string { return DetDedupTiming }
 
@@ -71,8 +68,8 @@ func (d *dedupDetector) Arm(w *World) error { return nil }
 
 func (d *dedupDetector) Scan(w *World) (Outcome, error) {
 	det := detect.NewDedupDetector(w.Cloud.Host)
-	det.Pages = d.pages
-	det.Wait = d.wait
+	det.Pages = dedupPages
+	det.Wait = dedupWait
 	verdict, ev, err := det.Run(w.Agent())
 	if err != nil {
 		return Outcome{}, err
@@ -93,9 +90,6 @@ func (d *dedupDetector) Scan(w *World) (Outcome, error) {
 // after the attack the same invariant keeps being audited against whatever
 // L0 now presents as that guest.
 type invariantDetector struct {
-	every time.Duration
-	max   int
-
 	inner *detect.InvariantDetector
 }
 
@@ -111,8 +105,8 @@ func (d *invariantDetector) Scan(w *World) (Outcome, error) {
 	d.inner.Rebind(w.AdminSpace())
 	start := eng.Now()
 	var o Outcome
-	for i := 0; i < d.max; i++ {
-		eng.RunFor(d.every)
+	for i := 0; i < maxAudits; i++ {
+		eng.RunFor(auditEvery)
 		if d.inner.Audit() {
 			o.Caught = true
 			o.TimeToDetect = eng.Now() - start

@@ -14,25 +14,12 @@ import (
 type MatrixConfig struct {
 	// Seed drives strategy generation and every cell's testbed.
 	Seed int64
-	// Strategies is how many specs Generate draws (default 5 — every kind
-	// once plus one random redraw).
-	Strategies int
 	// Backends lists the hypervisor cost profiles to sweep; empty means
 	// every registered backend.
 	Backends []string
 	// GuestMemMB sizes each cell's victim (default 16 — big enough for
 	// the full memory layout, small enough to sweep the cross product).
 	GuestMemMB int64
-	// DetectPages is the dedup probe-file size.
-	DetectPages int
-	// KSMWait is the dedup protocol's scan wait.
-	KSMWait time.Duration
-	// AuditEvery / MaxAudits pace the invariant-checksum audit loop.
-	AuditEvery time.Duration
-	MaxAudits  int
-	// SettleTime runs the world between attack and scan, letting churn
-	// tickers and ksmd interleave before any detector looks.
-	SettleTime time.Duration
 	// Workers bounds the cell pool; the artefact is byte-identical for
 	// any value.
 	Workers int
@@ -40,30 +27,29 @@ type MatrixConfig struct {
 	OnProgress func(runner.Progress)
 }
 
+// The sweep's fixed shape.
+const (
+	// matrixStrategies is how many specs Generate draws: every kind once
+	// plus one random redraw.
+	matrixStrategies = 5
+	// dedupPages and dedupWait are the dedup probe-file size and the
+	// protocol's scan wait.
+	dedupPages = 24
+	dedupWait  = 2 * time.Second
+	// auditEvery and maxAudits pace the invariant-checksum audit loop.
+	auditEvery = time.Second
+	maxAudits  = 4
+	// settleTime runs the world between attack and scan, letting churn
+	// tickers and ksmd interleave before any detector looks.
+	settleTime = 2 * time.Second
+)
+
 func (c MatrixConfig) withDefaults() MatrixConfig {
-	if c.Strategies <= 0 {
-		c.Strategies = 5
-	}
 	if len(c.Backends) == 0 {
 		c.Backends = hv.Names()
 	}
 	if c.GuestMemMB <= 0 {
 		c.GuestMemMB = 16
-	}
-	if c.DetectPages <= 0 {
-		c.DetectPages = 24
-	}
-	if c.KSMWait <= 0 {
-		c.KSMWait = 2 * time.Second
-	}
-	if c.AuditEvery <= 0 {
-		c.AuditEvery = time.Second
-	}
-	if c.MaxAudits <= 0 {
-		c.MaxAudits = 4
-	}
-	if c.SettleTime <= 0 {
-		c.SettleTime = 2 * time.Second
 	}
 	return c
 }
@@ -113,7 +99,7 @@ func cellSeed(root int64, label string) int64 {
 // any worker count.
 func RunMatrix(cfg MatrixConfig) (*MatrixResult, error) {
 	cfg = cfg.withDefaults()
-	specs := Generate(cfg.Seed, cfg.Strategies)
+	specs := Generate(cfg.Seed, matrixStrategies)
 	dets := RosterNames()
 	n := len(cfg.Backends) * len(specs) * len(dets)
 
@@ -129,7 +115,7 @@ func RunMatrix(cfg MatrixConfig) (*MatrixResult, error) {
 			if err != nil {
 				return Cell{}, fmt.Errorf("cell %s: %w", label, err)
 			}
-			det, err := newDetector(detName, cfg)
+			det, err := newDetector(detName)
 			if err != nil {
 				return Cell{}, err
 			}
@@ -139,7 +125,7 @@ func RunMatrix(cfg MatrixConfig) (*MatrixResult, error) {
 			if err := w.Execute(); err != nil {
 				return Cell{}, fmt.Errorf("cell %s: %w", label, err)
 			}
-			w.Cloud.Eng.RunFor(cfg.SettleTime)
+			w.Cloud.Eng.RunFor(settleTime)
 			out, err := det.Scan(w)
 			w.StopChurn()
 			if err != nil {
@@ -224,37 +210,21 @@ func (r *MatrixResult) Render() string {
 	}
 
 	b.WriteString("\nDedup-evading strategies caught by invariant-checksum:\n")
-	dedupIdx, invIdx := -1, -1
-	for di, name := range r.Detectors {
-		switch name {
-		case DetDedupTiming:
-			dedupIdx = di
-		case DetInvariantChecksum:
-			invIdx = di
-		}
+	pairs := r.EvasionPairs()
+	for _, p := range pairs {
+		fmt.Fprintf(&b, "  %s S%d: %s\n", r.Backends[p[0]], p[1], r.Specs[p[1]].Render())
 	}
-	pairs := 0
-	for bi, backend := range r.Backends {
-		for si := range r.Specs {
-			if dedupIdx < 0 || invIdx < 0 {
-				continue
-			}
-			if !r.cellAt(bi, si, dedupIdx).Caught && r.cellAt(bi, si, invIdx).Caught {
-				fmt.Fprintf(&b, "  %s S%d: %s\n", backend, si, r.Specs[si].Render())
-				pairs++
-			}
-		}
-	}
-	if pairs == 0 {
+	if len(pairs) == 0 {
 		b.WriteString("  (none)\n")
 	}
 	return b.String()
 }
 
-// EvasionPairs counts (backend, strategy) cells the dedup-timing detector
-// missed but the invariant-checksum detector caught — the matrix's
-// demonstration that the roster covers each member's blind spot.
-func (r *MatrixResult) EvasionPairs() int {
+// EvasionPairs lists the (backend, strategy) index pairs the dedup-timing
+// detector missed but the invariant-checksum detector caught, backend
+// major — the matrix's demonstration that the roster covers each member's
+// blind spot.
+func (r *MatrixResult) EvasionPairs() [][2]int {
 	dedupIdx, invIdx := -1, -1
 	for di, name := range r.Detectors {
 		switch name {
@@ -265,15 +235,15 @@ func (r *MatrixResult) EvasionPairs() int {
 		}
 	}
 	if dedupIdx < 0 || invIdx < 0 {
-		return 0
+		return nil
 	}
-	n := 0
+	var out [][2]int
 	for bi := range r.Backends {
 		for si := range r.Specs {
 			if !r.cellAt(bi, si, dedupIdx).Caught && r.cellAt(bi, si, invIdx).Caught {
-				n++
+				out = append(out, [2]int{bi, si})
 			}
 		}
 	}
-	return n
+	return out
 }

@@ -191,6 +191,8 @@ func (s Spec) Validate() error {
 // fields in any order, each key at most once, kind required, every other
 // field defaulting to its zero value (depth to 2). The result is
 // validated.
+//
+//detlint:allow deadcode — test oracle: FuzzStrategySpec and the spec tests hold Parse(Render(s)) == s
 func Parse(wire string) (Spec, error) {
 	s := Spec{Depth: 2}
 	seen := map[string]bool{}

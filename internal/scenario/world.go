@@ -45,11 +45,6 @@ type World struct {
 	// atkWrites counts attacker-side page writes (churn, dirty shaping,
 	// deep-nest RAM copy) — the strategy's memory-side cost.
 	atkWrites uint64
-	installed bool
-
-	// snapBuf is reused across re-nesting RAM copies (mem.SnapshotInto),
-	// so repeated deep-nest moves do not regrow the heap.
-	snapBuf []mem.Content
 }
 
 // newWorld builds a cell's testbed: the experiments package's cloud (host,
@@ -68,11 +63,6 @@ func newWorld(seed int64, backend string, guestMemMB int64, spec Spec) (*World, 
 	}
 	return &World{Cloud: c, Reg: reg, Spec: spec, victim: c.Victim}, nil
 }
-
-// Victim returns the VM the user's session lives in right now: guest0
-// before the attack, the captive nested copy after, the L3 twin under
-// nest-deep.
-func (w *World) Victim() *qemu.VM { return w.victim }
 
 // Agent returns the vendor-side guest agent, bound to whatever VM the user
 // currently occupies. Nil before the strategy executed.
@@ -141,7 +131,6 @@ func (w *World) Execute() error {
 	}
 	w.rk = rk
 	w.victim = rk.Victim
-	w.installed = true
 
 	// The detection-side precondition, uniform across strategies: the
 	// host's KSM daemon scans from here on.
@@ -252,8 +241,7 @@ func (w *World) nestDeeper() error {
 
 	// Carry the captive guest's state over, page by page, at attacker
 	// expense, then retire the L2 copy.
-	w.snapBuf = rk.Victim.RAM().SnapshotInto(w.snapBuf)
-	snap := w.snapBuf
+	snap := rk.Victim.RAM().Snapshot()
 	for p, c := range snap {
 		if _, err := twin.RAM().Write(p, c); err != nil {
 			return fmt.Errorf("scenario: twin copy: %w", err)

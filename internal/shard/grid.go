@@ -13,6 +13,10 @@ import (
 	"cloudskulk/internal/vnet"
 )
 
+// planeSlots bounds each shard's control plane's concurrently executing
+// jobs.
+const planeSlots = 8
+
 // GridConfig sizes a sharded cloud: Shards independent fleets, each with
 // its own control plane and a frozen golden memory image every deploy
 // forks copy-on-write.
@@ -31,13 +35,8 @@ type GridConfig struct {
 	// InterShard is the link between shards; its latency is the world's
 	// lookahead and its bandwidth prices migration streams.
 	InterShard vnet.LinkSpec
-	// HostLink overrides the intra-shard host link (fleet default if zero).
-	HostLink vnet.LinkSpec
 	// Backend selects the hypervisor backend for every host ("" = default).
 	Backend string
-	// PlaneSlots bounds each plane's concurrently executing jobs
-	// (default 8).
-	PlaneSlots int
 	// KernelPages is the size of the audited kernel text region at the
 	// front of every guest's memory (default 32 pages).
 	KernelPages int
@@ -107,9 +106,6 @@ func NewGrid(cfg GridConfig) (*Grid, error) {
 	if cfg.InterShard.Latency <= 0 || cfg.InterShard.Bandwidth <= 0 {
 		return nil, fmt.Errorf("shard: inter-shard link needs latency and bandwidth, got %+v", cfg.InterShard)
 	}
-	if cfg.PlaneSlots <= 0 {
-		cfg.PlaneSlots = 8
-	}
 	if cfg.KernelPages <= 0 {
 		cfg.KernelPages = 32
 	}
@@ -164,9 +160,6 @@ func (g *Grid) buildCell(i, guests int, tmpl *mem.Template) (*Cell, error) {
 		fleet.WithEngine(g.world.Shard(i).Engine()),
 		fleet.WithHostSpecs(specs...),
 	}
-	if cfg.HostLink != (vnet.LinkSpec{}) {
-		opts = append(opts, fleet.WithHostLink(cfg.HostLink))
-	}
 	if cfg.Backend != "" {
 		opts = append(opts, fleet.WithBackend(cfg.Backend))
 	}
@@ -176,7 +169,7 @@ func (g *Grid) buildCell(i, guests int, tmpl *mem.Template) (*Cell, error) {
 	}
 	plane := controlplane.New(f, controlplane.Config{
 		MaxQueue: guests + 16,
-		Slots:    cfg.PlaneSlots,
+		Slots:    planeSlots,
 		Template: tmpl,
 	})
 	cell := &Cell{
@@ -189,9 +182,6 @@ func (g *Grid) buildCell(i, guests int, tmpl *mem.Template) (*Cell, error) {
 	cell.Shard.OnDeliver(cell.onDeliver)
 	return cell, nil
 }
-
-// World returns the underlying synchronization world.
-func (g *Grid) World() *World { return g.world }
 
 // NumCells returns the shard count.
 func (g *Grid) NumCells() int { return len(g.cells) }

@@ -150,14 +150,8 @@ func NewWorld(n int, seed int64, opts Options) (*World, error) {
 	return w, nil
 }
 
-// NumShards returns the shard count.
-func (w *World) NumShards() int { return len(w.shards) }
-
 // Shard returns shard i.
 func (w *World) Shard(i int) *Shard { return w.shards[i] }
-
-// Lookahead returns the synchronization window.
-func (w *World) Lookahead() time.Duration { return w.lookahead }
 
 // Rounds returns how many synchronization rounds have run.
 func (w *World) Rounds() uint64 { return w.rounds }

@@ -98,7 +98,7 @@ func TestWorldClocksLandExactly(t *testing.T) {
 	if err := w.RunUntil(40 * time.Millisecond); err != nil {
 		t.Fatal(err)
 	}
-	for i := 0; i < w.NumShards(); i++ {
+	for i := 0; i < len(w.shards); i++ {
 		if now := w.Shard(i).Engine().Now(); now != 40*time.Millisecond {
 			t.Fatalf("shard %d clock %v, want 40ms", i, now)
 		}
@@ -110,7 +110,7 @@ func TestWorldClocksLandExactly(t *testing.T) {
 	if w.Rounds() == before {
 		t.Fatal("continuation ran no further rounds")
 	}
-	for i := 0; i < w.NumShards(); i++ {
+	for i := 0; i < len(w.shards); i++ {
 		if now := w.Shard(i).Engine().Now(); now != 100*time.Millisecond {
 			t.Fatalf("shard %d clock %v, want 100ms", i, now)
 		}
@@ -181,7 +181,7 @@ func TestSteadyShardStepZeroAlloc(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Self-rescheduling tickers keep every shard's queue non-empty forever.
-	for i := 0; i < w.NumShards(); i++ {
+	for i := 0; i < len(w.shards); i++ {
 		s := w.Shard(i)
 		var tick func()
 		tick = func() { s.Engine().Schedule(time.Millisecond, "tick", tick) }

@@ -52,6 +52,7 @@ func (e *Engine) Now() time.Duration {
 // and for asserting deterministic replay in tests.
 //
 //detlint:hotpath
+//detlint:allow deadcode — ROADMAP item 9 exports it as the events-fired counter
 func (e *Engine) Steps() uint64 {
 	return e.nsteps
 }
@@ -109,15 +110,6 @@ func (h Handle) Name() string {
 		return ""
 	}
 	return h.ev.name
-}
-
-// At returns the virtual time the handle's event fires at, or 0 if the
-// scheduling is no longer pending.
-func (h Handle) At() time.Duration {
-	if h.ev == nil || h.ev.gen != h.gen {
-		return 0
-	}
-	return h.ev.at
 }
 
 // alloc takes an event off the free list, or mints one if the pool is dry.
@@ -332,6 +324,8 @@ func (e *Engine) Advance(d time.Duration) {
 }
 
 // Pending returns the number of events currently queued and not cancelled.
+//
+//detlint:allow deadcode — test oracle: the engine tests check queue depth across Cancel, compaction and RunUntil
 func (e *Engine) Pending() int {
 	return len(e.queue) - e.ncancelled
 }

@@ -31,7 +31,7 @@ func TestTracerRecordsEventFirings(t *testing.T) {
 	e.Observe(nil)
 	e.Schedule(time.Millisecond, "gamma", func() {})
 	e.Run()
-	if tr.Len() != 2 {
+	if len(tr.Entries()) != 2 {
 		t.Fatal("recorded after detach")
 	}
 }
@@ -45,8 +45,8 @@ func TestTracerRingEviction(t *testing.T) {
 		e.Schedule(time.Duration(i+1)*time.Millisecond, name, func() {})
 	}
 	e.Run()
-	if tr.Len() != 3 {
-		t.Fatalf("len = %d", tr.Len())
+	if len(tr.Entries()) != 3 {
+		t.Fatalf("len = %d", len(tr.Entries()))
 	}
 	if tr.Dropped() != 2 {
 		t.Fatalf("dropped = %d", tr.Dropped())
@@ -79,7 +79,7 @@ func TestTracerCancelledEventsNotRecorded(t *testing.T) {
 	ev := e.Schedule(time.Millisecond, "never", func() {})
 	e.Cancel(ev)
 	e.Run()
-	if tr.Len() != 0 {
+	if len(tr.Entries()) != 0 {
 		t.Fatalf("entries = %v", tr.Entries())
 	}
 }

@@ -130,32 +130,12 @@ func Summarize(xs []float64) (Summary, error) {
 	}, nil
 }
 
-// Durations converts a slice of time.Duration to float64 seconds, the unit
-// the migration and compile-time figures report.
-func Durations(ds []time.Duration) []float64 {
-	out := make([]float64, len(ds))
-	for i, d := range ds {
-		out[i] = d.Seconds()
-	}
-	return out
-}
-
 // DurationsMicros converts durations to float64 microseconds, the unit the
 // lmbench process table and the detection figures report.
 func DurationsMicros(ds []time.Duration) []float64 {
 	out := make([]float64, len(ds))
 	for i, d := range ds {
 		out[i] = float64(d.Nanoseconds()) / 1e3
-	}
-	return out
-}
-
-// DurationsNanos converts durations to float64 nanoseconds, the unit the
-// lmbench arithmetic table reports.
-func DurationsNanos(ds []time.Duration) []float64 {
-	out := make([]float64, len(ds))
-	for i, d := range ds {
-		out[i] = float64(d.Nanoseconds())
 	}
 	return out
 }

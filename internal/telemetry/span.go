@@ -38,24 +38,14 @@ type Span struct {
 // never share it across runner workers. A nil tracer (and the nil spans
 // it hands out) is a no-op, mirroring the nil-Registry fast path.
 type SpanTracer struct {
-	eng    *sim.Engine
-	roots  []*Span
-	stack  []*Span
-	mirror *sim.Tracer
+	eng   *sim.Engine
+	roots []*Span
+	stack []*Span
 }
 
 // NewSpanTracer returns a tracer reading timestamps from eng.
 func NewSpanTracer(eng *sim.Engine) *SpanTracer {
 	return &SpanTracer{eng: eng}
-}
-
-// Mirror additionally records span start/end markers into a sim.Tracer,
-// interleaving them with raw event firings. Passing nil stops mirroring.
-func (t *SpanTracer) Mirror(tr *sim.Tracer) {
-	if t == nil {
-		return
-	}
-	t.mirror = tr
 }
 
 // Start opens a span. If another span is open it becomes the parent.
@@ -82,9 +72,6 @@ func (t *SpanTracer) Start(name string, attrs ...Attr) *Span {
 		t.roots = append(t.roots, s)
 	}
 	t.stack = append(t.stack, s)
-	if t.mirror != nil {
-		t.mirror.Record(s.Start, "span.start "+name)
-	}
 	return s
 }
 
@@ -111,31 +98,10 @@ func (s *Span) End() {
 		t.stack = t.stack[:i]
 		top.open = false
 		top.Stop = now
-		if t.mirror != nil {
-			t.mirror.Record(now, "span.end "+top.Name)
-		}
 		if top == s {
 			break
 		}
 	}
-}
-
-// Duration returns Stop-Start for a closed span, and zero for a nil or
-// still-open span.
-func (s *Span) Duration() time.Duration {
-	if s == nil || s.open {
-		return 0
-	}
-	return s.Stop - s.Start
-}
-
-// Roots returns the completed and in-flight top-level spans, oldest
-// first. Nil for a nil tracer.
-func (t *SpanTracer) Roots() []*Span {
-	if t == nil {
-		return nil
-	}
-	return t.roots
 }
 
 // Reset drops all recorded spans (open spans are abandoned). Nil-safe.

@@ -115,30 +115,6 @@ func (d DomainDef) ToConfig() qemu.Config {
 	return cfg
 }
 
-// DefFromConfig lifts a QEMU configuration back into a definition.
-func DefFromConfig(cfg qemu.Config) DomainDef {
-	d := DomainDef{
-		Name:        cfg.Name,
-		MemoryMB:    cfg.MemoryMB,
-		VCPUs:       cfg.CPUs,
-		Machine:     cfg.Machine,
-		KVM:         cfg.EnableKVM,
-		MonitorPort: cfg.MonitorPort,
-		Incoming:    cfg.Incoming,
-	}
-	for _, drive := range cfg.Drives {
-		d.Disks = append(d.Disks, DiskDef{File: drive.File, Format: drive.Format, SizeMB: drive.SizeMB})
-	}
-	for _, nd := range cfg.NetDevs {
-		iface := IfaceDef{Model: nd.Model}
-		for _, f := range nd.HostFwds {
-			iface.Forwards = append(iface.Forwards, PortPair{Host: f.HostPort, Guest: f.GuestPort})
-		}
-		d.Interfaces = append(d.Interfaces, iface)
-	}
-	return d
-}
-
 // DomainState is a domain's lifecycle state in the manager's view.
 type DomainState string
 

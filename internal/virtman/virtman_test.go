@@ -8,6 +8,7 @@ import (
 
 	"cloudskulk/internal/kvm"
 	"cloudskulk/internal/migrate"
+	"cloudskulk/internal/qemu"
 	"cloudskulk/internal/sim"
 	"cloudskulk/internal/vnet"
 )
@@ -146,22 +147,20 @@ func TestValidate(t *testing.T) {
 	}
 }
 
-func TestConfigRoundTrip(t *testing.T) {
+func TestToConfigCarriesDefinition(t *testing.T) {
 	def := sampleDef("rt")
 	def.MonitorPort = 5555
 	def.Disks = []DiskDef{{File: "rt.qcow2", Format: "qcow2", SizeMB: 1024}}
 	cfg := def.ToConfig()
-	back := DefFromConfig(cfg)
-	if back.Name != def.Name || back.MemoryMB != def.MemoryMB ||
-		back.MonitorPort != 5555 {
-		t.Fatalf("round trip = %+v", back)
+	if cfg.Name != def.Name || cfg.MemoryMB != def.MemoryMB || cfg.MonitorPort != 5555 {
+		t.Fatalf("config = %+v", cfg)
 	}
-	if len(back.Interfaces) != 1 || len(back.Interfaces[0].Forwards) != 1 ||
-		back.Interfaces[0].Forwards[0] != (PortPair{Host: 2222, Guest: 22}) {
-		t.Fatalf("interfaces = %+v", back.Interfaces)
+	if len(cfg.NetDevs) != 1 || len(cfg.NetDevs[0].HostFwds) != 1 ||
+		cfg.NetDevs[0].HostFwds[0] != (qemu.FwdRule{HostPort: 2222, GuestPort: 22}) {
+		t.Fatalf("netdevs = %+v", cfg.NetDevs)
 	}
-	if len(back.Disks) != 1 || back.Disks[0] != def.Disks[0] {
-		t.Fatalf("disks = %+v", back.Disks)
+	if len(cfg.Drives) != 1 || cfg.Drives[0] != (qemu.Drive{File: "rt.qcow2", Format: "qcow2", SizeMB: 1024}) {
+		t.Fatalf("drives = %+v", cfg.Drives)
 	}
 }
 

@@ -3,7 +3,6 @@ package vnet
 import (
 	"errors"
 	"testing"
-	"testing/quick"
 	"time"
 
 	"cloudskulk/internal/sim"
@@ -93,6 +92,13 @@ func TestSendErrors(t *testing.T) {
 	}
 	if err := n.Send(pkt(Addr{"a", 1}, Addr{"b", 80})); !errors.Is(err, ErrNoListener) {
 		t.Fatalf("no listener err = %v", err)
+	}
+	if err := n.Listen(Addr{"b", 80}, func(*Packet) {}); err != nil {
+		t.Fatal(err)
+	}
+	n.SetLink("a", "b", LinkSpec{Bandwidth: 1 << 20, Down: true})
+	if err := n.Send(pkt(Addr{"a", 1}, Addr{"b", 80})); !errors.Is(err, ErrLinkDown) {
+		t.Fatalf("send over down link err = %v", err)
 	}
 }
 
@@ -271,8 +277,9 @@ func TestTapObservesAndModifies(t *testing.T) {
 }
 
 func TestTapDrops(t *testing.T) {
-	_, n := newNet(t, "src", "dst")
-	if err := n.Listen(Addr{"dst", 80}, func(*Packet) {}); err != nil {
+	eng, n := newNet(t, "src", "dst")
+	delivered := 0
+	if err := n.Listen(Addr{"dst", 80}, func(*Packet) { delivered++ }); err != nil {
 		t.Fatal(err)
 	}
 	if err := n.AddTap("dst", TapFunc(func(*Packet) Verdict { return VerdictDrop })); err != nil {
@@ -282,16 +289,9 @@ func TestTapDrops(t *testing.T) {
 	if err := n.Send(p); !errors.Is(err, ErrDropped) {
 		t.Fatalf("err = %v", err)
 	}
-	st, err := n.EndpointStats("dst")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if st.DroppedPackets != 1 || st.ReceivedPackets != 0 {
-		t.Fatalf("stats = %+v", st)
-	}
-	n.ClearTaps("dst")
-	if err := n.Send(p.Clone()); err != nil {
-		t.Fatal(err)
+	eng.Run()
+	if delivered != 0 {
+		t.Fatalf("listener ran %d times for a dropped packet", delivered)
 	}
 }
 
@@ -314,66 +314,6 @@ func TestLinkOverridesAndSymmetry(t *testing.T) {
 	}
 }
 
-func TestTransferDuration(t *testing.T) {
-	_, n := newNet(t, "a", "b")
-	n.SetLink("a", "b", LinkSpec{Bandwidth: 1 << 20, Latency: time.Millisecond})
-	d, err := n.TransferDuration("a", "b", 1<<20)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if d != time.Second+time.Millisecond {
-		t.Fatalf("duration = %v, want 1.001s", d)
-	}
-}
-
-func TestTransferDurationLinkDown(t *testing.T) {
-	_, n := newNet(t, "a", "b")
-	n.SetLink("a", "b", LinkSpec{Bandwidth: 1 << 20, Down: true})
-	if _, err := n.TransferDuration("a", "b", 100); !errors.Is(err, ErrLinkDown) {
-		t.Fatalf("err = %v", err)
-	}
-	if err := n.Listen(Addr{"b", 1}, func(*Packet) {}); err != nil {
-		t.Fatal(err)
-	}
-	p := &Packet{From: Addr{"a", 1}, To: Addr{"b", 1}}
-	if err := n.Send(p); !errors.Is(err, ErrLinkDown) {
-		t.Fatalf("send over down link err = %v", err)
-	}
-}
-
-func TestTransferDurationZeroBandwidth(t *testing.T) {
-	_, n := newNet(t, "a", "b")
-	n.SetLink("a", "b", LinkSpec{Bandwidth: 0})
-	if _, err := n.TransferDuration("a", "b", 100); err == nil {
-		t.Fatal("zero-bandwidth transfer succeeded")
-	}
-}
-
-func TestStatsCounters(t *testing.T) {
-	eng, n := newNet(t, "a", "b")
-	if err := n.Listen(Addr{"b", 9}, func(*Packet) {}); err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i < 3; i++ {
-		p := &Packet{From: Addr{"a", 1}, To: Addr{"b", 9}, Payload: make([]byte, 100)}
-		if err := n.Send(p); err != nil {
-			t.Fatal(err)
-		}
-	}
-	eng.Run()
-	sa, _ := n.EndpointStats("a")
-	sb, _ := n.EndpointStats("b")
-	if sa.SentPackets != 3 || sa.SentBytes != 300 {
-		t.Fatalf("a stats = %+v", sa)
-	}
-	if sb.ReceivedPackets != 3 || sb.ReceivedBytes != 300 {
-		t.Fatalf("b stats = %+v", sb)
-	}
-	if _, err := n.EndpointStats("zzz"); !errors.Is(err, ErrUnknownEndpoint) {
-		t.Fatalf("stats err = %v", err)
-	}
-}
-
 func TestPacketClone(t *testing.T) {
 	p := &Packet{
 		From:    Addr{"a", 1},
@@ -392,27 +332,5 @@ func TestPacketClone(t *testing.T) {
 func TestAddrString(t *testing.T) {
 	if got := (Addr{"host", 5555}).String(); got != "host:5555" {
 		t.Fatalf("Addr.String = %q", got)
-	}
-}
-
-// Property: transfer duration scales linearly with bytes (modulo the
-// constant latency) and is monotone in bytes.
-func TestTransferDurationProperty(t *testing.T) {
-	_, n := newNet(t, "a", "b")
-	n.SetLink("a", "b", LinkSpec{Bandwidth: 32 << 20, Latency: time.Millisecond})
-	f := func(kb1, kb2 uint16) bool {
-		b1, b2 := int64(kb1)*1024, int64(kb2)*1024
-		d1, err1 := n.TransferDuration("a", "b", b1)
-		d2, err2 := n.TransferDuration("a", "b", b2)
-		if err1 != nil || err2 != nil {
-			return false
-		}
-		if b1 <= b2 {
-			return d1 <= d2
-		}
-		return d2 <= d1
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
-		t.Fatal(err)
 	}
 }
