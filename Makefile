@@ -1,9 +1,15 @@
 GO ?= go
 
-.PHONY: all build test race vet fmt-check bench-module lint lint-sarif lint-baseline check cover fuzz-smoke bench bench-smoke bench-json bench-check bench-backends bench-cloudload bench-armsrace bench-scale fleet-bench experiments clean
+.PHONY: all build test race vet fmt-check bench-module lint lint-sarif lint-baseline check cover fuzz-smoke bench bench-smoke bench-json bench-check bench-layers bench-backends bench-cloudload bench-armsrace bench-scale fleet-bench experiments clean
 
 # The headline benchmarks tracked across PRs (BENCH_*.json at the repo root).
 BENCH_PATTERN = BenchmarkFleetMigrationStorm|BenchmarkFigure5DetectNoNested|BenchmarkFigure6DetectNested
+
+# The layer rows under the Fig. 4 migration workload (BENCH_LAYERS.json):
+# the pre-copy pull and the vendor-image generator in mem, one pre-copy
+# round in migrate. A fixed iteration count keeps every run the same work.
+LAYER_PATTERN = ^BenchmarkPullDirty$$|^BenchmarkPreCopyRound$$|^BenchmarkGenerateFile$$
+LAYER_BENCH = $(GO) test -run='^$$' -bench='$(LAYER_PATTERN)' -benchmem -benchtime=500x ./internal/mem ./internal/migrate
 
 all: check
 
@@ -124,15 +130,23 @@ bench-armsrace:
 		| $(GO) run ./cmd/benchjson -out BENCH_ARMSRACE.json
 	@echo wrote BENCH_ARMSRACE.json
 
-# Re-run the headline benchmarks and fail if any regressed against the
-# committed baseline, using the same parser that produced it. The
-# threshold is wide because wall-clock ns/op at 3 iterations swings
-# ±25% with host load; the gate is meant to catch structural
-# regressions (losing the recorded 1.8-4x wins), not scheduler noise.
-# Use `-threshold 10` by hand on a quiet machine for a tight check.
+# The layer rows as structured JSON. Pass BASELINE=<benchjson report> to
+# embed before/after rows; the committed BENCH_LAYERS.json carries the
+# previous commit's rows from the same machine as its baseline.
+bench-layers:
+	$(LAYER_BENCH) | $(GO) run ./cmd/benchjson $(if $(BASELINE),-baseline $(BASELINE)) -out BENCH_LAYERS.json
+	@echo wrote BENCH_LAYERS.json
+
+# Re-run the headline and layer benchmarks and fail if any regressed
+# against its committed rows, using the same parser that produced them.
+# The threshold is wide because wall-clock ns/op swings ±25% with host
+# load; the gate is meant to catch structural regressions (losing the
+# recorded 1.8-4x wins), not scheduler noise. Use `-threshold 10` by hand
+# on a quiet machine for a tight check.
 bench-check:
 	$(GO) test -run='^$$' -bench='$(BENCH_PATTERN)' -benchmem -benchtime=3x . \
 		| $(GO) run ./cmd/benchjson -check BENCH_PR4.json -threshold 50
+	$(LAYER_BENCH) | $(GO) run ./cmd/benchjson -check BENCH_LAYERS.json -threshold 50
 
 experiments:
 	$(GO) run ./cmd/experiments -scale quick

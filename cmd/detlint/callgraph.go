@@ -74,18 +74,19 @@ type callGraph struct {
 	// The deadcode pass's reference graph, built from non-test files
 	// only and kept apart from the call edges wallclock and horizon walk.
 	refNodes map[string]*refNode
-	// refRoots are functions referenced from init bodies and
-	// package-level initializers.
+	// refRoots are functions and variables referenced from init bodies
+	// and package-level initializers.
 	refRoots []string
 	// ifaceNames are the method names of every interface the program
 	// can call through.
 	ifaceNames map[string]bool
 }
 
-// refNode is one production function in the deadcode pass's graph. Its
-// refs are every reference to a function — a call, a method value or
-// expression, a function value — where a cgNode's edges are static
-// calls only.
+// refNode is one production function or package-level variable in the
+// deadcode pass's graph. A function's refs are every reference to a
+// function or variable — a call, a method value or expression, a
+// function value, a variable's use — where a cgNode's edges are static
+// calls only. A variable has no refs.
 type refNode struct {
 	id      string
 	display string
@@ -194,7 +195,8 @@ func buildGraphNodes(fset *token.FileSet, pkg *Package) *pkgGraph {
 		}
 		for _, decl := range f.Decls {
 			if gd, ok := decl.(*ast.GenDecl); ok && prod && gd.Tok == token.VAR {
-				b.out.refRoots = append(b.out.refRoots, b.pass.funcRefs(gd)...)
+				b.out.refRoots = append(b.out.refRoots, b.pass.declRefs(gd)...)
+				b.addVarNodes(gd, allowed)
 			}
 			fd, ok := decl.(*ast.FuncDecl)
 			if !ok || fd.Body == nil {

@@ -7,10 +7,10 @@ import (
 	"sort"
 )
 
-// deadcodeAnalyzer keeps internal/ to what runs. A function or method
-// declared in a non-test file under internal/ that no root reaches is
-// reported: only tests call it, or nothing does, and it still costs
-// every reader and every merge. The roots are
+// deadcodeAnalyzer keeps internal/ to what runs. A function, method or
+// package-level variable declared in a non-test file under internal/ that
+// no root reaches is reported: only tests use it, or nothing does, and it
+// still costs every reader and every merge. The roots are
 //
 //   - main and init in every package the module holds, nested modules
 //     such as bench/ included;
@@ -20,19 +20,21 @@ import (
 //     through: one the module declares or names (scenario.Detector,
 //     vnet.Tap, error, rand.Source as rand.New's parameter), or one fmt
 //     and errors look up behind the program's back (implicitIfaceMethods);
-//   - functions carrying //detlint:allow deadcode — <reason>. The
-//     directive suppresses the finding and makes the function a root, so
-//     helpers only it calls need no directive of their own; a directive
-//     on a function something else reaches is unused, and so an error.
+//   - functions and variables carrying //detlint:allow deadcode —
+//     <reason>. The directive suppresses the finding and makes the
+//     declaration a root, so helpers only it calls need no directive of
+//     their own; a directive on a declaration something else reaches is
+//     unused, and so an error.
 //
 // Every reference counts as an edge, not just a call: a method value in
-// a table, a method expression, a function passed as a value. Tests are
-// never roots, so linting with -tests reports the same set. The facade
-// is not reported here; TestFacadeExportsHaveCallers holds it to its
-// callers.
+// a table, a method expression, a function passed as a value, a read or
+// a write of a variable. A variable is a leaf: what its initializer
+// references is a root already. Tests are never roots, so linting with
+// -tests reports the same set. The facade is not reported here;
+// TestFacadeExportsHaveCallers holds it to its callers.
 var deadcodeAnalyzer = &Analyzer{
 	Name:      "deadcode",
-	Doc:       "forbid internal/ functions that no main, init, initializer or interface reaches",
+	Doc:       "forbid internal/ functions and variables that no main, init, initializer or interface reaches",
 	RunModule: deadcodeModulePass,
 }
 
@@ -60,7 +62,7 @@ func deadcodeAllowLines(fset *token.FileSet, f *ast.File) map[int]bool {
 // not a node: several share one name, and each only roots what it
 // references.
 func (b *graphBuilder) addRefNode(f *ast.File, fd *ast.FuncDecl, fn *types.Func, allowed map[int]bool) {
-	refs := b.pass.funcRefs(fd.Body)
+	refs := b.pass.declRefs(fd.Body)
 	if fd.Recv == nil && fd.Name.Name == "init" {
 		b.out.refRoots = append(b.out.refRoots, refs...)
 		return
@@ -81,15 +83,46 @@ func (b *graphBuilder) addRefNode(f *ast.File, fd *ast.FuncDecl, fn *types.Func,
 	b.out.refNodes = append(b.out.refNodes, n)
 }
 
-// funcRefs returns the IDs of every function n references. A reference
-// to a generic function or a method of a generic type resolves to its
-// declaration.
-func (p *Pass) funcRefs(n ast.Node) []string {
+// addVarNodes records the package-level variables one production var
+// declaration declares. A directive covers a variable on its name's line
+// or the line above, as for a function's func keyword.
+func (b *graphBuilder) addVarNodes(gd *ast.GenDecl, allowed map[int]bool) {
+	for _, spec := range gd.Specs {
+		for _, name := range spec.(*ast.ValueSpec).Names {
+			v, ok := b.pass.Info.Defs[name].(*types.Var)
+			if !ok || name.Name == "_" {
+				continue
+			}
+			pos := b.pass.Fset.Position(name.Pos())
+			b.out.refNodes = append(b.out.refNodes, &refNode{
+				id:      varID(v),
+				display: v.Pkg().Name() + "." + v.Name(),
+				pos:     pos,
+				allowed: allowed[pos.Line] || allowed[pos.Line-1],
+				report:  isInternal(b.rel),
+			})
+		}
+	}
+}
+
+// varID names a package-level variable in the reference graph. It cannot
+// collide with a function's FullName: one package scope holds both.
+func varID(v *types.Var) string { return v.Pkg().Path() + "." + v.Name() }
+
+// declRefs returns the IDs of every function and package-level variable
+// n references. A reference to a generic function or a method of a
+// generic type resolves to its declaration.
+func (p *Pass) declRefs(n ast.Node) []string {
 	var out []string
 	ast.Inspect(n, func(n ast.Node) bool {
 		if id, ok := n.(*ast.Ident); ok {
-			if fn, ok := p.Info.Uses[id].(*types.Func); ok {
-				out = append(out, fn.Origin().FullName())
+			switch obj := p.Info.Uses[id].(type) {
+			case *types.Func:
+				out = append(out, obj.Origin().FullName())
+			case *types.Var:
+				if obj.Pkg() != nil && obj.Pkg().Scope().Lookup(obj.Name()) == obj {
+					out = append(out, varID(obj))
+				}
 			}
 		}
 		return true
@@ -141,10 +174,10 @@ func (b *graphBuilder) ifaceMethods(t types.Type) {
 }
 
 // deadcodeModulePass walks the reference graph from the roots and
-// reports every internal/ function it does not reach. An allowed
-// function is expanded like a root but counts as reached only when
-// something else references it, so its directive is used exactly when
-// nothing else keeps it.
+// reports every internal/ function and variable it does not reach. An
+// allowed declaration is expanded like a root but counts as reached only
+// when something else references it, so its directive is used exactly
+// when nothing else keeps it.
 func deadcodeModulePass(mc *moduleCtx) {
 	g := mc.graph
 	ids := make([]string, 0, len(g.refNodes))

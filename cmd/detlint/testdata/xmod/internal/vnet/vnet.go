@@ -1,7 +1,36 @@
 // Package vnet holds the deadcode rule's cases: functions a main reaches
 // by a call, by a method value in a table, through an interface and from a
-// nested module's main, beside a function only a test calls.
+// nested module's main, beside a function only a test calls; and
+// package-level variables a reached function, an init or an initializer
+// uses, beside variables only a test reads.
 package vnet
+
+// mtu is referenced only from maxPkt's initializer.
+var mtu = 1500
+
+// maxPkt bounds a packet; Send reads it.
+var maxPkt = mtu - 20
+
+// sent is written only by init.
+var sent int
+
+func init() { sent = 0 }
+
+// testTaps is read only by a test.
+var testTaps = 3 // WANT deadcode
+
+var (
+	// dropped counts packets over maxPkt; Send writes it.
+	dropped int
+	// verbose is set only by a test.
+	verbose bool // WANT deadcode
+	// KeptLimit is a knob only the package's tests set, kept with a reason.
+	//detlint:allow deadcode — fixture: a tuning knob the package's tests set
+	KeptLimit = 8
+)
+
+// Blank declarations are never reported.
+var _ Tap = (*Sniffer)(nil)
 
 // Tap is an interface the program calls through: a method that satisfies
 // it is a root however it is reached.
@@ -30,6 +59,10 @@ func (n *Network) AddTap(t Tap) { n.taps = append(n.taps, t) }
 
 // Send runs every tap through the interface.
 func (n *Network) Send(pkt string) {
+	if len(pkt) > maxPkt {
+		dropped++
+		return
+	}
 	for _, t := range n.taps {
 		t.Handle(pkt)
 	}

@@ -1,7 +1,9 @@
 package experiments
 
 import (
+	"cmp"
 	"fmt"
+	"slices"
 	"time"
 
 	"cloudskulk/internal/core"
@@ -53,7 +55,13 @@ func figure4Workloads() []workload.Profile {
 // idle / filebench / kernel-compile guests, both L0-L0 and L0-L1. The
 // (workload, kind, run) grid is sharded across the worker pool; every run
 // builds an isolated testbed from its own perRunSeed, so the assembled
-// figure is independent of Options.Workers.
+// figure is independent of Options.Workers and of the dispatch order.
+//
+// The pool hands cells out in the order listed, so the grid is listed
+// costliest first: the busier guest (higher DirtyPagesPerSec) first, and
+// L0-L1 before L0-L0. Kernel-compile L0-L1 runs cost several times any
+// other cell; listed last, as in the figure, they leave one worker
+// finishing them alone. Result.Cells stay in the figure's order.
 func Figure4Migration(o Options) (Figure4Result, error) {
 	o = o.withDefaults()
 	type gridCell struct {
@@ -69,12 +77,23 @@ func Figure4Migration(o Options) (Figure4Result, error) {
 			}
 		}
 	}
+	order := make([]int, len(cells))
+	for i := range order {
+		order[i] = i
+	}
+	slices.SortStableFunc(order, func(a, b int) int {
+		ca, cb := cells[a], cells[b]
+		if c := cmp.Compare(cb.prof.DirtyPagesPerSec, ca.prof.DirtyPagesPerSec); c != 0 {
+			return c
+		}
+		return cmp.Compare(cb.kind, ca.kind) // "L0-L1" before "L0-L0"
+	})
 	type outcome struct {
 		secs      float64
 		converged bool
 	}
-	outs, err := runner.Map(len(cells), o.runnerOptions(), func(i int) (outcome, error) {
-		cl := cells[i]
+	dispatched, err := runner.Map(len(order), o.runnerOptions(), func(i int) (outcome, error) {
+		cl := cells[order[i]]
 		seed := perRunSeed(o, cellLabel("fig4", cl.prof.Name, string(cl.kind)), cl.run)
 		secs, converged, err := migrateOnce(seed, o, cl.prof, cl.kind)
 		if err != nil {
@@ -84,6 +103,10 @@ func Figure4Migration(o Options) (Figure4Result, error) {
 	})
 	if err != nil {
 		return Figure4Result{}, err
+	}
+	outs := make([]outcome, len(cells))
+	for i, ci := range order {
+		outs[ci] = dispatched[i]
 	}
 	var res Figure4Result
 	for i := 0; i < len(cells); i += o.Runs {

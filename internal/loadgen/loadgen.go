@@ -35,10 +35,6 @@ type Mix struct {
 // percent, migrations rare.
 var DefaultMix = Mix{Deploy: 5, Stop: 2, Migrate: 1, Snapshot: 2, List: 45, Usage: 45}
 
-// CancelHeavyMix is impatient-tenant traffic: every fourth call yanks a
-// submitted job back, racing the dispatcher for whatever is still queued.
-var CancelHeavyMix = Mix{Deploy: 20, Stop: 5, Migrate: 3, Snapshot: 5, List: 22, Usage: 20, Cancel: 25}
-
 func (m Mix) total() int {
 	return m.Deploy + m.Stop + m.Migrate + m.Snapshot + m.List + m.Usage + m.Cancel
 }

@@ -10,6 +10,10 @@ import (
 	"cloudskulk/internal/runner"
 )
 
+// CancelHeavyMix is impatient-tenant traffic: every fourth call yanks a
+// submitted job back, racing the dispatcher for whatever is still queued.
+var CancelHeavyMix = Mix{Deploy: 20, Stop: 5, Migrate: 3, Snapshot: 5, List: 22, Usage: 20, Cancel: 25}
+
 func newPlane(t *testing.T, seed int64) *controlplane.Plane {
 	t.Helper()
 	f, err := fleet.New(seed, fleet.WithHosts(4))

@@ -16,15 +16,17 @@ type File struct {
 // GenerateFile builds a file of n pages whose contents are derived from the
 // name and a nonce drawn from rng, so every page is unique with overwhelming
 // probability — the paper's requirement that "no identical pages also exist
-// in the memory".
+// in the memory". Page i is the 64-bit FNV-1a hash of "name/nonce/i/0",
+// with 0 mapped to 1; the "name/nonce/" prefix is hashed once per file.
 func GenerateFile(rng Rand, name string, n int) *File {
 	nonce := rng.Uint64()
 	f := &File{
 		Name:  name,
 		Pages: make([]Content, n),
 	}
+	h := fileHash(name, nonce)
 	for i := range f.Pages {
-		f.Pages[i] = pageContent(name, nonce, i)
+		f.Pages[i] = pageHash(h, i)
 	}
 	return f
 }
@@ -102,26 +104,37 @@ func (s *Space) FileResident(f *File, at int) int {
 	return n
 }
 
-// pageContent is page `page` of the file with the given name and nonce: the
-// 64-bit FNV-1a hash of "name/nonce/page/0", with 0 mapped to 1. The
-// trailing "/0" is part of the format the goldens pin.
-func pageContent(name string, nonce uint64, page int) Content {
-	const (
-		offset64 = 14695981039346656037
-		prime64  = 1099511628211
-	)
-	h := uint64(offset64)
+// FNV-1a parameters of the file page hash and Fingerprint.
+const (
+	fnvOffset64 = 14695981039346656037
+	fnvPrime64  = 1099511628211
+)
+
+// fileHash is the FNV-1a state after "name/nonce/", the prefix every page
+// key of one file shares.
+func fileHash(name string, nonce uint64) uint64 {
+	h := uint64(fnvOffset64)
 	for i := 0; i < len(name); i++ {
-		h = (h ^ uint64(name[i])) * prime64
+		h = (h ^ uint64(name[i])) * fnvPrime64
 	}
-	var buf [48]byte // "/" + 20 digits + "/" + sign and 19 digits + "/0"
+	var buf [22]byte // "/" + 20 digits + "/"
 	b := append(buf[:0], '/')
 	b = strconv.AppendUint(b, nonce, 10)
 	b = append(b, '/')
-	b = strconv.AppendInt(b, int64(page), 10)
+	for _, c := range b {
+		h = (h ^ uint64(c)) * fnvPrime64
+	}
+	return h
+}
+
+// pageHash finishes page `page`'s key "page/0" from a file's fileHash state,
+// mapping 0 to 1. The trailing "/0" is part of the format the goldens pin.
+func pageHash(h uint64, page int) Content {
+	var buf [22]byte // sign and 19 digits + "/0"
+	b := strconv.AppendInt(buf[:0], int64(page), 10)
 	b = append(b, "/0"...)
 	for _, c := range b {
-		h = (h ^ uint64(c)) * prime64
+		h = (h ^ uint64(c)) * fnvPrime64
 	}
 	if h == uint64(ZeroPage) {
 		return 1

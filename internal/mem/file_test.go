@@ -11,26 +11,28 @@ import (
 )
 
 // TestPageContentMatchesFmtForm pins the file page format the goldens were
-// drawn with: pageContent is the FNV-1a hash of fmt's "%s/%d/%d/%d"
-// rendering of name, nonce, page and a zero version, and allocates nothing.
+// drawn with: a page is the FNV-1a hash of fmt's "%s/%d/%d/%d" rendering of
+// name, nonce, page and a zero version, which GenerateFile computes as the
+// per-file fileHash prefix finished by pageHash. Neither half allocates.
 func TestPageContentMatchesFmtForm(t *testing.T) {
 	for _, name := range []string{"", "file-a.mp3", "control.bin", "a/b c\x00ü"} {
 		for _, nonce := range []uint64{0, 1, 0xdeadbeef, 1 << 63, math.MaxUint64} {
+			h := fileHash(name, nonce)
 			for page := 0; page < 715; page++ {
-				h := fnv.New64a()
-				fmt.Fprintf(h, "%s/%d/%d/%d", name, nonce, page, 0)
-				want := Content(h.Sum64())
+				fh := fnv.New64a()
+				fmt.Fprintf(fh, "%s/%d/%d/%d", name, nonce, page, 0)
+				want := Content(fh.Sum64())
 				if want == ZeroPage {
 					want = 1
 				}
-				if got := pageContent(name, nonce, page); got != want {
-					t.Fatalf("pageContent(%q, %d, %d) = %#x, fmt form %#x", name, nonce, page, got, want)
+				if got := pageHash(h, page); got != want {
+					t.Fatalf("page %d of (%q, %d) = %#x, fmt form %#x", page, name, nonce, got, want)
 				}
 			}
 		}
 	}
-	if n := testing.AllocsPerRun(100, func() { pageContent("file-a.mp3", math.MaxUint64, 1<<40) }); n != 0 {
-		t.Fatalf("pageContent allocates %v times per page", n)
+	if n := testing.AllocsPerRun(100, func() { pageHash(fileHash("file-a.mp3", math.MaxUint64), 1<<40) }); n != 0 {
+		t.Fatalf("a page hash allocates %v times", n)
 	}
 }
 

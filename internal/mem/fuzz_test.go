@@ -349,6 +349,16 @@ func FuzzSpaceOps(f *testing.F) {
 		14, 0, 255, 2, // write b[255] = 2: the last page of chunk 0
 		14, 2, 87, 3, // write b[599] = 3: the last page of the partial last chunk
 	})
+	f.Add([]byte{
+		2, 0, 1, 7, // FillRandom a: flat, a quarter zero pages
+		14, 0, 70, 5, // write b[70] = 5: b's log is not empty
+		9, 0, 0, 0, // mark all of a dirty
+		7, 0, 0, 2, // pull a into flat b: whole words, then the partial last one
+		9, 0, 0, 0, // mark all of a dirty
+		7, 0, 0, 3, // again with the sent bitmap
+		9, 0, 0, 0, // mark all of a dirty
+		7, 0, 0, 3, // and again: every non-zero page is re-sent
+	})
 	f.Fuzz(func(t *testing.T, data []byte) {
 		sp := newSpacePair()
 		for ; len(data) >= 4; data = data[4:] {

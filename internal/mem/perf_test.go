@@ -319,6 +319,18 @@ func BenchmarkPullDirty(b *testing.B) {
 	}
 }
 
+// BenchmarkGenerateFile builds a 4,096-page file, the size of the vendor
+// image every experiment cloud provisions.
+func BenchmarkGenerateFile(b *testing.B) {
+	rng := sim.NewRand(1)
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		if f := GenerateFile(rng, "vendor-image", 4096); f.NumPages() != 4096 {
+			b.Fatalf("file has %d pages", f.NumPages())
+		}
+	}
+}
+
 // BenchmarkDeltaFrom is a cross-shard migration's delta: a fork of a
 // 128 MB golden image that wrote 16 pages in each of two chunks, diffed
 // against a handle over the image ("chunks", the chunk walk) and against

@@ -17,8 +17,9 @@
 // Pages are written one at a time (Write) or as a run of consecutive pages
 // (WriteRun). Live migration moves a guest with PullDirty, the pre-copy
 // primitive: it fetches and clears a source's dirty log and copies the
-// pages it names into the receiver a bitmap word at a time. Both keep
-// exactly Write's per-page effects.
+// pages it names into the receiver a bitmap word at a time, a fully dirty
+// word between two flat page arrays as one 64-page copy. Both keep exactly
+// Write's per-page effects.
 package mem
 
 import (
@@ -348,6 +349,9 @@ type Pulled struct {
 //
 // On a plain destination the copy runs a dirty word at a time: each set
 // bit's page is stored, and the word is ORed into s's dirty log and sent.
+// A fully set word from a flat source moves its 64 pages with one copy
+// and takes the zero mask over the copied words; first rounds and
+// compile-rate rounds are almost all such words.
 //
 //detlint:hotpath
 func (s *Space) PullDirty(src *Space, sent *Bitmap) (Pulled, error) {
@@ -375,15 +379,23 @@ func (s *Space) PullDirty(src *Space, sent *Bitmap) (Pulled, error) {
 		base := wi * 64
 		plain := s.plain()
 		var zeros uint64
-		for m := w; m != 0; m &= m - 1 {
-			b := bits.TrailingZeros64(m)
-			c := src.word(base + b)
-			if plain {
-				s.pages[base+b] = c
-			} else {
-				s.write(base+b, c)
+		if plain && w == ^uint64(0) && src.pages != nil {
+			dst := (*[64]Content)(s.pages[base:])
+			*dst = *(*[64]Content)(src.pages[base:])
+			for b, c := range dst {
+				zeros |= isZero(c) << b
 			}
-			zeros |= isZero(c) << b
+		} else {
+			for m := w; m != 0; m &= m - 1 {
+				b := bits.TrailingZeros64(m)
+				c := src.word(base + b)
+				if plain {
+					s.pages[base+b] = c
+				} else {
+					s.write(base+b, c)
+				}
+				zeros |= isZero(c) << b
+			}
 		}
 		if plain {
 			k := uint64(bits.OnesCount64(w))
@@ -567,16 +579,12 @@ func Fingerprint(s *Space, n int) uint64 {
 	if n > s.NumPages() {
 		n = s.NumPages()
 	}
-	const (
-		offset64 = 14695981039346656037
-		prime64  = 1099511628211
-	)
-	h := uint64(offset64)
+	h := uint64(fnvOffset64)
 	for p := 0; p < n; p++ {
 		c := uint64(s.MustRead(p))
 		for i := 0; i < 8; i++ {
 			h ^= c & 0xff
-			h *= prime64
+			h *= fnvPrime64
 			c >>= 8
 		}
 	}

@@ -346,12 +346,17 @@ func TestFillRandomReleasesSharedRefs(t *testing.T) {
 // pullPair builds a source and a receiver of n pages in one of the layouts
 // PullDirty and WriteRun route differently: "plain", a receiver with a
 // KSM-merged page, a forked receiver, and a receiver with a write hook
-// that logs each call with the state it sees.
-func pullPair(t *testing.T, route string, n int, log *[]string) (src, dst *Space) {
+// that logs each call with the state it sees. The source is flat, or a
+// fork of a flat image if forkSrc is set, and exactly its pages dirty are
+// in its dirty log.
+func pullPair(t *testing.T, route string, n int, log *[]string, forkSrc bool, dirty []int) (src, dst *Space) {
 	t.Helper()
 	rng := rand.New(rand.NewSource(5))
 	src = NewSpace("src", int64(n)*PageSize)
 	src.FillRandom(rng, 0.4)
+	if forkSrc {
+		src = SpawnFrom("src", Freeze("src-img", src))
+	}
 	dst = NewSpace("dst", int64(n)*PageSize)
 	switch route {
 	case "ksm":
@@ -366,7 +371,7 @@ func pullPair(t *testing.T, route string, n int, log *[]string) (src, dst *Space
 			*log = append(*log, fmt.Sprintf("%d=%#x read %#x dirty %d writes %d", p, c, dst.MustRead(p), dst.DirtyCount(), dst.writes))
 		})
 	}
-	for _, p := range []int{0, 1, 3, 63, 64, 65, 130, n - 1} {
+	for _, p := range dirty {
 		if _, err := src.Write(p, src.MustRead(p)); err != nil {
 			t.Fatal(err)
 		}
@@ -377,63 +382,107 @@ func pullPair(t *testing.T, route string, n int, log *[]string) (src, dst *Space
 	return src, dst
 }
 
+// pageRange lists pages [lo, hi).
+func pageRange(lo, hi int) []int {
+	var ps []int
+	for p := lo; p < hi; p++ {
+		ps = append(ps, p)
+	}
+	return ps
+}
+
+// sentBitmap returns an XBZRLE sent bitmap of n pages: none (nil), or one
+// with no page, every page or every even page set.
+func sentBitmap(fill string, n int) *Bitmap {
+	if fill == "nil" {
+		return nil
+	}
+	b := NewBitmap(n)
+	for p := 0; p < n; p++ {
+		if fill == "full" || fill == "half" && p%2 == 0 {
+			b.Set(p)
+		}
+	}
+	return b
+}
+
 // TestPullDirty: on every route, PullDirty leaves source and receiver
 // exactly as draining the source's log and then writing each page it named
 // with Write, in ascending order, does — contents, dirty logs, write and
 // COW-break counters, generation and the write hook's calls — and counts
-// pages, zero pages and re-sent pages.
+// pages, zero pages and re-sent pages. The dirty patterns are scattered
+// bits, a fully set word between flat spaces (on a plain receiver, the
+// whole-word copy), the same word from a forked source (no flat array, so
+// the per-bit loop) and the partial last word; each runs with no sent
+// bitmap and with one empty, full and half set.
 func TestPullDirty(t *testing.T) {
 	const n = 200
-	for _, route := range []string{"plain", "ksm", "fork", "hook"} {
-		var gotLog, wantLog []string
-		src, dst := pullPair(t, route, n, &gotLog)
-		wsrc, wdst := pullPair(t, route, n, &wantLog)
-		sent, wsent := NewBitmap(n), NewBitmap(n)
-		for _, p := range []int{1, 64, 65, 100} {
-			sent.Set(p)
-			wsent.Set(p)
-		}
+	for _, pat := range []struct {
+		name    string
+		forkSrc bool
+		dirty   []int
+	}{
+		{"scattered", false, []int{0, 1, 3, 63, 64, 65, 130, n - 1}},
+		{"whole word", false, pageRange(64, 128)},
+		{"whole word from a fork", true, pageRange(64, 128)},
+		{"partial last word", false, pageRange(192, n)},
+	} {
+		for _, fill := range []string{"nil", "empty", "full", "half"} {
+			for _, route := range []string{"plain", "ksm", "fork", "hook"} {
+				name := pat.name + ", " + fill + " sent, " + route
+				var gotLog, wantLog []string
+				src, dst := pullPair(t, route, n, &gotLog, pat.forkSrc, pat.dirty)
+				wsrc, wdst := pullPair(t, route, n, &wantLog, pat.forkSrc, pat.dirty)
+				sent, wsent := sentBitmap(fill, n), sentBitmap(fill, n)
 
-		got, err := dst.PullDirty(src, sent)
-		if err != nil {
-			t.Fatalf("%s: %v", route, err)
-		}
-		var want Pulled
-		pages := dirtyPages(wsrc)
-		wsrc.ClearDirty()
-		for _, p := range pages {
-			c := wsrc.MustRead(p)
-			want.Pages++
-			switch {
-			case c == ZeroPage:
-				want.Zeros++
-			case wsent.Test(p):
-				want.Resent++
-			}
-			if _, err := wdst.Write(p, c); err != nil {
-				t.Fatal(err)
-			}
-			wsent.Set(p)
-		}
+				got, err := dst.PullDirty(src, sent)
+				if err != nil {
+					t.Fatalf("%s: %v", name, err)
+				}
+				var want Pulled
+				pages := dirtyPages(wsrc)
+				wsrc.ClearDirty()
+				for _, p := range pages {
+					c := wsrc.MustRead(p)
+					want.Pages++
+					switch {
+					case c == ZeroPage:
+						want.Zeros++
+					case wsent != nil && wsent.Test(p):
+						want.Resent++
+					}
+					if _, err := wdst.Write(p, c); err != nil {
+						t.Fatal(err)
+					}
+					if wsent != nil {
+						wsent.Set(p)
+					}
+				}
 
-		if got != want || want.Pages != 8 || want.Zeros == 0 || want.Resent == 0 {
-			t.Errorf("%s: pulled %+v, want %+v with 8 pages, some zero and some re-sent", route, got, want)
-		}
-		if src.DirtyCount() != 0 || dirtyPages(src) != nil {
-			t.Errorf("%s: source log not cleared: %v", route, dirtyPages(src))
-		}
-		if !slices.Equal(dirtyPages(dst), dirtyPages(wdst)) || !slices.Equal(setBits(sent), setBits(wsent)) {
-			t.Errorf("%s: dirty %v sent %v, want %v %v", route, dirtyPages(dst), setBits(sent), dirtyPages(wdst), setBits(wsent))
-		}
-		if !EqualContents(dst, wdst) || dst.writes != wdst.writes || dst.cowBreaks != wdst.cowBreaks ||
-			dst.Generation() != wdst.Generation() || dst.ForkStats() != wdst.ForkStats() {
-			t.Errorf("%s: receiver differs from the write loop's", route)
-		}
-		if !slices.Equal(gotLog, wantLog) {
-			t.Errorf("%s: hook saw\n%v\nwant\n%v", route, gotLog, wantLog)
-		}
-		if err := dst.CheckInvariants(); err != nil {
-			t.Errorf("%s: %v", route, err)
+				resends := fill == "full" || fill == "half"
+				if got != want || want.Pages != len(pat.dirty) || want.Zeros == 0 || resends != (want.Resent > 0) {
+					t.Errorf("%s: pulled %+v, want %+v with %d pages, some zero, re-sent %t", name, got, want, len(pat.dirty), resends)
+				}
+				if src.DirtyCount() != 0 || dirtyPages(src) != nil {
+					t.Errorf("%s: source log not cleared: %v", name, dirtyPages(src))
+				}
+				if !slices.Equal(dirtyPages(dst), dirtyPages(wdst)) {
+					t.Errorf("%s: dirty %v, want %v", name, dirtyPages(dst), dirtyPages(wdst))
+				}
+				if sent != nil && !slices.Equal(setBits(sent), setBits(wsent)) {
+					t.Errorf("%s: sent %v, want %v", name, setBits(sent), setBits(wsent))
+				}
+				if !EqualContents(dst, wdst) || dst.writes != wdst.writes || dst.cowBreaks != wdst.cowBreaks ||
+					dst.Generation() != wdst.Generation() || dst.ForkStats() != wdst.ForkStats() {
+					t.Errorf("%s: receiver differs from the write loop's", name)
+				}
+				if !slices.Equal(gotLog, wantLog) {
+					t.Errorf("%s: hook saw\n%v\nwant\n%v", name, gotLog, wantLog)
+				}
+				if err := dst.CheckInvariants(); err != nil {
+					t.Errorf("%s: %v", name, err)
+				}
+			}
 		}
 	}
 
@@ -462,8 +511,8 @@ func TestWriteRun(t *testing.T) {
 	}
 	for _, route := range []string{"plain", "ksm", "fork", "hook"} {
 		var gotLog, wantLog []string
-		_, s := pullPair(t, route, n, &gotLog)
-		_, w := pullPair(t, route, n, &wantLog)
+		_, s := pullPair(t, route, n, &gotLog, false, nil)
+		_, w := pullPair(t, route, n, &wantLog, false, nil)
 		if err := s.WriteRun(1, run); err != nil {
 			t.Fatalf("%s: %v", route, err)
 		}
