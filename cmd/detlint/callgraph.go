@@ -30,7 +30,8 @@ import (
 //     within one desynchronizes the world (DESIGN.md §16).
 //
 // The deadcode pass (deadcode.go) walks a second edge set built alongside
-// from non-test files: every reference to a function, not only calls.
+// from non-test files: every reference to a function, package-level
+// variable or package-level constant, not only calls.
 //
 // Known limitations, by design: calls through interface methods and
 // func-typed fields/variables dead-end (no body to follow), and a
@@ -74,19 +75,21 @@ type callGraph struct {
 	// The deadcode pass's reference graph, built from non-test files
 	// only and kept apart from the call edges wallclock and horizon walk.
 	refNodes map[string]*refNode
-	// refRoots are functions and variables referenced from init bodies
-	// and package-level initializers.
+	// refRoots are functions, variables and constants referenced from
+	// init bodies, package-level variable initializers and type
+	// declarations.
 	refRoots []string
 	// ifaceNames are the method names of every interface the program
 	// can call through.
 	ifaceNames map[string]bool
 }
 
-// refNode is one production function or package-level variable in the
-// deadcode pass's graph. A function's refs are every reference to a
-// function or variable — a call, a method value or expression, a
-// function value, a variable's use — where a cgNode's edges are static
-// calls only. A variable has no refs.
+// refNode is one production function, package-level variable or
+// package-level constant in the deadcode pass's graph. A function's refs
+// are every reference to a function, variable or constant — a call, a
+// method value or expression, a function value, a use — where a cgNode's
+// edges are static calls only. A constant's refs are the constants its
+// value names; a variable has no refs.
 type refNode struct {
 	id      string
 	display string
@@ -194,9 +197,15 @@ func buildGraphNodes(fset *token.FileSet, pkg *Package) *pkgGraph {
 			b.collectIfaceNames(f)
 		}
 		for _, decl := range f.Decls {
-			if gd, ok := decl.(*ast.GenDecl); ok && prod && gd.Tok == token.VAR {
-				b.out.refRoots = append(b.out.refRoots, b.pass.declRefs(gd)...)
-				b.addVarNodes(gd, allowed)
+			if gd, ok := decl.(*ast.GenDecl); ok && prod {
+				if gd.Tok == token.VAR || gd.Tok == token.TYPE {
+					// A variable's initializer and a type's array
+					// lengths root what they name.
+					b.out.refRoots = append(b.out.refRoots, b.pass.declRefs(gd)...)
+				}
+				if gd.Tok == token.VAR || gd.Tok == token.CONST {
+					b.addValueNodes(gd, allowed)
+				}
 			}
 			fd, ok := decl.(*ast.FuncDecl)
 			if !ok || fd.Body == nil {

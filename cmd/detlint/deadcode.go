@@ -7,20 +7,22 @@ import (
 	"sort"
 )
 
-// deadcodeAnalyzer keeps internal/ to what runs. A function, method or
-// package-level variable declared in a non-test file under internal/ that
-// no root reaches is reported: only tests use it, or nothing does, and it
-// still costs every reader and every merge. The roots are
+// deadcodeAnalyzer keeps internal/ to what runs. A function, method,
+// package-level variable or package-level constant declared in a non-test
+// file under internal/ that no root reaches is reported: only tests use
+// it, or nothing does, and it still costs every reader and every merge.
+// The roots are
 //
 //   - main and init in every package the module holds, nested modules
 //     such as bench/ included;
-//   - functions referenced from package-level initializers (a command
-//     table, a registry);
+//   - functions and constants referenced from package-level variable
+//     initializers (a command table, a registry) and constants used in
+//     type declarations (an array length);
 //   - methods named like a method of an interface the program can call
 //     through: one the module declares or names (scenario.Detector,
 //     vnet.Tap, error, rand.Source as rand.New's parameter), or one fmt
 //     and errors look up behind the program's back (implicitIfaceMethods);
-//   - functions and variables carrying //detlint:allow deadcode —
+//   - functions, variables and constants carrying //detlint:allow deadcode —
 //     <reason>. The directive suppresses the finding and makes the
 //     declaration a root, so helpers only it calls need no directive of
 //     their own; a directive on a declaration something else reaches is
@@ -28,13 +30,15 @@ import (
 //
 // Every reference counts as an edge, not just a call: a method value in
 // a table, a method expression, a function passed as a value, a read or
-// a write of a variable. A variable is a leaf: what its initializer
-// references is a root already. Tests are never roots, so linting with
+// a write of a variable, a constant's use. A variable is a leaf: what its
+// initializer references is a root already. A constant reaches the
+// constants its value names, or, without a value, the ones its group's
+// repeated value list names. Tests are never roots, so linting with
 // -tests reports the same set. The facade is not reported here;
 // TestFacadeExportsHaveCallers holds it to its callers.
 var deadcodeAnalyzer = &Analyzer{
 	Name:      "deadcode",
-	Doc:       "forbid internal/ functions and variables that no main, init, initializer or interface reaches",
+	Doc:       "forbid internal/ functions, variables and constants that no main, init, initializer or interface reaches",
 	RunModule: deadcodeModulePass,
 }
 
@@ -58,11 +62,12 @@ func deadcodeAllowLines(fset *token.FileSet, f *ast.File) map[int]bool {
 	return lines
 }
 
-// addRefNode records one production function declaration. An init is
-// not a node: several share one name, and each only roots what it
+// addRefNode records one production function declaration; its refs
+// cover the signature too, where a constant can size an array. An init
+// is not a node: several share one name, and each only roots what it
 // references.
 func (b *graphBuilder) addRefNode(f *ast.File, fd *ast.FuncDecl, fn *types.Func, allowed map[int]bool) {
-	refs := b.pass.declRefs(fd.Body)
+	refs := b.pass.declRefs(fd)
 	if fd.Recv == nil && fd.Name.Name == "init" {
 		b.out.refRoots = append(b.out.refRoots, refs...)
 		return
@@ -83,21 +88,32 @@ func (b *graphBuilder) addRefNode(f *ast.File, fd *ast.FuncDecl, fn *types.Func,
 	b.out.refNodes = append(b.out.refNodes, n)
 }
 
-// addVarNodes records the package-level variables one production var
-// declaration declares. A directive covers a variable on its name's line
-// or the line above, as for a function's func keyword.
-func (b *graphBuilder) addVarNodes(gd *ast.GenDecl, allowed map[int]bool) {
+// addValueNodes records the package-level variables or constants one
+// production var or const declaration declares. A directive covers a
+// name on its line or the line above, as for a function's func keyword.
+// A constant refers to the constants its value names; one without a
+// value repeats its group's last value list (iota enums).
+func (b *graphBuilder) addValueNodes(gd *ast.GenDecl, allowed map[int]bool) {
+	var refs []string
 	for _, spec := range gd.Specs {
-		for _, name := range spec.(*ast.ValueSpec).Names {
-			v, ok := b.pass.Info.Defs[name].(*types.Var)
-			if !ok || name.Name == "_" {
+		vs := spec.(*ast.ValueSpec)
+		if gd.Tok == token.CONST && vs.Values != nil {
+			refs = nil
+			for _, v := range vs.Values {
+				refs = append(refs, b.pass.declRefs(v)...)
+			}
+		}
+		for _, name := range vs.Names {
+			obj := b.pass.Info.Defs[name]
+			if obj == nil || name.Name == "_" {
 				continue
 			}
 			pos := b.pass.Fset.Position(name.Pos())
 			b.out.refNodes = append(b.out.refNodes, &refNode{
-				id:      varID(v),
-				display: v.Pkg().Name() + "." + v.Name(),
+				id:      objID(obj),
+				display: obj.Pkg().Name() + "." + obj.Name(),
 				pos:     pos,
+				refs:    refs,
 				allowed: allowed[pos.Line] || allowed[pos.Line-1],
 				report:  isInternal(b.rel),
 			})
@@ -105,13 +121,14 @@ func (b *graphBuilder) addVarNodes(gd *ast.GenDecl, allowed map[int]bool) {
 	}
 }
 
-// varID names a package-level variable in the reference graph. It cannot
-// collide with a function's FullName: one package scope holds both.
-func varID(v *types.Var) string { return v.Pkg().Path() + "." + v.Name() }
+// objID names a package-level variable or constant in the reference
+// graph. It cannot collide with a function's FullName: one package scope
+// holds them all.
+func objID(o types.Object) string { return o.Pkg().Path() + "." + o.Name() }
 
 // declRefs returns the IDs of every function and package-level variable
-// n references. A reference to a generic function or a method of a
-// generic type resolves to its declaration.
+// and constant n references. A reference to a generic function or a
+// method of a generic type resolves to its declaration.
 func (p *Pass) declRefs(n ast.Node) []string {
 	var out []string
 	ast.Inspect(n, func(n ast.Node) bool {
@@ -119,9 +136,9 @@ func (p *Pass) declRefs(n ast.Node) []string {
 			switch obj := p.Info.Uses[id].(type) {
 			case *types.Func:
 				out = append(out, obj.Origin().FullName())
-			case *types.Var:
+			case *types.Var, *types.Const:
 				if obj.Pkg() != nil && obj.Pkg().Scope().Lookup(obj.Name()) == obj {
-					out = append(out, varID(obj))
+					out = append(out, objID(obj))
 				}
 			}
 		}
@@ -174,10 +191,10 @@ func (b *graphBuilder) ifaceMethods(t types.Type) {
 }
 
 // deadcodeModulePass walks the reference graph from the roots and
-// reports every internal/ function and variable it does not reach. An
-// allowed declaration is expanded like a root but counts as reached only
-// when something else references it, so its directive is used exactly
-// when nothing else keeps it.
+// reports every internal/ function, variable and constant it does not
+// reach. An allowed declaration is expanded like a root but counts as
+// reached only when something else references it, so its directive is
+// used exactly when nothing else keeps it.
 func deadcodeModulePass(mc *moduleCtx) {
 	g := mc.graph
 	ids := make([]string, 0, len(g.refNodes))

@@ -39,11 +39,12 @@
 //	errwrap    — in internal/ packages, error causes survive: %w (not
 //	             %v) in fmt.Errorf, errors.Is (not ==) for comparison,
 //	             and no decisions on err.Error() text.
-//	deadcode   — no function or method in internal/ that no main, init,
-//	             package-level initializer or callable interface
-//	             reaches through the call graph: a name only tests
-//	             call is deleted, or kept with an allow that says why
-//	             (and that makes it a root for the helpers it calls).
+//	deadcode   — no function, method, package-level variable or
+//	             package-level constant in internal/ that no main,
+//	             init, package-level initializer or callable interface
+//	             reaches through the reference graph: a name only
+//	             tests use is deleted, or kept with an allow that says
+//	             why (and that makes it a root for what it uses).
 //
 // A violation that is legitimate is annotated, never silently exempt:
 //

@@ -27,5 +27,7 @@ func main() {
 	n.AddTap(&vnet.Sniffer{})
 	vnet.Commands()["save"](n)
 	n.Send("pkt")
+	var head [2]byte
+	n.Peek(&head)
 	n.Flush()
 }

@@ -1,8 +1,11 @@
 // Package vnet holds the deadcode rule's cases: functions a main reaches
 // by a call, by a method value in a table, through an interface and from a
-// nested module's main, beside a function only a test calls; and
+// nested module's main, beside a function only a test calls;
 // package-level variables a reached function, an init or an initializer
-// uses, beside variables only a test reads.
+// uses, beside variables only a test reads; and package-level constants a
+// reached function's body or signature, another constant's value, a
+// repeated iota value list or a type declaration uses, beside constants
+// only a test or nothing reads.
 package vnet
 
 // mtu is referenced only from maxPkt's initializer.
@@ -28,6 +31,33 @@ var (
 	//detlint:allow deadcode — fixture: a tuning knob the package's tests set
 	KeptLimit = 8
 )
+
+const (
+	// hdrLen is referenced only from minPkt's value.
+	hdrLen = 20
+	// minPkt bounds a packet from below; Send reads it.
+	minPkt = hdrLen + 1
+	// backlogLen is used only as backlog's array length.
+	backlogLen = 4
+	// peekLen is used only in Peek's signature.
+	peekLen = 2
+	// testMTU is read only by a test.
+	testMTU = 9000 // WANT deadcode
+	// KeptMTU is a knob only the package's tests read, kept with a reason.
+	//detlint:allow deadcode — fixture: a limit the package's tests read
+	KeptMTU = 1280
+)
+
+// Packet priorities. Send names only prioHigh, whose repeated value list
+// reaches prioBase; nothing names prioLow.
+const (
+	prioLow  = prioBase + iota // WANT deadcode
+	prioHigh                   // Send reads it
+)
+
+const prioBase = 10
+
+type backlog [backlogLen]string
 
 // Blank declarations are never reported.
 var _ Tap = (*Sniffer)(nil)
@@ -59,7 +89,7 @@ func (n *Network) AddTap(t Tap) { n.taps = append(n.taps, t) }
 
 // Send runs every tap through the interface.
 func (n *Network) Send(pkt string) {
-	if len(pkt) > maxPkt {
+	if len(pkt) > maxPkt || len(pkt) < minPkt || prioHigh == 0 {
 		dropped++
 		return
 	}
@@ -77,6 +107,9 @@ func (s *Sniffer) Handle(string) bool {
 	s.seen++
 	return true
 }
+
+// Peek copies the head of the last packet into buf.
+func (n *Network) Peek(buf *[peekLen]byte) { buf[0] = byte(len(n.taps)) }
 
 // Listening is reached only from the nested bench module's main.
 func (n *Network) Listening() bool { return len(n.taps) > 0 }

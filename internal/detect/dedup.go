@@ -174,8 +174,6 @@ type DedupDetector struct {
 	// Wait is how long to let ksmd scan between loading and measuring
 	// ("we wait for a while").
 	Wait time.Duration
-	// Noise is the relative stddev applied to each measured write.
-	Noise float64
 	// CostOverride, when non-nil, replaces the host KSM's write-cost
 	// model — ablations use it to model hosts with smaller dedup timing
 	// gaps.
@@ -188,9 +186,11 @@ func NewDedupDetector(host *kvm.Host) *DedupDetector {
 		Host:  host,
 		Pages: 100,
 		Wait:  15 * time.Second,
-		Noise: 0.08,
 	}
 }
+
+// probeNoise is the relative stddev applied to each measured write.
+const probeNoise = 0.08
 
 // Run executes the full protocol against the guest behind agent and
 // returns the verdict with the timing evidence.
@@ -321,10 +321,7 @@ func (d *DedupDetector) probe(f *mem.File, label string) Probe {
 		if err != nil {
 			panic(err) // in-range by construction
 		}
-		t := costs.WriteCost(res)
-		if d.Noise > 0 {
-			t = eng.GaussDuration(t, d.Noise)
-		}
+		t := eng.GaussDuration(costs.WriteCost(res), probeNoise)
 		eng.Advance(t)
 		p.Times[i] = t
 		if t > threshold {

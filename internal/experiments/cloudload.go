@@ -23,10 +23,6 @@ type CloudLoadConfig struct {
 	OpsPerCell     int
 	HostsPerCell   int
 	HostMemMB      int64
-	Flavors        []int64
-	Mix            loadgen.Mix
-	MeanGap        time.Duration
-	Quota          controlplane.Quota
 	MaxQueue       int
 	Slots          int
 }
@@ -43,10 +39,6 @@ func DefaultCloudLoadConfig() CloudLoadConfig {
 		OpsPerCell:     16000,
 		HostsPerCell:   8,
 		HostMemMB:      256,
-		Flavors:        []int64{4, 8},
-		Mix:            loadgen.Mix{Deploy: 4, Stop: 2, Migrate: 1, Snapshot: 1, List: 46, Usage: 46},
-		MeanGap:        500 * time.Millisecond,
-		Quota:          controlplane.Quota{MaxVMs: 3, MaxMemMB: 24, MaxJobs: 2},
 		MaxQueue:       6,
 		Slots:          3,
 	}
@@ -163,18 +155,6 @@ func CloudLoad(o Options, cfg CloudLoadConfig) (*CloudLoadResult, error) {
 	if cfg.HostMemMB <= 0 {
 		cfg.HostMemMB = d.HostMemMB
 	}
-	if len(cfg.Flavors) == 0 {
-		cfg.Flavors = d.Flavors
-	}
-	if cfg.Mix == (loadgen.Mix{}) {
-		cfg.Mix = d.Mix
-	}
-	if cfg.MeanGap <= 0 {
-		cfg.MeanGap = d.MeanGap
-	}
-	if cfg.Quota == (controlplane.Quota{}) {
-		cfg.Quota = d.Quota
-	}
 	if cfg.MaxQueue <= 0 {
 		cfg.MaxQueue = d.MaxQueue
 	}
@@ -262,14 +242,17 @@ func cloudloadOnce(o Options, cfg CloudLoadConfig, fleetSeed, loadSeed int64) (c
 		MaxQueue: cfg.MaxQueue,
 		Slots:    cfg.Slots,
 	})
+	// Every cell runs the same traffic: 92% reads, 4 and 8 MB flavors and
+	// a per-tenant quota that, with the host budgets, saturates the fleet
+	// mid-run.
 	stats, err := loadgen.Run(plane, loadgen.Options{
 		Tenants: cfg.TenantsPerCell,
 		Ops:     cfg.OpsPerCell,
 		Seed:    loadSeed,
-		Mix:     cfg.Mix,
-		MeanGap: cfg.MeanGap,
-		Flavors: cfg.Flavors,
-		Quota:   cfg.Quota,
+		Mix:     loadgen.Mix{Deploy: 4, Stop: 2, Migrate: 1, Snapshot: 1, List: 46, Usage: 46},
+		MeanGap: 500 * time.Millisecond,
+		Flavors: []int64{4, 8},
+		Quota:   controlplane.Quota{MaxVMs: 3, MaxMemMB: 24, MaxJobs: 2},
 	})
 	if err != nil {
 		return cloudloadCell{}, err

@@ -78,7 +78,6 @@ func (r DetectionResult) Render() string {
 		Title: "Detection timing, scenario: " + r.Scenario +
 			" — verdict: " + r.Verdict.String(),
 		Unit: "µs/page write",
-		Log:  true,
 	}
 	add := func(name string, p detect.Probe) {
 		s, err := stats.Summarize(p.MicrosSeries())

@@ -205,7 +205,6 @@ func (r Figure4Result) Render() string {
 	c := report.BarChart{
 		Title: "Fig 4: Live migration end-to-end timing vs workload",
 		Unit:  "s",
-		Log:   true,
 	}
 	for _, prof := range figure4Workloads() {
 		flat, _ := r.Cell(prof.Name, MigrationL0L0)
@@ -269,7 +268,6 @@ func (r AblationDirtyRateResult) Render() string {
 	c := report.BarChart{
 		Title: "Ablation: pre-copy convergence vs guest dirty rate (32 MiB/s link = 8192 pages/s)",
 		Unit:  "s",
-		Log:   true,
 	}
 	for i := range r.RatesPagesPerSec {
 		note := "converged"

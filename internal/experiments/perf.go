@@ -88,7 +88,6 @@ func (r Figure2Result) Render() string {
 	c := report.BarChart{
 		Title: "Fig 2: Linux kernel compile timing",
 		Unit:  "s",
-		Log:   true,
 	}
 	prev := 0.0
 	for _, l := range cpu.Levels {
@@ -138,7 +137,6 @@ func (r Figure3Result) Render() string {
 	c := report.BarChart{
 		Title: "Fig 3: Netperf TCP stream throughput",
 		Unit:  "Mbit/s",
-		Log:   true,
 	}
 	prev := 0.0
 	for _, l := range cpu.Levels {

@@ -18,22 +18,15 @@ import (
 	"cloudskulk/internal/telemetry"
 )
 
-// Config mirrors ksmd's sysfs tunables.
-type Config struct {
-	// ScanInterval is the daemon's wake period (sleep_millisecs).
-	ScanInterval time.Duration
-	// PagesPerScan is how many pages each wake examines (pages_to_scan).
-	PagesPerScan int
-}
-
-// DefaultConfig matches a tuned-for-dedup host (cloud hosts running KSM
-// typically raise pages_to_scan well above the kernel default of 100).
-func DefaultConfig() Config {
-	return Config{
-		ScanInterval: 20 * time.Millisecond,
-		PagesPerScan: 5000,
-	}
-}
+// ksmd's sysfs tunables, set as on a tuned-for-dedup host (cloud hosts
+// running KSM typically raise pages_to_scan well above the kernel default
+// of 100).
+const (
+	// scanInterval is the daemon's wake period (sleep_millisecs).
+	scanInterval = 20 * time.Millisecond
+	// pagesPerScan is how many pages each wake examines (pages_to_scan).
+	pagesPerScan = 5000
+)
 
 // CostModel gives the write-latency consequences of deduplication, used by
 // everything that measures page-write timing (the detection protocol).
@@ -136,7 +129,6 @@ func (d *Daemon) ensure(r *region) {
 // Daemon is the samepage-merging scanner.
 type Daemon struct {
 	eng    *sim.Engine
-	cfg    Config
 	costs  CostModel
 	ticker *sim.Ticker
 
@@ -181,17 +173,10 @@ type lapWatch struct {
 	clean               bool
 }
 
-// New returns a stopped daemon with the given config and cost model.
-func New(eng *sim.Engine, cfg Config, costs CostModel) *Daemon {
-	if cfg.PagesPerScan <= 0 {
-		cfg.PagesPerScan = DefaultConfig().PagesPerScan
-	}
-	if cfg.ScanInterval <= 0 {
-		cfg.ScanInterval = DefaultConfig().ScanInterval
-	}
+// New returns a stopped daemon with the given cost model.
+func New(eng *sim.Engine, costs CostModel) *Daemon {
 	return &Daemon{
 		eng:       eng,
-		cfg:       cfg,
 		costs:     costs,
 		stable:    make(map[mem.Content]*mem.SharedGroup),
 		stableGen: 1,
@@ -299,13 +284,13 @@ func (d *Daemon) Start() {
 		return
 	}
 	d.hasWake = false
-	d.ticker = sim.NewTicker(d.eng, d.cfg.ScanInterval, "ksmd.scan", func() {
+	d.ticker = sim.NewTicker(d.eng, scanInterval, "ksmd.scan", func() {
 		now := d.eng.Now()
 		if d.hasWake {
 			d.telGap.Observe((now - d.lastWake).Microseconds())
 		}
 		d.lastWake, d.hasWake = now, true
-		d.ScanN(d.cfg.PagesPerScan)
+		d.ScanN(pagesPerScan)
 	})
 }
 

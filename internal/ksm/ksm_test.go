@@ -14,21 +14,13 @@ import (
 func newDaemon(t *testing.T) (*sim.Engine, *Daemon) {
 	t.Helper()
 	eng := sim.NewEngine(1)
-	return eng, New(eng, DefaultConfig(), DefaultCostModel())
+	return eng, New(eng, DefaultCostModel())
 }
 
 func mustWrite(t *testing.T, s *mem.Space, p int, c mem.Content) {
 	t.Helper()
 	if _, err := s.Write(p, c); err != nil {
 		t.Fatal(err)
-	}
-}
-
-func TestConfigDefaultsApplied(t *testing.T) {
-	eng := sim.NewEngine(1)
-	d := New(eng, Config{}, DefaultCostModel())
-	if d.cfg.PagesPerScan <= 0 || d.cfg.ScanInterval <= 0 {
-		t.Fatalf("defaults not applied: %+v", d.cfg)
 	}
 }
 
@@ -319,7 +311,7 @@ func TestMergeSoundnessProperty(t *testing.T) {
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
 		eng := sim.NewEngine(seed)
-		d := New(eng, DefaultConfig(), DefaultCostModel())
+		d := New(eng, DefaultCostModel())
 		a := mem.NewSpace("a", mem.PageSize*64)
 		b := mem.NewSpace("b", mem.PageSize*64)
 		// Draw from a tiny content alphabet to force many duplicates.

@@ -170,7 +170,7 @@ func TestSteadyScanWakeZeroAlloc(t *testing.T) {
 func BenchmarkScanNSettled(b *testing.B) {
 	const pages = 1 << 18 // 1 GiB
 	setup := func(b *testing.B) (*Daemon, *mem.Space, int, mem.Content) {
-		d := New(nil, DefaultConfig(), DefaultCostModel())
+		d := New(nil, DefaultCostModel())
 		s := mem.NewSpace("guest", pages*mem.PageSize)
 		s.FillRandom(rand.New(rand.NewSource(1)), 0.3)
 		d.Register(s)
@@ -187,7 +187,7 @@ func BenchmarkScanNSettled(b *testing.B) {
 		b.Fatal("no unique page")
 		return nil, nil, 0, 0
 	}
-	wake := DefaultConfig().PagesPerScan
+	wake := pagesPerScan
 	b.Run("settled", func(b *testing.B) {
 		d, _, _, _ := setup(b)
 		b.ReportAllocs()
@@ -255,7 +255,7 @@ func TestIdleDaemonAllocatesNoTable(t *testing.T) {
 	}
 	var d *Daemon
 	allocs := testing.AllocsPerRun(20, func() {
-		d = New(nil, DefaultConfig(), DefaultCostModel())
+		d = New(nil, DefaultCostModel())
 		for _, s := range spaces {
 			d.Register(s)
 		}
@@ -291,7 +291,7 @@ func BenchmarkScanNFirstLap(b *testing.B) {
 		b.StopTimer()
 		s.FillRandom(sim.NewRand(1), 0.25) // undo the last lap's merges
 		b.StartTimer()
-		d := New(nil, DefaultConfig(), DefaultCostModel())
+		d := New(nil, DefaultCostModel())
 		d.Register(s)
 		d.FullPass()
 	}
@@ -302,7 +302,7 @@ func BenchmarkScanNFirstLap(b *testing.B) {
 // a settled booted 1 GiB guest holding about 196k candidates.
 func BenchmarkUnregisterProbe(b *testing.B) {
 	const probePages = 100
-	d := New(nil, DefaultConfig(), DefaultCostModel())
+	d := New(nil, DefaultCostModel())
 	d.Register(bootedGuest())
 	d.FullPass()
 	d.FullPass()

@@ -302,7 +302,7 @@ func FuzzScanMatchesReference(f *testing.F) {
 			data = data[:4*256]
 		}
 		got, want := newFuzzWorld(tmpl), newFuzzWorld(tmpl)
-		d := New(nil, DefaultConfig(), DefaultCostModel())
+		d := New(nil, DefaultCostModel())
 		ref := newRefDaemon()
 		for i := 0; i < len(data); i += 4 {
 			var op [4]byte

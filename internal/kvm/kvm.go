@@ -158,7 +158,7 @@ func NewHostWithBackend(eng *sim.Engine, network *vnet.Network, name string, bac
 		eng:          eng,
 		net:          network,
 		os:           hostos.New(eng),
-		ksmd:         ksm.New(eng, ksm.DefaultConfig(), prof.KSM),
+		ksmd:         ksm.New(eng, prof.KSM),
 		BootTime:     prof.BootTime,
 		ZeroFraction: prof.ZeroFraction,
 		Model:        prof.CPU,

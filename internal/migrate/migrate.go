@@ -56,57 +56,52 @@ func (m Mode) String() string {
 	}
 }
 
-// Tunables mirror QEMU's migration parameters.
+// Tunables mirror the QEMU migration parameters a caller changes: the
+// mode, the round cap and the two capabilities. The rest are the
+// constants below, and the bandwidth cap is the source monitor's
+// migrate_set_speed value.
 type Tunables struct {
 	Mode Mode
-	// BandwidthLimit caps the transfer rate in bytes/second; the
-	// effective rate is also bounded by the network link. QEMU 2.9's
-	// default is 32 MiB/s — the reason the paper's 1 GiB idle guest
-	// takes ~26 s to steal.
-	BandwidthLimit int64
-	// DowntimeLimit is the maximum tolerated stop-and-copy pause;
-	// pre-copy iterates until the remaining dirty set fits.
-	DowntimeLimit time.Duration
 	// MaxIterations force-stops pre-copy that is not converging
 	// (workload dirtying faster than the link drains).
 	MaxIterations int
-	// ZeroPageBytes is the on-wire cost of a compressed zero page.
-	ZeroPageBytes int64
-	// NestedReceiveOverhead is the fractional throughput loss when the
-	// destination is a nested (L2) guest: every received page is written
-	// through the L1 hypervisor's emulated EPT, costing exits.
-	NestedReceiveOverhead float64
 
 	// XBZRLE enables delta compression for pages that are re-sent after
 	// changing (QEMU's xbzrle capability): instead of a full page, only
 	// the encoded delta crosses the wire.
 	XBZRLE bool
-	// XBZRLEBytes is the modelled on-wire size of one delta-compressed
-	// page.
-	XBZRLEBytes int64
 	// AutoConverge enables QEMU's auto-converge capability: when
 	// pre-copy is losing to the guest's dirty rate, the guest's vCPU is
 	// throttled in escalating steps until the migration can finish.
 	AutoConverge bool
-	// AutoConvergeInitial is the first throttle fraction, and
-	// AutoConvergeIncrement is added at each escalation (QEMU defaults:
-	// 20% + 10% steps, capped at 99%).
-	AutoConvergeInitial   float64
-	AutoConvergeIncrement float64
 }
+
+// QEMU 2.9's fixed migration parameters on the paper's testbed.
+const (
+	// downtimeLimit is the maximum tolerated stop-and-copy pause;
+	// pre-copy iterates until the remaining dirty set fits.
+	downtimeLimit = 300 * time.Millisecond
+	// zeroPageBytes is the on-wire cost of a compressed zero page.
+	zeroPageBytes = 9
+	// nestedReceiveOverhead is the fractional throughput loss when the
+	// destination is a nested (L2) guest: every received page is written
+	// through the L1 hypervisor's emulated EPT, costing exits.
+	nestedReceiveOverhead = 0.15
+	// xbzrleBytes is the modelled on-wire size of one delta-compressed
+	// page.
+	xbzrleBytes = 1024
+	// autoConvergeInitial is the first throttle fraction, and
+	// autoConvergeIncrement is added at each escalation (QEMU defaults:
+	// 20% + 10% steps, capped at 99%).
+	autoConvergeInitial   = 0.20
+	autoConvergeIncrement = 0.10
+)
 
 // DefaultTunables match QEMU 2.9 defaults on the paper's testbed.
 func DefaultTunables() Tunables {
 	return Tunables{
-		Mode:                  PreCopy,
-		BandwidthLimit:        qemu.DefaultMigrationSpeed,
-		DowntimeLimit:         300 * time.Millisecond,
-		MaxIterations:         1000,
-		ZeroPageBytes:         9,
-		NestedReceiveOverhead: 0.15,
-		XBZRLEBytes:           1024,
-		AutoConvergeInitial:   0.20,
-		AutoConvergeIncrement: 0.10,
+		Mode:          PreCopy,
+		MaxIterations: 1000,
 	}
 }
 
@@ -344,22 +339,21 @@ func (e *Engine) MigrateTo(vm *qemu.VM, target vnet.Addr) error {
 }
 
 // effectiveBandwidth computes the modelled transfer rate between source
-// host and destination endpoint, honoring the speed cap, the link (an
-// explicit pair link, or the link between the endpoints' attachment
-// roots — the host<->host path for cross-host migrations), contention
-// from concurrent transfers sharing the link, and the nested-receive
-// penalty. A link that is down aborts the migration with a typed error
-// that matches both ErrAborted and vnet.ErrLinkDown.
+// host and destination endpoint, honoring the source monitor's speed cap
+// (migrate_set_speed; QEMU 2.9's 32 MiB/s default is the reason the
+// paper's 1 GiB idle guest takes ~26 s to steal), the link (an explicit
+// pair link, or the link between the endpoints' attachment roots — the
+// host<->host path for cross-host migrations), contention from
+// concurrent transfers sharing the link, and the nested-receive penalty.
+// A link that is down aborts the migration with a typed error that
+// matches both ErrAborted and vnet.ErrLinkDown.
 func (e *Engine) effectiveBandwidth(vm, dst *qemu.VM) (int64, error) {
 	srcHost := e.hostOf[vm]
 	link := e.net.Link(srcHost, dst.Endpoint())
 	if link.Down {
 		return 0, fmt.Errorf("%w: %w: %s<->%s", ErrAborted, vnet.ErrLinkDown, srcHost, dst.Endpoint())
 	}
-	bw := e.Tunables.BandwidthLimit
-	if limit := vm.Monitor().SpeedLimit(); limit > 0 && limit < bw {
-		bw = limit
-	}
+	bw := vm.Monitor().SpeedLimit()
 	// Concurrent migrations crossing the same physical link split its
 	// capacity evenly; the fair share is recomputed at every round
 	// boundary, so a storm's rounds slow down as peers join.
@@ -371,7 +365,7 @@ func (e *Engine) effectiveBandwidth(vm, dst *qemu.VM) (int64, error) {
 		bw = linkBW
 	}
 	if dst.Level() >= cpu.L2 {
-		bw = int64(float64(bw) / (1 + e.Tunables.NestedReceiveOverhead))
+		bw = int64(float64(bw) / (1 + nestedReceiveOverhead))
 	}
 	if bw <= 0 {
 		return 0, fmt.Errorf("%w: no bandwidth", ErrAborted)
@@ -390,10 +384,10 @@ func (e *Engine) pull(src, dst *mem.Space, sent *mem.Bitmap) (int, int64, error)
 		return 0, 0, err
 	}
 	full := n.Pages - n.Zeros
-	bytes := int64(n.Zeros) * e.Tunables.ZeroPageBytes
+	bytes := int64(n.Zeros) * zeroPageBytes
 	if e.Tunables.XBZRLE {
 		full -= n.Resent
-		bytes += int64(n.Resent) * e.Tunables.XBZRLEBytes
+		bytes += int64(n.Resent) * xbzrleBytes
 	}
 	return n.Pages, bytes + int64(full)*mem.PageSize, nil
 }
@@ -479,7 +473,7 @@ func (e *Engine) runPreCopy(vm, dst *qemu.VM) (Result, error) {
 		// Converged when the remaining dirty set fits in the downtime
 		// budget.
 		remaining := int64(src.DirtyCount()) * mem.PageSize
-		if time.Duration(float64(remaining)/float64(bw)*float64(time.Second)) <= e.Tunables.DowntimeLimit {
+		if time.Duration(float64(remaining)/float64(bw)*float64(time.Second)) <= downtimeLimit {
 			converged = true
 			break
 		}
@@ -490,9 +484,9 @@ func (e *Engine) runPreCopy(vm, dst *qemu.VM) (Result, error) {
 		// exactly the capability's contract).
 		if e.Tunables.AutoConverge && src.DirtyCount() >= pages*9/10 {
 			if throttle == 0 {
-				throttle = e.Tunables.AutoConvergeInitial
+				throttle = autoConvergeInitial
 			} else {
-				throttle += e.Tunables.AutoConvergeIncrement
+				throttle += autoConvergeIncrement
 			}
 			res.ThrottleSteps++
 			if throttle >= 0.99 {

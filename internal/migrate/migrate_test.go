@@ -120,7 +120,7 @@ func TestPreCopyIdleMigration(t *testing.T) {
 	if res.TotalTime <= 0 || res.TotalTime > 5*time.Second {
 		t.Fatalf("total time = %v", res.TotalTime)
 	}
-	if res.Downtime > tb.me.Tunables.DowntimeLimit+100*time.Millisecond {
+	if res.Downtime > downtimeLimit+100*time.Millisecond {
 		t.Fatalf("downtime = %v over budget", res.Downtime)
 	}
 	if res.Source != "src" || res.Destination != "dst" {
@@ -299,30 +299,34 @@ func TestPostCopyOverDownLinkFails(t *testing.T) {
 	}
 }
 
+// TestMonitorSpeedLimitRespected pins that the monitor's migrate_set_speed
+// is the one bandwidth cap: an idle pre-copy's total time scales with it
+// below QEMU's 32 MiB/s default and above it alike.
 func TestMonitorSpeedLimitRespected(t *testing.T) {
 	run := func(speed string) time.Duration {
 		tb := newTestbed(t, 1)
-		src := tb.vm(t, "src", 32, "")
-		tb.vm(t, "dst", 32, "tcp:0.0.0.0:4444")
+		src := tb.vm(t, "src", 64, "")
+		tb.vm(t, "dst", 64, "tcp:0.0.0.0:4444")
 		if speed != "" {
 			if _, err := src.Monitor().Execute("migrate_set_speed " + speed); err != nil {
 				t.Fatal(err)
 			}
 		}
-		start := tb.eng.Now()
 		if err := tb.migrate(t, src, "tcp:127.0.0.1:4444"); err != nil {
 			t.Fatal(err)
 		}
-		return tb.eng.Now() - start
+		res, _ := tb.me.LastResult()
+		return res.TotalTime
 	}
-	fast := run("") // default 32m
-	slow := run("8m")
-	if slow <= fast {
-		t.Fatalf("8m (%v) not slower than 32m (%v)", slow, fast)
-	}
-	ratio := float64(slow) / float64(fast)
-	if ratio < 3 || ratio > 5 {
-		t.Fatalf("slowdown ratio = %.2f, want ~4", ratio)
+	def := run("")
+	for _, tt := range []struct {
+		speed string
+		want  float64 // TotalTime over the default's
+	}{{"8m", 4}, {"16m", 2}, {"64m", 0.5}} {
+		got := float64(run(tt.speed)) / float64(def)
+		if got < tt.want*0.95 || got > tt.want*1.05 {
+			t.Errorf("migrate_set_speed %s: total time %.3f× the 32m default's %v, want %.1f×", tt.speed, got, def, tt.want)
+		}
 	}
 }
 

@@ -78,12 +78,11 @@ type Bar struct {
 	Note string
 }
 
-// BarChart renders labelled horizontal bars, optionally on a log10 scale —
-// the paper's Figs. 2-6 all use log or wide-range axes.
+// BarChart renders labelled horizontal bars on a log10 scale — the
+// paper's Figs. 2-6 all use log or wide-range axes.
 type BarChart struct {
 	Title string
 	Unit  string
-	Log   bool
 	Width int // bar column width in characters (default 40)
 	Bars  []Bar
 }
@@ -103,11 +102,7 @@ func (c *BarChart) Render() string {
 	if c.Title != "" {
 		fmt.Fprintf(&b, "%s", c.Title)
 		if c.Unit != "" {
-			fmt.Fprintf(&b, " (%s", c.Unit)
-			if c.Log {
-				b.WriteString(", log scale")
-			}
-			b.WriteString(")")
+			fmt.Fprintf(&b, " (%s, log scale)", c.Unit)
 		}
 		b.WriteString("\n")
 	}
@@ -127,15 +122,10 @@ func (c *BarChart) Render() string {
 		if v <= 0 || maxV <= 0 {
 			return 0
 		}
-		if c.Log {
-			lo := math.Log10(minV) - 0.5
-			hi := math.Log10(maxV)
-			if hi <= lo {
-				return width
-			}
-			return int(float64(width) * (math.Log10(v) - lo) / (hi - lo))
-		}
-		return int(float64(width) * v / maxV)
+		// The smallest bar sits half a decade above the axis, so it stays
+		// visible.
+		lo := math.Log10(minV) - 0.5
+		return int(float64(width) * (math.Log10(v) - lo) / (math.Log10(maxV) - lo))
 	}
 	for _, bar := range c.Bars {
 		n := scale(bar.Value)

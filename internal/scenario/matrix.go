@@ -17,9 +17,6 @@ type MatrixConfig struct {
 	// Backends lists the hypervisor cost profiles to sweep; empty means
 	// every registered backend.
 	Backends []string
-	// GuestMemMB sizes each cell's victim (default 16 — big enough for
-	// the full memory layout, small enough to sweep the cross product).
-	GuestMemMB int64
 	// Workers bounds the cell pool; the artefact is byte-identical for
 	// any value.
 	Workers int
@@ -42,14 +39,14 @@ const (
 	// settleTime runs the world between attack and scan, letting churn
 	// tickers and ksmd interleave before any detector looks.
 	settleTime = 2 * time.Second
+	// guestMemMB sizes each cell's victim: big enough for the full memory
+	// layout, small enough to sweep the cross product.
+	guestMemMB = 16
 )
 
 func (c MatrixConfig) withDefaults() MatrixConfig {
 	if len(c.Backends) == 0 {
 		c.Backends = hv.Names()
-	}
-	if c.GuestMemMB <= 0 {
-		c.GuestMemMB = 16
 	}
 	return c
 }
@@ -111,7 +108,7 @@ func RunMatrix(cfg MatrixConfig) (*MatrixResult, error) {
 			backend, spec, detName := cfg.Backends[bi], specs[si], dets[di]
 			label := fmt.Sprintf("%s/%s/%s", backend, spec.Render(), detName)
 
-			w, err := newWorld(cellSeed(cfg.Seed, label), backend, cfg.GuestMemMB, spec)
+			w, err := newWorld(cellSeed(cfg.Seed, label), backend, spec)
 			if err != nil {
 				return Cell{}, fmt.Errorf("cell %s: %w", label, err)
 			}

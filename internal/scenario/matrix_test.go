@@ -22,7 +22,7 @@ var matrixGoldenHashes = map[string]string{
 }
 
 func testMatrixConfig(seed int64, workers int) MatrixConfig {
-	return MatrixConfig{Seed: seed, GuestMemMB: 16, Workers: workers}
+	return MatrixConfig{Seed: seed, Workers: workers}
 }
 
 // TestMatrixGolden: the coverage matrix renders byte-identically at
@@ -138,7 +138,7 @@ func TestWorldReplay(t *testing.T) {
 	spec := Spec{Kind: KindEvadeKSM, Install: 250 * time.Millisecond,
 		Churn: 40 * time.Millisecond, Scope: ScopeSharedAll, Ops: 4000, Depth: 2}
 	run := func() (uint64, int) {
-		w, err := newWorld(99, "kvm-i7-4790", 16, spec)
+		w, err := newWorld(99, "kvm-i7-4790", spec)
 		if err != nil {
 			t.Fatal(err)
 		}

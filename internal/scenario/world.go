@@ -48,11 +48,11 @@ type World struct {
 }
 
 // newWorld builds a cell's testbed: the experiments package's cloud (host,
-// migration engine, victim "guest0" with the vendor image provisioned) on
-// the given backend, with a cell-private telemetry registry wired through
-// the stack. The KSM daemon starts only once the strategy installs — same
-// protocol as the paper's infected-host runs.
-func newWorld(seed int64, backend string, guestMemMB int64, spec Spec) (*World, error) {
+// migration engine, victim "guest0" of guestMemMB with the vendor image
+// provisioned) on the given backend, with a cell-private telemetry
+// registry wired through the stack. The KSM daemon starts only once the
+// strategy installs — same protocol as the paper's infected-host runs.
+func newWorld(seed int64, backend string, spec Spec) (*World, error) {
 	reg := telemetry.NewRegistry()
 	c, err := experiments.NewCloud(seed,
 		experiments.WithGuestMemMB(guestMemMB),
