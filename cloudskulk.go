@@ -19,8 +19,8 @@
 //	rk, err := cloud.InstallRootkit(cloudskulk.InstallConfig{})
 //	cloud.Host.KSM().Start()
 //	det := cloudskulk.NewDedupDetector(cloud.Host)
-//	agent := cloudskulk.NewGuestAgent(rk.Victim, 2048)
-//	agent.OnLoad = rk.InterceptFilePushes(8192)
+//	agent := cloudskulk.NewGuestAgent(rk.Victim)
+//	agent.OnLoad = rk.InterceptFilePushes()         // the impersonation
 //	verdict, evidence, err := det.Run(agent)        // => VerdictNested
 //
 // Everything runs on a virtual clock: results are exactly reproducible
@@ -58,7 +58,7 @@ type (
 // The attack.
 type (
 	// InstallConfig parameterizes the CloudSkulk installation; the zero
-	// value takes the paper's defaults.
+	// value is the paper's install (GuestX, impersonating).
 	InstallConfig = core.InstallConfig
 	// Sniffer is the passive traffic-capture service.
 	Sniffer = core.Sniffer
@@ -215,10 +215,10 @@ func NewDedupDetector(host *Host) *DedupDetector {
 	return detect.NewDedupDetector(host)
 }
 
-// NewGuestAgent returns the in-guest agent placing the probe file at the
-// given page offset.
-func NewGuestAgent(vm *VM, atPage int) *GuestAgent {
-	return detect.NewGuestAgent(vm, atPage)
+// NewGuestAgent returns the in-guest agent, which loads the probe file
+// at its fixed page, clear of the guest's kernel image.
+func NewGuestAgent(vm *VM) *GuestAgent {
+	return detect.NewGuestAgent(vm)
 }
 
 // NewSniffer returns an empty passive-capture tap.

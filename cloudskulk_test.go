@@ -26,8 +26,8 @@ func TestPublicAPIQuickstart(t *testing.T) {
 	cloud.Host.KSM().Start()
 	det := cloudskulk.NewDedupDetector(cloud.Host)
 	det.Pages = 50
-	agent := cloudskulk.NewGuestAgent(rk.Victim, 2048)
-	agent.OnLoad = rk.InterceptFilePushes(8192)
+	agent := cloudskulk.NewGuestAgent(rk.Victim)
+	agent.OnLoad = rk.InterceptFilePushes()
 	verdict, ev, err := det.Run(agent)
 	if err != nil {
 		t.Fatal(err)
@@ -48,7 +48,7 @@ func TestPublicAPICleanDetection(t *testing.T) {
 	cloud.Host.KSM().Start()
 	det := cloudskulk.NewDedupDetector(cloud.Host)
 	det.Pages = 50
-	verdict, _, err := det.Run(cloudskulk.NewGuestAgent(cloud.Victim, 2048))
+	verdict, _, err := det.Run(cloudskulk.NewGuestAgent(cloud.Victim))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -24,6 +24,7 @@ package main
 import (
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"strings"
 	"time"
@@ -32,7 +33,7 @@ import (
 )
 
 func main() {
-	if err := run(os.Args[1:]); err != nil {
+	if err := run(os.Args[1:], os.Stdout); err != nil {
 		fmt.Fprintln(os.Stderr, "experiments:", err)
 		os.Exit(1)
 	}
@@ -49,7 +50,8 @@ func progressPrinter(name string) func(cloudskulk.SweepProgress) {
 	}
 }
 
-func run(args []string) error {
+// run parses args and writes the artefacts they select to stdout.
+func run(args []string, stdout io.Writer) error {
 	fs := flag.NewFlagSet("experiments", flag.ContinueOnError)
 	scale := fs.String("scale", "full", "experiment scale: full (paper) or quick")
 	seed := fs.Int64("seed", 1, "simulation seed")
@@ -267,7 +269,7 @@ func run(args []string) error {
 		if err != nil {
 			return fmt.Errorf("%s: %w", a.name, err)
 		}
-		fmt.Printf("=== %s ===\n%s\n", a.name, out)
+		fmt.Fprintf(stdout, "=== %s ===\n%s\n", a.name, out)
 		ran++
 	}
 	if ran == 0 {

@@ -41,10 +41,10 @@ func run() error {
 	// changes its copy.
 	cloud.Host.KSM().Start()
 	detector := cloudskulk.NewDedupDetector(cloud.Host)
-	agent := cloudskulk.NewGuestAgent(rk.Victim, 2048)
+	agent := cloudskulk.NewGuestAgent(rk.Victim)
 	// The rootkit mirrors pushed files to impersonate the guest — the
 	// very behaviour the detector exploits.
-	agent.OnLoad = rk.InterceptFilePushes(8192)
+	agent.OnLoad = rk.InterceptFilePushes()
 
 	verdict, ev, err := detector.Run(agent)
 	if err != nil {

@@ -69,9 +69,7 @@ func install(t *testing.T, tc *testCloud, cfg InstallConfig) *Rootkit {
 }
 
 func defaultTargeted() InstallConfig {
-	cfg := DefaultInstallConfig()
-	cfg.TargetName = "guest0"
-	return cfg
+	return InstallConfig{TargetName: "guest0"}
 }
 
 func TestReconFindsTargetViaPS(t *testing.T) {
@@ -387,7 +385,7 @@ func TestMirrorKernelMatchesFingerprint(t *testing.T) {
 func TestInstallWithoutImpersonation(t *testing.T) {
 	tc := newTestCloud(t, 1)
 	cfg := defaultTargeted()
-	cfg.Impersonate = false
+	cfg.Naive = true
 	wantFP := mem.Fingerprint(tc.victim.RAM(), KernelPages)
 	rk := install(t, tc, cfg)
 	if got := mem.Fingerprint(rk.RITM.RAM(), KernelPages); got == wantFP {
@@ -470,8 +468,7 @@ func TestInstallErrors(t *testing.T) {
 
 func TestInstallAutoTarget(t *testing.T) {
 	tc := newTestCloud(t, 1)
-	cfg := DefaultInstallConfig() // no TargetName
-	rk := install(t, tc, cfg)
+	rk := install(t, tc, InstallConfig{}) // no TargetName
 	if rk.Report.TargetName != "guest0" && rk.Report.TargetName != "guestM" {
 		t.Fatalf("auto target = %q", rk.Report.TargetName)
 	}

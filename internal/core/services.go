@@ -148,16 +148,20 @@ func (v VMI) FindFile(f *mem.File) (int, bool) {
 	return 0, false
 }
 
+// MirrorPage is where InterceptFilePushes mirrors pushed files in the
+// RITM's RAM, clear of the kernel-image region.
+const MirrorPage = KernelPages + 4096
+
 // InterceptFilePushes returns a hook that mirrors every file pushed to the
-// victim into the RITM's memory at mirrorAt — the "GuestX tries to include
-// the same file as L2 does" impersonation the paper's §VI-D2 assumes. The
-// RITM sits on the victim's ingress path, so it sees pushed content; it
-// cannot see changes the user later makes *inside* the guest, which is the
-// asymmetry the dedup detector exploits.
-func (rk *Rootkit) InterceptFilePushes(mirrorAt int) func(f *mem.File) {
+// victim into the RITM's memory at MirrorPage — the "GuestX tries to
+// include the same file as L2 does" impersonation the paper's §VI-D2
+// assumes. The RITM sits on the victim's ingress path, so it sees pushed
+// content; it cannot see changes the user later makes *inside* the guest,
+// which is the asymmetry the dedup detector exploits.
+func (rk *Rootkit) InterceptFilePushes() func(f *mem.File) {
 	return func(f *mem.File) {
 		// Best effort: an oversized push simply doesn't fit.
-		_ = rk.MirrorFile(f, mirrorAt)
+		_ = rk.MirrorFile(f, MirrorPage)
 	}
 }
 

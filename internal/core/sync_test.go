@@ -11,9 +11,9 @@ func TestMirrorFileAndIntercept(t *testing.T) {
 	tc := newTestCloud(t, 1)
 	rk := install(t, tc, defaultTargeted())
 	f := mem.GenerateFile(tc.eng.RNG(), "pushed.bin", 8)
-	hook := rk.InterceptFilePushes(4096)
+	hook := rk.InterceptFilePushes()
 	hook(f)
-	if got := rk.RITM.RAM().FileResident(f, 4096); got != 8 {
+	if got := rk.RITM.RAM().FileResident(f, MirrorPage); got != 8 {
 		t.Fatalf("mirrored residency = %d", got)
 	}
 	// Oversized pushes are dropped silently (best effort).

@@ -98,7 +98,6 @@ type Evidence struct {
 // attack it operates on the nested (L2) VM — which is the whole point.
 type GuestAgent struct {
 	vm   *qemu.VM
-	at   int
 	file *mem.File
 
 	// OnLoad, if set, observes every file pushed into the guest. The
@@ -110,10 +109,14 @@ type GuestAgent struct {
 	OnLoad func(f *mem.File)
 }
 
-// NewGuestAgent returns an agent for the given guest, placing the file at
-// page offset at.
-func NewGuestAgent(vm *qemu.VM, at int) *GuestAgent {
-	return &GuestAgent{vm: vm, at: at}
+// AgentPage is where the guest agent loads File-A in guest memory, clear
+// of the kernel-image region.
+const AgentPage = 2048
+
+// NewGuestAgent returns an agent for the given guest, loading files at
+// AgentPage.
+func NewGuestAgent(vm *qemu.VM) *GuestAgent {
+	return &GuestAgent{vm: vm}
 }
 
 // Rebind points the agent at a different VM object. The simulation needs
@@ -123,7 +126,7 @@ func (a *GuestAgent) Rebind(vm *qemu.VM) { a.vm = vm }
 
 // LoadFile loads f into guest memory (the vendor's web-interface push).
 func (a *GuestAgent) LoadFile(f *mem.File) error {
-	if err := a.vm.RAM().LoadFile(f, a.at); err != nil {
+	if err := a.vm.RAM().LoadFile(f, AgentPage); err != nil {
 		return err
 	}
 	a.file = f
@@ -141,7 +144,7 @@ func (a *GuestAgent) MutateFile() error {
 	}
 	v2 := a.file.Mutated()
 	for i, c := range v2.Pages {
-		if _, err := a.vm.RAM().Write(a.at+i, c); err != nil {
+		if _, err := a.vm.RAM().Write(AgentPage+i, c); err != nil {
 			return err
 		}
 	}

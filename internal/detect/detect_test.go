@@ -13,9 +13,6 @@ import (
 	"cloudskulk/internal/vnet"
 )
 
-// agentOffset places the probe file well away from the kernel region.
-const agentOffset = 2048
-
 func mustKnown(t *testing.T, db *FingerprintDB, name string) uint64 {
 	t.Helper()
 	fp, ok := db.Known(name)
@@ -56,9 +53,7 @@ func cleanCloud(t *testing.T, seed int64) (*kvm.Host, *migrate.Engine, *qemu.VM)
 func infectedCloud(t *testing.T, seed int64) (*kvm.Host, *core.Rootkit) {
 	t.Helper()
 	h, me, _ := cleanCloud(t, seed)
-	icfg := core.DefaultInstallConfig()
-	icfg.TargetName = "guest0"
-	rk, err := core.Installer{Host: h, Migration: me}.Install(icfg)
+	rk, err := core.Installer{Host: h, Migration: me}.Install(core.InstallConfig{TargetName: "guest0"})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -79,7 +74,7 @@ func TestVerdictString(t *testing.T) {
 func TestDedupDetectorCleanScenario(t *testing.T) {
 	h, _, vm := cleanCloud(t, 1)
 	d := NewDedupDetector(h)
-	agent := NewGuestAgent(vm, agentOffset)
+	agent := NewGuestAgent(vm)
 	verdict, ev, err := d.Run(agent)
 	if err != nil {
 		t.Fatal(err)
@@ -115,8 +110,8 @@ func TestDedupDetectorInfectedScenario(t *testing.T) {
 	d := NewDedupDetector(h)
 	// The user runs the agent in "their VM" — now the nested one. The
 	// rootkit's position on the push path mirrors files into the RITM.
-	agent := NewGuestAgent(rk.Victim, agentOffset)
-	agent.OnLoad = rk.InterceptFilePushes(core.KernelPages + 4096)
+	agent := NewGuestAgent(rk.Victim)
+	agent.OnLoad = rk.InterceptFilePushes()
 	verdict, ev, err := d.Run(agent)
 	if err != nil {
 		t.Fatal(err)
@@ -145,7 +140,7 @@ func TestDedupDetectorWithoutMirroringStillDetectsNothingOdd(t *testing.T) {
 	// push visibly missing from "the guest" the admin inspects).
 	h, rk := infectedCloud(t, 1)
 	d := NewDedupDetector(h)
-	agent := NewGuestAgent(rk.Victim, agentOffset)
+	agent := NewGuestAgent(rk.Victim)
 	verdict, _, err := d.Run(agent)
 	if err != nil {
 		t.Fatal(err)
@@ -159,7 +154,7 @@ func TestDedupDetectorRequiresKSM(t *testing.T) {
 	h, _, vm := cleanCloud(t, 1)
 	h.KSM().Stop()
 	d := NewDedupDetector(h)
-	if _, _, err := d.Run(NewGuestAgent(vm, agentOffset)); !errors.Is(err, ErrKSMOff) {
+	if _, _, err := d.Run(NewGuestAgent(vm)); !errors.Is(err, ErrKSMOff) {
 		t.Fatalf("err = %v", err)
 	}
 }
@@ -168,7 +163,7 @@ func TestDedupDetectorInconclusiveWhenScanTooSlow(t *testing.T) {
 	h, _, vm := cleanCloud(t, 1)
 	d := NewDedupDetector(h)
 	d.Wait = time.Millisecond // far too short for any merge
-	verdict, _, err := d.Run(NewGuestAgent(vm, agentOffset))
+	verdict, _, err := d.Run(NewGuestAgent(vm))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -182,8 +177,8 @@ func TestDedupDetectorSinglePage(t *testing.T) {
 	h, rk := infectedCloud(t, 3)
 	d := NewDedupDetector(h)
 	d.Pages = 1
-	agent := NewGuestAgent(rk.Victim, agentOffset)
-	agent.OnLoad = rk.InterceptFilePushes(core.KernelPages + 4096)
+	agent := NewGuestAgent(rk.Victim)
+	agent.OnLoad = rk.InterceptFilePushes()
 	verdict, ev, err := d.Run(agent)
 	if err != nil {
 		t.Fatal(err)
@@ -198,7 +193,7 @@ func TestDedupDetectorSinglePage(t *testing.T) {
 
 func TestGuestAgentErrors(t *testing.T) {
 	_, _, vm := cleanCloud(t, 1)
-	agent := NewGuestAgent(vm, agentOffset)
+	agent := NewGuestAgent(vm)
 	if err := agent.MutateFile(); !errors.Is(err, ErrNoAgent) {
 		t.Fatalf("err = %v", err)
 	}
@@ -247,9 +242,7 @@ func TestVMCSScannerCleanHost(t *testing.T) {
 
 func TestVMCSScannerEvadedBySoftwareMMU(t *testing.T) {
 	h, me, _ := cleanCloud(t, 2)
-	icfg := core.DefaultInstallConfig()
-	icfg.TargetName = "guest0"
-	icfg.HideVMCS = true
+	icfg := core.InstallConfig{TargetName: "guest0", HideVMCS: true}
 	if _, err := (core.Installer{Host: h, Migration: me}).Install(icfg); err != nil {
 		t.Fatal(err)
 	}
@@ -265,9 +258,7 @@ func TestFingerprintDetectorCatchesNaiveAttack(t *testing.T) {
 	if db.FingerprintOf(vm) != mustKnown(t, db, "guest0") {
 		t.Fatal("baseline self-check failed")
 	}
-	icfg := core.DefaultInstallConfig()
-	icfg.TargetName = "guest0"
-	icfg.Impersonate = false // naive attacker
+	icfg := core.InstallConfig{TargetName: "guest0", Naive: true}
 	rk, err := core.Installer{Host: h, Migration: me}.Install(icfg)
 	if err != nil {
 		t.Fatal(err)
@@ -284,10 +275,7 @@ func TestFingerprintDetectorEvadedByImpersonation(t *testing.T) {
 	h, me, vm := cleanCloud(t, 1)
 	db := NewFingerprintDB()
 	db.Baseline(vm)
-	icfg := core.DefaultInstallConfig()
-	icfg.TargetName = "guest0"
-	icfg.Impersonate = true
-	rk, err := core.Installer{Host: h, Migration: me}.Install(icfg)
+	rk, err := core.Installer{Host: h, Migration: me}.Install(core.InstallConfig{TargetName: "guest0"})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -16,7 +16,7 @@ func TestImageProbeClean(t *testing.T) {
 	}
 	d := NewDedupDetector(h)
 	d.Pages = 20
-	agent := NewGuestAgent(vm, 0) // offset unused by image probe
+	agent := NewGuestAgent(vm)
 	verdict, ev, err := d.RunImageProbe(agent, img, at)
 	if err != nil {
 		t.Fatal(err)
@@ -47,7 +47,7 @@ func TestImageProbeInfected(t *testing.T) {
 	}
 	d := NewDedupDetector(h)
 	d.Pages = 20
-	agent := NewGuestAgent(rk.Victim, 0)
+	agent := NewGuestAgent(rk.Victim)
 	verdict, ev, err := d.RunImageProbe(agent, img, at)
 	if err != nil {
 		t.Fatal(err)
@@ -65,7 +65,7 @@ func TestImageProbeClampsPages(t *testing.T) {
 	}
 	d := NewDedupDetector(h)
 	d.Pages = 100 // larger than the image
-	agent := NewGuestAgent(vm, 0)
+	agent := NewGuestAgent(vm)
 	verdict, ev, err := d.RunImageProbe(agent, img, 3000)
 	if err != nil {
 		t.Fatal(err)
@@ -83,14 +83,14 @@ func TestImageProbeRequiresKSM(t *testing.T) {
 	h.KSM().Stop()
 	img := mem.GenerateFile(h.Engine().RNG(), "img", 8)
 	d := NewDedupDetector(h)
-	if _, _, err := d.RunImageProbe(NewGuestAgent(vm, 0), img, 0); !errors.Is(err, ErrKSMOff) {
+	if _, _, err := d.RunImageProbe(NewGuestAgent(vm), img, 0); !errors.Is(err, ErrKSMOff) {
 		t.Fatalf("err = %v", err)
 	}
 }
 
 func TestMutateRange(t *testing.T) {
 	_, _, vm := cleanCloud(t, 1)
-	agent := NewGuestAgent(vm, 0)
+	agent := NewGuestAgent(vm)
 	before := vm.RAM().MustRead(100)
 	if err := agent.MutateRange(100, 3); err != nil {
 		t.Fatal(err)

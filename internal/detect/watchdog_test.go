@@ -12,7 +12,7 @@ func TestWatchdogCleanHostStaysQuiet(t *testing.T) {
 	d.Pages = 20
 	d.Wait = 5 * time.Second
 	w := NewWatchdog(d, []string{"guest0"}, func(string) (*GuestAgent, error) {
-		return NewGuestAgent(vm, agentOffset), nil
+		return NewGuestAgent(vm), nil
 	})
 	w.Start(time.Minute)
 	w.Start(time.Minute) // idempotent
@@ -35,8 +35,8 @@ func TestWatchdogAlertsOnInfectedHost(t *testing.T) {
 	d.Pages = 20
 	d.Wait = 5 * time.Second
 	w := NewWatchdog(d, []string{"guest0"}, func(string) (*GuestAgent, error) {
-		agent := NewGuestAgent(rk.Victim, agentOffset)
-		agent.OnLoad = rk.InterceptFilePushes(8192)
+		agent := NewGuestAgent(rk.Victim)
+		agent.OnLoad = rk.InterceptFilePushes()
 		return agent, nil
 	})
 	w.ScanOnce()
@@ -70,7 +70,7 @@ func TestWatchdogRecordsDetectorErrors(t *testing.T) {
 	h.KSM().Stop()
 	d := NewDedupDetector(h)
 	w := NewWatchdog(d, []string{"guest0"}, func(string) (*GuestAgent, error) {
-		return NewGuestAgent(vm, agentOffset), nil
+		return NewGuestAgent(vm), nil
 	})
 	w.ScanOnce()
 	if errs := w.Errors(); len(errs) != 1 || !errors.Is(errs[0], ErrKSMOff) {

@@ -107,24 +107,22 @@ func armsRaceCell(seed int64, o Options, attacker ArmsRaceAttacker, probe ArmsRa
 	}
 	c.Host.KSM().Start()
 
-	d := detect.NewDedupDetector(c.Host)
-	d.Pages = o.DetectPages
-	d.Wait = o.KSMWait
-	agent := detect.NewGuestAgent(rk.Victim, agentPageOffset)
+	d := o.dedupDetector(c.Host)
+	agent := detect.NewGuestAgent(rk.Victim)
 
 	var sync *core.WriteTrackingSync
 	switch attacker {
 	case AttackerSyncPush:
 		// Mirror observed pushes, and track exactly the region they
 		// land in (the attacker saw the push arrive there).
-		agent.OnLoad = rk.InterceptFilePushes(mirrorPageOffset)
-		sync = rk.StartWriteTrackingSync(agentPageOffset, o.DetectPages, mirrorPageOffset)
+		agent.OnLoad = rk.InterceptFilePushes()
+		sync = rk.StartWriteTrackingSync(detect.AgentPage, o.DetectPages, core.MirrorPage)
 	case AttackerSyncAllOf:
 		// Full tracking maintains one live, whole-RAM mirror; no
 		// separate (and staleness-prone) push copies.
 		sync = rk.StartWriteTrackingSync(0, -1, 0)
 	default:
-		agent.OnLoad = rk.InterceptFilePushes(mirrorPageOffset)
+		agent.OnLoad = rk.InterceptFilePushes()
 	}
 	if sync != nil {
 		defer sync.Stop()

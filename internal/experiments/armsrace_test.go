@@ -123,11 +123,8 @@ func TestImageProbeCleanHost(t *testing.T) {
 		t.Fatal(err)
 	}
 	c.Host.KSM().Start()
-	d := detect.NewDedupDetector(c.Host)
-	d.Pages = o.DetectPages
-	d.Wait = o.KSMWait
-	agent := detect.NewGuestAgent(c.Victim, agentPageOffset)
-	verdict, ev, err := d.RunImageProbe(agent, c.VendorImage, c.VendorImageAt)
+	agent := detect.NewGuestAgent(c.Victim)
+	verdict, ev, err := o.dedupDetector(c.Host).RunImageProbe(agent, c.VendorImage, c.VendorImageAt)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -15,6 +15,7 @@ import (
 	"time"
 
 	"cloudskulk/internal/core"
+	"cloudskulk/internal/detect"
 	"cloudskulk/internal/hv"
 	"cloudskulk/internal/kvm"
 	"cloudskulk/internal/mem"
@@ -114,6 +115,15 @@ func (o Options) withDefaults() Options {
 		o.KSMWait = d.KSMWait
 	}
 	return o
+}
+
+// dedupDetector returns the paper's detector on host, probing with o's
+// file size and merge window.
+func (o Options) dedupDetector(host *kvm.Host) *detect.DedupDetector {
+	d := detect.NewDedupDetector(host)
+	d.Pages = o.DetectPages
+	d.Wait = o.KSMWait
+	return d
 }
 
 // runnerOptions projects the sweep-execution knobs for internal/runner.
@@ -289,17 +299,11 @@ func NewCloud(seed int64, opts ...CloudOption) (*Cloud, error) {
 	return c, nil
 }
 
-// InstallRootkit runs the CloudSkulk installer against the cloud's victim
-// with the given config (zero value fields take the paper defaults).
+// InstallRootkit runs the CloudSkulk installer with the given config,
+// targeting the cloud's victim unless icfg names another VM.
 func (c *Cloud) InstallRootkit(icfg core.InstallConfig) (*core.Rootkit, error) {
 	if icfg.TargetName == "" {
 		icfg.TargetName = c.Victim.Name()
-	}
-	if icfg.RITMName == "" {
-		base := core.DefaultInstallConfig()
-		base.TargetName = icfg.TargetName
-		base.HideVMCS = icfg.HideVMCS
-		icfg = base
 	}
 	return core.Installer{Host: c.Host, Migration: c.Migration}.Install(icfg)
 }

@@ -11,14 +11,6 @@ import (
 	"cloudskulk/internal/stats"
 )
 
-// agentPageOffset places the vendor's probe file in guest memory, clear of
-// the kernel-image region.
-const agentPageOffset = 2048
-
-// mirrorPageOffset is where the rootkit mirrors intercepted file pushes in
-// its own RAM.
-const mirrorPageOffset = core.KernelPages + 4096
-
 // DetectionResult is one run of the dedup-timing protocol: the verdict and
 // the three per-page timing series of Figs. 5-6.
 type DetectionResult struct {
@@ -35,11 +27,7 @@ func Figure5DetectionClean(o Options) (DetectionResult, error) {
 	if err != nil {
 		return DetectionResult{}, err
 	}
-	d := detect.NewDedupDetector(c.Host)
-	d.Pages = o.DetectPages
-	d.Wait = o.KSMWait
-	agent := detect.NewGuestAgent(c.Victim, agentPageOffset)
-	verdict, ev, err := d.Run(agent)
+	verdict, ev, err := o.dedupDetector(c.Host).Run(detect.NewGuestAgent(c.Victim))
 	if err != nil {
 		return DetectionResult{}, err
 	}
@@ -59,12 +47,9 @@ func Figure6DetectionInfected(o Options) (DetectionResult, error) {
 		return DetectionResult{}, err
 	}
 	c.Host.KSM().Start()
-	d := detect.NewDedupDetector(c.Host)
-	d.Pages = o.DetectPages
-	d.Wait = o.KSMWait
-	agent := detect.NewGuestAgent(rk.Victim, agentPageOffset)
-	agent.OnLoad = rk.InterceptFilePushes(mirrorPageOffset)
-	verdict, ev, err := d.Run(agent)
+	agent := detect.NewGuestAgent(rk.Victim)
+	agent.OnLoad = rk.InterceptFilePushes()
+	verdict, ev, err := o.dedupDetector(c.Host).Run(agent)
 	if err != nil {
 		return DetectionResult{}, err
 	}
@@ -208,16 +193,14 @@ func AblationTimingGap(o Options, gapRatios []float64) (AblationTimingGapResult,
 		costs := c.Host.KSM().Costs()
 		costs.CowBreakWrite = time.Duration(float64(costs.RegularWrite) * ratio)
 		c.Host.KSM().Start()
-		d := detect.NewDedupDetector(c.Host)
-		d.Pages = o.DetectPages
-		d.Wait = o.KSMWait
+		d := o.dedupDetector(c.Host)
 		d.CostOverride = &costs
 		var agent *detect.GuestAgent
 		if infected {
-			agent = detect.NewGuestAgent(rk.Victim, agentPageOffset)
-			agent.OnLoad = rk.InterceptFilePushes(mirrorPageOffset)
+			agent = detect.NewGuestAgent(rk.Victim)
+			agent.OnLoad = rk.InterceptFilePushes()
 		} else {
-			agent = detect.NewGuestAgent(c.Victim, agentPageOffset)
+			agent = detect.NewGuestAgent(c.Victim)
 		}
 		verdict, _, err := d.Run(agent)
 		if err != nil {
@@ -271,13 +254,13 @@ type BaselineComparisonRow struct {
 func BaselineComparison(o Options) (BaselineComparisonResult, error) {
 	o = o.withDefaults()
 	variants := []struct {
-		name        string
-		hideVMCS    bool
-		impersonate bool
+		name     string
+		hideVMCS bool
+		naive    bool
 	}{
-		{"default (VT-x, impersonating)", false, true},
-		{"software MMU (VMCS hidden)", true, true},
-		{"naive (no impersonation)", false, false},
+		{"default (VT-x, impersonating)", false, false},
+		{"software MMU (VMCS hidden)", true, false},
+		{"naive (no impersonation)", false, true},
 	}
 	rows, err := runner.Map(len(variants), o.runnerOptions(), func(i int) (BaselineComparisonRow, error) {
 		v := variants[i]
@@ -287,23 +270,16 @@ func BaselineComparison(o Options) (BaselineComparisonResult, error) {
 		}
 		db := detect.NewFingerprintDB()
 		db.Baseline(c.Victim)
-		icfg := core.DefaultInstallConfig()
-		icfg.TargetName = c.Victim.Name()
-		icfg.HideVMCS = v.hideVMCS
-		icfg.Impersonate = v.impersonate
-		rk, err := core.Installer{Host: c.Host, Migration: c.Migration}.Install(icfg)
+		rk, err := c.InstallRootkit(core.InstallConfig{Naive: v.naive, HideVMCS: v.hideVMCS})
 		if err != nil {
 			return BaselineComparisonRow{}, err
 		}
 		c.Host.KSM().Start()
-		d := detect.NewDedupDetector(c.Host)
-		d.Pages = o.DetectPages
-		d.Wait = o.KSMWait
-		agent := detect.NewGuestAgent(rk.Victim, agentPageOffset)
-		if v.impersonate {
-			agent.OnLoad = rk.InterceptFilePushes(mirrorPageOffset)
+		agent := detect.NewGuestAgent(rk.Victim)
+		if !v.naive {
+			agent.OnLoad = rk.InterceptFilePushes()
 		}
-		verdict, _, err := d.Run(agent)
+		verdict, _, err := o.dedupDetector(c.Host).Run(agent)
 		if err != nil {
 			return BaselineComparisonRow{}, err
 		}

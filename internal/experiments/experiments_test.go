@@ -8,6 +8,7 @@ import (
 	"cloudskulk/internal/core"
 	"cloudskulk/internal/cpu"
 	"cloudskulk/internal/detect"
+	"cloudskulk/internal/mem"
 	"cloudskulk/internal/stats"
 	"cloudskulk/internal/telemetry"
 )
@@ -369,18 +370,42 @@ func TestBaselineComparison(t *testing.T) {
 	}
 }
 
+// TestInstallRootkitViaCloud: the zero InstallConfig is the paper's
+// install through the installer and through the cloud alike, so the RITM
+// carries the victim's kernel image; Naive leaves the RITM its own.
 func TestInstallRootkitViaCloud(t *testing.T) {
-	c, err := NewCloud(5, WithGuestMemMB(16))
-	if err != nil {
-		t.Fatal(err)
+	cases := []struct {
+		name        string
+		install     func(*Cloud) (*core.Rootkit, error)
+		impersonate bool
+	}{
+		{"installer-zero", func(c *Cloud) (*core.Rootkit, error) {
+			return core.Installer{Host: c.Host, Migration: c.Migration}.Install(core.InstallConfig{TargetName: "guest0"})
+		}, true},
+		{"cloud-zero", func(c *Cloud) (*core.Rootkit, error) {
+			return c.InstallRootkit(core.InstallConfig{})
+		}, true},
+		{"cloud-naive", func(c *Cloud) (*core.Rootkit, error) {
+			return c.InstallRootkit(core.InstallConfig{Naive: true})
+		}, false},
 	}
-	// Zero-value config takes the paper defaults and targets the cloud's
-	// victim.
-	rk, err := c.InstallRootkit(core.InstallConfig{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rk.Victim.Name() != "guest0" || !rk.Victim.Running() {
-		t.Fatalf("victim = %q %v", rk.Victim.Name(), rk.Victim.State())
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			c, err := NewCloud(5, WithGuestMemMB(16))
+			if err != nil {
+				t.Fatal(err)
+			}
+			rk, err := tc.install(c)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if rk.Victim.Name() != "guest0" || !rk.Victim.Running() {
+				t.Fatalf("victim = %q %v", rk.Victim.Name(), rk.Victim.State())
+			}
+			victimFP := mem.Fingerprint(rk.Victim.RAM(), core.KernelPages)
+			if got := mem.Fingerprint(rk.RITM.RAM(), core.KernelPages) == victimFP; got != tc.impersonate {
+				t.Fatalf("RITM kernel fingerprint matches the victim's: %v, want %v", got, tc.impersonate)
+			}
+		})
 	}
 }

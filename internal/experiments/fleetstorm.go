@@ -211,10 +211,8 @@ func stormOnce(o Options, hosts, conc int, frac float64, seed int64) (stormCell,
 		if err != nil {
 			return stormCell{}, err
 		}
-		icfg := core.DefaultInstallConfig()
-		icfg.TargetName = name
-		icfg.RITMName = name + "-x"
-		rk, err := core.Installer{Host: host, Migration: fl.Migration()}.Install(icfg)
+		rk, err := core.Installer{Host: host, Migration: fl.Migration()}.Install(
+			core.InstallConfig{TargetName: name, RITMName: name + "-x"})
 		if err != nil {
 			return stormCell{}, err
 		}
@@ -263,7 +261,7 @@ func stormOnce(o Options, hosts, conc int, frac float64, seed int64) (stormCell,
 		Wait:  o.KSMWait,
 		OnAgent: func(guest string, agent *detect.GuestAgent) {
 			if rk, ok := rootkits[guest]; ok {
-				agent.OnLoad = rk.InterceptFilePushes(mirrorPageOffset)
+				agent.OnLoad = rk.InterceptFilePushes()
 			}
 		},
 	})

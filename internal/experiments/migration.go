@@ -8,7 +8,6 @@ import (
 
 	"cloudskulk/internal/core"
 	"cloudskulk/internal/migrate"
-	"cloudskulk/internal/qemu"
 	"cloudskulk/internal/report"
 	"cloudskulk/internal/runner"
 	"cloudskulk/internal/stats"
@@ -144,47 +143,27 @@ func migrateOnceWith(seed int64, o Options, prof workload.Profile, kind Migratio
 	hv := c.Host.Hypervisor()
 	switch kind {
 	case MigrationL0L0:
-		dstCfg := c.Victim.Config()
-		dstCfg.Name = "dst"
-		dstCfg.MonitorPort = 0
-		dstCfg.NetDevs[0].HostFwds = nil
-		dstCfg.Incoming = "tcp:0.0.0.0:4444"
-		if _, err := hv.CreateVM(dstCfg); err != nil {
-			return 0, false, err
-		}
-		if err := hv.Launch("dst"); err != nil {
+		dst := c.Victim.Config()
+		dst.Name = "dst"
+		dst.MonitorPort = 0
+		dst.NetDevs[0].HostFwds = nil
+		if _, err := core.LaunchIncoming(hv, dst); err != nil {
 			return 0, false, err
 		}
 	case MigrationL0L1:
-		ritmCfg := qemu.DefaultConfig("guestX")
-		ritmCfg.MemoryMB = o.GuestMemMB * 2
-		ritmCfg.NetDevs[0].HostFwds = []qemu.FwdRule{{HostPort: 4444, GuestPort: 4444}}
-		if _, err := hv.CreateVM(ritmCfg); err != nil {
-			return 0, false, err
-		}
-		if err := hv.Launch("guestX"); err != nil {
-			return 0, false, err
-		}
-		inner, err := hv.EnableNesting("guestX")
+		// The install's own steps 2-3: the paper's RITM, and the
+		// victim's twin nested inside it.
+		_, inner, err := core.LaunchRITM(hv, core.InstallConfig{}, c.Victim.Config())
 		if err != nil {
 			return 0, false, err
 		}
-		dstCfg := c.Victim.Config()
-		dstCfg.MonitorPort = 0
-		dstCfg.Incoming = "tcp:0.0.0.0:4444"
-		if _, err := inner.CreateVM(dstCfg); err != nil {
-			return 0, false, err
-		}
-		if err := inner.Launch(dstCfg.Name); err != nil {
+		if _, err := core.LaunchIncoming(inner, c.Victim.Config()); err != nil {
 			return 0, false, err
 		}
 	}
-	if _, err := c.Victim.Monitor().Execute("migrate -d tcp:127.0.0.1:4444"); err != nil {
+	result, err := core.Migrate(c.Victim, c.Migration)
+	if err != nil {
 		return 0, false, err
-	}
-	result, ok := c.Migration.LastResult()
-	if !ok {
-		return 0, false, fmt.Errorf("no migration result")
 	}
 	return result.TotalTime.Seconds(), result.Converged, nil
 }

@@ -8,7 +8,6 @@ import (
 	"cloudskulk/internal/detect"
 	"cloudskulk/internal/kvm"
 	"cloudskulk/internal/migrate"
-	"cloudskulk/internal/qemu"
 	"cloudskulk/internal/report"
 	"cloudskulk/internal/sim"
 	"cloudskulk/internal/virtman"
@@ -78,20 +77,16 @@ func RemediationDrill(o Options) (RemediationResult, error) {
 	}
 
 	// The attack (management plane bypassed).
-	icfg := core.DefaultInstallConfig()
-	icfg.TargetName = "guest0"
-	rk, err := core.Installer{Host: host, Migration: me}.Install(icfg)
+	rk, err := core.Installer{Host: host, Migration: me}.Install(core.InstallConfig{TargetName: "guest0"})
 	if err != nil {
 		return res, err
 	}
 
 	// Detection.
 	host.KSM().Start()
-	d := detect.NewDedupDetector(host)
-	d.Pages = o.DetectPages
-	d.Wait = o.KSMWait
-	agent := detect.NewGuestAgent(rk.Victim, agentPageOffset)
-	agent.OnLoad = rk.InterceptFilePushes(mirrorPageOffset)
+	d := o.dedupDetector(host)
+	agent := detect.NewGuestAgent(rk.Victim)
+	agent.OnLoad = rk.InterceptFilePushes()
 	verdict, _, err := d.Run(agent)
 	if err != nil {
 		return res, err
@@ -107,42 +102,13 @@ func RemediationDrill(o Options) (RemediationResult, error) {
 	}
 
 	// Response: trace the service port to the actual serving VM and
-	// destroy that whole stack.
+	// destroy that whole stack. The L0 VM the port's forward chain
+	// enters is the one to kill; for the CloudSkulk chain that is the
+	// RITM (the nested victim dies with it).
 	outageStart := eng.Now()
-	dst, _, err := network.ResolveForward(vnet.Addr{Endpoint: "host", Port: 2222})
+	_, l0vm, err := host.Serving(2222)
 	if err != nil {
-		return res, err
-	}
-	serving, ok := host.Hypervisor().FindByEndpoint(dst.Endpoint)
-	if !ok {
-		return res, fmt.Errorf("remediation: nothing serves %s", dst)
-	}
-	// The forwarding chain's first hop from the host is the L0-level VM
-	// to kill; for the CloudSkulk chain that is the RITM (the nested
-	// victim dies with it).
-	var l0vm *qemu.VM
-	for _, vm := range host.Hypervisor().VMs() {
-		if vm.Endpoint() == dst.Endpoint {
-			l0vm = vm
-			break
-		}
-	}
-	if l0vm == nil {
-		// Serving VM is nested: find its L0 carrier by walking the
-		// forward chain's first hop.
-		_, hops, err := network.ResolveForward(vnet.Addr{Endpoint: "host", Port: 2222})
-		if err != nil || len(hops) < 2 {
-			return res, fmt.Errorf("remediation: cannot locate carrier of %s", serving.Name())
-		}
-		for _, vm := range host.Hypervisor().VMs() {
-			if vm.Endpoint() == hops[1] {
-				l0vm = vm
-				break
-			}
-		}
-	}
-	if l0vm == nil {
-		return res, fmt.Errorf("remediation: no L0 carrier found")
+		return res, fmt.Errorf("remediation: %w", err)
 	}
 	res.KilledVM = l0vm.Name()
 	if err := host.Hypervisor().Kill(l0vm.Name()); err != nil {
@@ -155,7 +121,7 @@ func RemediationDrill(o Options) (RemediationResult, error) {
 	}
 	res.Downtime = eng.Now() - outageStart
 	fresh, _ := mgr.Domain("guest0")
-	agent2 := detect.NewGuestAgent(fresh.VM(), agentPageOffset)
+	agent2 := detect.NewGuestAgent(fresh.VM())
 	verdict2, _, err := d.Run(agent2)
 	if err != nil {
 		return res, err

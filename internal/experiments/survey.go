@@ -72,34 +72,26 @@ func MultiTenantSurvey(o Options, tenants int, infected int) (SurveyResult, erro
 	}
 
 	// The attack captures one tenant.
-	icfg := core.DefaultInstallConfig()
-	icfg.TargetName = names[infected]
-	rk, err := core.Installer{Host: host, Migration: me}.Install(icfg)
+	rk, err := core.Installer{Host: host, Migration: me}.Install(core.InstallConfig{TargetName: names[infected]})
 	if err != nil {
 		return SurveyResult{}, err
 	}
 
 	host.KSM().Start()
-	d := detect.NewDedupDetector(host)
-	d.Pages = o.DetectPages
-	d.Wait = o.KSMWait
+	d := o.dedupDetector(host)
 
 	var res SurveyResult
 	for i := 0; i < tenants; i++ {
 		// The operator reaches each tenant through its service port;
 		// the agent runs in whatever VM answers there.
-		dst, _, err := network.ResolveForward(vnet.Addr{Endpoint: "host", Port: ports[i]})
+		vm, _, err := host.Serving(ports[i])
 		if err != nil {
-			return SurveyResult{}, err
+			return SurveyResult{}, fmt.Errorf("survey: %w", err)
 		}
-		vm, ok := host.Hypervisor().FindByEndpoint(dst.Endpoint)
-		if !ok {
-			return SurveyResult{}, fmt.Errorf("survey: no VM behind %s", dst)
-		}
-		agent := detect.NewGuestAgent(vm, agentPageOffset)
+		agent := detect.NewGuestAgent(vm)
 		if i == infected {
 			// The rootkit intercepts pushes to its victim.
-			agent.OnLoad = rk.InterceptFilePushes(mirrorPageOffset)
+			agent.OnLoad = rk.InterceptFilePushes()
 		}
 		verdict, _, err := d.Run(agent)
 		if err != nil {

@@ -8,7 +8,6 @@ import (
 	"cloudskulk/internal/core"
 	"cloudskulk/internal/detect"
 	"cloudskulk/internal/report"
-	"cloudskulk/internal/vnet"
 )
 
 // TimeToDetectResult measures the gap between infection and the watchdog's
@@ -31,26 +30,20 @@ func TimeToDetect(o Options, scanPeriod time.Duration) (TimeToDetectResult, erro
 		return res, err
 	}
 	c.Host.KSM().Start()
-	d := detect.NewDedupDetector(c.Host)
-	d.Pages = o.DetectPages
-	d.Wait = o.KSMWait
+	d := o.dedupDetector(c.Host)
 
 	// The rootkit handle appears once the attack runs; the factory
 	// resolves the serving VM per scan, so post-attack scans land in the
 	// nested guest automatically.
 	var rk *core.Rootkit
 	factory := func(string) (*detect.GuestAgent, error) {
-		dst, _, err := c.Net.ResolveForward(vnet.Addr{Endpoint: "host", Port: 2222})
+		vm, _, err := c.Host.Serving(2222)
 		if err != nil {
 			return nil, err
 		}
-		vm, ok := c.Host.Hypervisor().FindByEndpoint(dst.Endpoint)
-		if !ok {
-			return nil, fmt.Errorf("no vm behind %s", dst)
-		}
-		agent := detect.NewGuestAgent(vm, agentPageOffset)
+		agent := detect.NewGuestAgent(vm)
 		if rk != nil {
-			agent.OnLoad = rk.InterceptFilePushes(mirrorPageOffset)
+			agent.OnLoad = rk.InterceptFilePushes()
 		}
 		return agent, nil
 	}

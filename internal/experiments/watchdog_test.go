@@ -6,6 +6,7 @@ import (
 	"testing"
 	"time"
 
+	"cloudskulk/internal/detect"
 	"cloudskulk/internal/mem"
 )
 
@@ -37,7 +38,7 @@ func TestTimeToDetect(t *testing.T) {
 // detection that skipped them.
 func TestTimeToDetectReportsScanErrors(t *testing.T) {
 	o := TestOptions()
-	o.GuestMemMB = agentPageOffset * mem.PageSize >> 20 / 2
+	o.GuestMemMB = detect.AgentPage * mem.PageSize >> 20 / 2
 	_, err := TimeToDetect(o, 5*time.Minute)
 	if !errors.Is(err, mem.ErrOutOfRange) {
 		t.Fatalf("err = %v, want a scan failure wrapping mem.ErrOutOfRange", err)

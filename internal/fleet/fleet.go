@@ -493,25 +493,12 @@ func (f *Fleet) Lookup(name string) (GuestInfo, error) {
 	if !ok {
 		return GuestInfo{}, fmt.Errorf("%w: %q", ErrUnknownGuest, name)
 	}
-	// The usual chain is one hop, two through an interposed VM: resolve
-	// into a stack buffer.
-	var buf [4]string
-	final, hops, err := f.net.ResolveForwardAppend(buf[:0], vnet.Addr{Endpoint: g.host, Port: g.servicePort})
+	inner, outer, err := f.hosts[g.host].Serving(g.servicePort)
 	if err != nil {
-		return GuestInfo{}, err
-	}
-	hv := f.hosts[g.host].Hypervisor()
-	inner, ok := hv.FindByEndpoint(final.Endpoint)
-	if !ok {
-		return GuestInfo{}, fmt.Errorf("%w: %q has no VM behind %s", ErrUnknownGuest, name, final)
-	}
-	outer := inner
-	// hops[0] is the host itself; a second hop means the service chain
-	// passes through an interposed L0 VM (the RITM).
-	if len(hops) > 1 {
-		if vm, ok := hv.FindByEndpoint(hops[1]); ok {
-			outer = vm
+		if errors.Is(err, kvm.ErrNoSuchVM) {
+			err = fmt.Errorf("%w: %q: %w", ErrUnknownGuest, name, err)
 		}
+		return GuestInfo{}, err
 	}
 	return GuestInfo{
 		Name:        name,

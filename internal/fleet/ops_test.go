@@ -9,6 +9,7 @@ import (
 	"cloudskulk/internal/core"
 	"cloudskulk/internal/fleet"
 	"cloudskulk/internal/migrate"
+	"cloudskulk/internal/qemu"
 	"cloudskulk/internal/vnet"
 )
 
@@ -256,12 +257,49 @@ func install(t *testing.T, f *fleet.Fleet, hostName, guestName string) *core.Roo
 	if err != nil {
 		t.Fatal(err)
 	}
-	icfg := core.DefaultInstallConfig()
-	icfg.TargetName = guestName
-	icfg.RITMName = guestName + "-x"
+	icfg := core.InstallConfig{TargetName: guestName, RITMName: guestName + "-x"}
 	rk, err := core.Installer{Host: host, Migration: f.Migration()}.Install(icfg)
 	if err != nil {
 		t.Fatal(err)
 	}
 	return rk
+}
+
+// TestLookupZeroAlloc pins Lookup, which every control-plane read calls,
+// at zero allocations for a plain guest and for a guest behind a RITM,
+// and checks that it names the right VMs.
+func TestLookupZeroAlloc(t *testing.T) {
+	f, err := fleet.New(1, WithTestHosts())
+	if err != nil {
+		t.Fatal(err)
+	}
+	plain, err := f.StartGuest("h00", "plain", 32)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := f.StartGuest("h00", "captive", 32); err != nil {
+		t.Fatal(err)
+	}
+	rk := install(t, f, "h00", "captive")
+	for _, tc := range []struct {
+		guest        string
+		outer, inner *qemu.VM
+	}{
+		{"plain", plain, plain},
+		{"captive", rk.RITM, rk.Victim},
+	} {
+		var info fleet.GuestInfo
+		allocs := testing.AllocsPerRun(100, func() {
+			if info, err = f.Lookup(tc.guest); err != nil {
+				t.Fatal(err)
+			}
+		})
+		if allocs != 0 {
+			t.Errorf("Lookup(%q) allocates %v objects, want 0", tc.guest, allocs)
+		}
+		if info.Outer != tc.outer || info.Inner != tc.inner {
+			t.Errorf("Lookup(%q) = outer %s, inner %s; want %s, %s", tc.guest,
+				info.Outer.Endpoint(), info.Inner.Endpoint(), tc.outer.Endpoint(), tc.inner.Endpoint())
+		}
+	}
 }

@@ -250,8 +250,7 @@ func TestNameIndexMatchesHosts(t *testing.T) {
 		t.Fatal(err)
 	}
 	recount("a stop")
-	icfg := core.DefaultInstallConfig()
-	icfg.TargetName, icfg.RITMName = "g0", "g0-x"
+	icfg := core.InstallConfig{TargetName: "g0", RITMName: "g0-x"}
 	if _, err := (core.Installer{Host: f.hosts["h00"].Host, Migration: f.Migration()}).Install(icfg); err != nil {
 		t.Fatal(err)
 	}

@@ -15,11 +15,6 @@ func (f *Fleet) recordSweep(v detect.Verdict) {
 	}
 }
 
-// agentPageOffset places the detection probe file in guest memory, clear
-// of the kernel image and boot-time content (mirrors the experiments'
-// layout).
-const agentPageOffset = 2048
-
 // SweepOptions configures a fleet-wide detection sweep.
 type SweepOptions struct {
 	// Pages is the probe-file size (detector default when 0).
@@ -72,7 +67,7 @@ func (f *Fleet) SweepDetect(o SweepOptions) ([]GuestVerdict, error) {
 			if o.Wait > 0 {
 				det.Wait = o.Wait
 			}
-			agent := detect.NewGuestAgent(info.Inner, agentPageOffset)
+			agent := detect.NewGuestAgent(info.Inner)
 			if o.OnAgent != nil {
 				o.OnAgent(name, agent)
 			}

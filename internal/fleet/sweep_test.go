@@ -5,14 +5,9 @@ import (
 	"testing"
 	"time"
 
-	"cloudskulk/internal/core"
 	"cloudskulk/internal/detect"
 	"cloudskulk/internal/fleet"
 )
-
-// mirrorPageOffset is where the rootkit mirrors intercepted pushes in
-// RITM memory (mirrors the experiments' layout).
-const mirrorPageOffset = core.KernelPages + 4096
 
 // TestFleetSweep16Hosts is the acceptance scenario: a 16-host fleet with
 // one infected guest. After MigrateToTrusted moves it onto a trusted
@@ -55,7 +50,7 @@ func TestFleetSweep16Hosts(t *testing.T) {
 		Wait:  10 * time.Second,
 		OnAgent: func(guest string, agent *detect.GuestAgent) {
 			if guest == "g03" {
-				agent.OnLoad = rk.InterceptFilePushes(mirrorPageOffset)
+				agent.OnLoad = rk.InterceptFilePushes()
 			}
 		},
 	})

@@ -245,6 +245,35 @@ func (h *Host) OpenMonitor(port int) (net.Conn, error) {
 	return client, nil
 }
 
+// Serving follows the forward chain from the host's port to the VM that
+// answers there, at any level, and returns it with the L0 VM the chain
+// enters: the same VM for a plain guest, the interposed VM (a RITM) when
+// the chain passes through one. This is how an operator maps "the machine
+// answering on this port" back to VMs. A chain that ends at no VM fails
+// with ErrNoSuchVM.
+func (h *Host) Serving(port int) (vm, l0 *qemu.VM, err error) {
+	// The usual chain is one hop, two through an interposed VM: resolve
+	// into a stack buffer.
+	var buf [4]string
+	final, hops, err := h.net.ResolveForwardAppend(buf[:0], vnet.Addr{Endpoint: h.name, Port: port})
+	if err != nil {
+		return nil, nil, err
+	}
+	vm, ok := h.hv.FindByEndpoint(final.Endpoint)
+	if !ok {
+		return nil, nil, fmt.Errorf("%w behind %s", ErrNoSuchVM, final)
+	}
+	l0 = vm
+	// hops[0] is the host itself; a second hop is the VM the host's
+	// forward points into.
+	if len(hops) > 1 {
+		if entry, ok := h.hv.FindByEndpoint(hops[1]); ok {
+			l0 = entry
+		}
+	}
+	return vm, l0, nil
+}
+
 // Hypervisor hosts VMs at one virtualization level. The L0 instance lives
 // on a Host; nested instances live inside a running guest.
 type Hypervisor struct {

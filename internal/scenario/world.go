@@ -15,15 +15,6 @@ import (
 	"cloudskulk/internal/workload"
 )
 
-// agentPageOffset places the vendor's probe file in guest memory, clear of
-// the kernel-image region and the vendor image (matching the experiments
-// package's layout).
-const agentPageOffset = 2048
-
-// mirrorPageOffset is where the rootkit mirrors intercepted file pushes in
-// its own RAM.
-const mirrorPageOffset = core.KernelPages + 4096
-
 // ramCopyPageCost is the attacker-side cost of copying one page when
 // re-homing the captive guest a level deeper.
 const ramCopyPageCost = 500 * time.Nanosecond
@@ -119,9 +110,7 @@ func (w *World) Execute() error {
 		})
 	}
 
-	icfg := core.DefaultInstallConfig()
-	icfg.TargetName = w.Cloud.Victim.Name()
-	rk, err := core.Installer{Host: w.Cloud.Host, Migration: w.Cloud.Migration}.Install(icfg)
+	rk, err := w.Cloud.InstallRootkit(core.InstallConfig{})
 	if bg != nil {
 		bg.Stop()
 		w.atkWrites += bg.PagesDirtied()
@@ -142,8 +131,8 @@ func (w *World) Execute() error {
 	if err := rk.MirrorRange(w.Cloud.VendorImageAt, w.Cloud.VendorImage.NumPages()); err != nil {
 		return fmt.Errorf("scenario: mirror image: %w", err)
 	}
-	w.agent = detect.NewGuestAgent(rk.Victim, agentPageOffset)
-	w.agent.OnLoad = rk.InterceptFilePushes(mirrorPageOffset)
+	w.agent = detect.NewGuestAgent(rk.Victim)
+	w.agent.OnLoad = rk.InterceptFilePushes()
 
 	switch w.Spec.Kind {
 	case KindEvadeKSM:
@@ -172,7 +161,7 @@ func (w *World) churnRegions() [][2]int {
 	image := [2]int{w.Cloud.VendorImageAt, w.Cloud.VendorImageAt + w.Cloud.VendorImage.NumPages()}
 	// The push mirror: where intercepted file pushes land. Churn a probe-
 	// file-sized window; the attacker knows their own mirror layout.
-	push := [2]int{mirrorPageOffset, mirrorPageOffset + 256}
+	push := [2]int{core.MirrorPage, core.MirrorPage + 256}
 	switch w.Spec.Scope {
 	case ScopeSharedKernel:
 		out = append(out, kernel)
